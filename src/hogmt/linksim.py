@@ -1,36 +1,38 @@
 """Modulation, AWGN reference curves, and Monte-Carlo BER sweeps.
 
 Constellations are Gray-mapped with unit average energy, built as separable
-per-axis Gray PAM (one axis for BPSK).  Demodulation is brute-force minimum
-distance over the constellation table.
+per-axis Gray PAM (one axis for BPSK).  Demodulation slices each axis on its
+own against the midpoints of adjacent levels, which for these separable
+constellations is exactly the minimum-distance decision.
 
 The BER engine compares precoders on identical footing: per (SNR point,
 trial, modulation) the data bits and the noise grid come from dedicated
 substreams shared by every precoder, so curves are paired sample-by-sample.
-SNR is received-signal-referenced, E_s / sigma_v^2 with E_s = 1; per-bit
-SNR for reference curves is E_s / (k * sigma_v^2) for k bits per symbol.
+Each precoder is one linear map per channel realization, applied to chunks
+of trials at once.  SNR is received-signal-referenced, E_s / sigma_v^2 with
+E_s = 1; per-bit SNR for reference curves is E_s / (k * sigma_v^2) for k
+bits per symbol.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .channel import (
-    ImpulseResponse4D,
     ScenarioConfig,
     SpaceTimeSignal,
+    _substream,
     generate_channel,
     to_kernel,
 )
-from .errors import DegenerateChannelError, DimensionMismatchError, ValidationError
+from .errors import DegenerateChannelError, ValidationError
 from .kernels import TruncationPolicy, flatten_kernel, hogmt_decompose
-from .precoding import hogmt_precode, zf_precode_instant, zfdpc_precode
+from .precoding import hogmt_map, zf_map, zfdpc_map
 
 __all__ = [
     "ModulationScheme",
@@ -52,10 +54,8 @@ _SEED_NOISE = 12
 
 MIN_BITS_FLOOR = 10_000
 
-
-def _substream(master_seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
-    return np.random.default_rng(ss)
+# symbols per batched apply in run_ber: bounds memory, changes no number
+_CHUNK_SYMBOLS = 1 << 14
 
 
 def _gray_to_binary(g: int) -> int:
@@ -140,6 +140,42 @@ def get_scheme(name) -> ModulationScheme:
     return SCHEMES[key]
 
 
+def _labels(bits: np.ndarray, k: int) -> np.ndarray:
+    """Symbol labels of a bit array whose last axis holds k-bit groups, MSB first."""
+    weights = 1 << np.arange(k - 1, -1, -1)
+    return bits.reshape(bits.shape[:-1] + (-1, k)) @ weights
+
+
+def _axis_slicer(levels: np.ndarray):
+    """Nearest-level decision on one axis, returning the level's Gray label.
+
+    A value v lies above the midpoint of adjacent levels a < b iff
+    v - (a + b) / 2 > 0.  With (a + b) / 2 == mid + err exactly (two-sum,
+    then an exact halving), v - mid is exact wherever it is close to err
+    (Sterbenz), so comparing it with err decides exactly, also for values
+    far outside the constellation.  An exact tie needs err == 0, which for
+    these symmetric levels happens only at 0; it goes to the lower level,
+    which there carries the lower label (reflected Gray code), as an argmin
+    over the label-ordered points would pick.
+    """
+    order = np.argsort(levels)
+    lo, hi = levels[order[:-1]], levels[order[1:]]
+    total = lo + hi
+    hi_part = total - lo
+    mid = total / 2
+    err = ((lo - (total - hi_part)) + (hi - hi_part)) / 2
+    return lambda v: order[np.count_nonzero(v[..., None] - mid > err, axis=-1)]
+
+
+def _slicer(scheme: ModulationScheme):
+    """Minimum-distance symbol labels of complex values, one axis at a time."""
+    decide_i = _axis_slicer(scheme.i_levels)
+    if not scheme.q_bits:
+        return lambda r: decide_i(r.real)
+    decide_q = _axis_slicer(scheme.q_levels)
+    return lambda r: (decide_i(r.real) << scheme.q_bits) | decide_q(r.imag)
+
+
 def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
     """Map a bit array onto a space-time grid of constellation symbols.
 
@@ -157,8 +193,7 @@ def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
             f"need exactly {k * n_sym} bits for a {dims} grid of "
             f"{scheme.name}, got {bits.size}"
         )
-    weights = 1 << np.arange(k - 1, -1, -1)
-    labels = bits.reshape(n_sym, k) @ weights
+    labels = _labels(bits, k)
     return SpaceTimeSignal(grid=scheme.points[labels].reshape(dims), role="data")
 
 
@@ -166,8 +201,7 @@ def demodulate(r, scheme) -> np.ndarray:
     """Minimum-distance demodulation back to a flat bit array (MSB first)."""
     scheme = get_scheme(scheme)
     grid = np.asarray(getattr(r, "grid", r), dtype=np.complex128).ravel()
-    dists = np.abs(grid[:, None] - scheme.points[None, :])
-    labels = np.argmin(dists, axis=1)
+    labels = _slicer(scheme)(grid)
     k = scheme.bits_per_symbol
     shifts = np.arange(k - 1, -1, -1)
     return ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
@@ -325,64 +359,101 @@ class BerReport:
         return out
 
 
-class _ChannelBundle:
-    """Per-(snr, channel-index) realization with lazily computed pieces."""
+def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
+    """Each precoder's (flattened kernel, linear map) on one channel draw.
 
-    def __init__(self, cfg: ScenarioConfig, seed: int):
-        self.h = generate_channel(cfg, seed)
-        self._kernel = None
-        self._flat = None
-        self._decomp = None
+    The ideal link has no kernel, and "none"/"ideal" have no map.  A map
+    that raises DegenerateChannelError is replaced by the error.
+    """
+    if all(sp.kind == "ideal" for sp in specs):
+        return [(None, None)] * len(specs)
+    h = generate_channel(cfg, seed)
+    kernel = to_kernel(h)
+    flat = flatten_kernel(kernel)
+    needs_decomp = any(sp.kind == "hogmt" for sp in specs)
+    decomp = hogmt_decompose(kernel) if needs_decomp else None
+    links = []
+    for spec in specs:
+        try:
+            if spec.kind == "hogmt":
+                pmap = hogmt_map(decomp, TruncationPolicy.fraction(spec.fraction))
+            else:
+                build = {"zf": zf_map, "zfdpc": zfdpc_map}.get(spec.kind)
+                pmap = build(h) if build else None
+        except DegenerateChannelError as exc:
+            pmap = exc
+        links.append((None if spec.kind == "ideal" else flat, pmap))
+    return links
 
-    @property
-    def flat(self) -> np.ndarray:
-        if self._flat is None:
-            self._kernel = to_kernel(self.h)
-            self._flat = flatten_kernel(self._kernel)
-        return self._flat
 
-    @property
-    def decomp(self):
-        if self._decomp is None:
-            _ = self.flat
-            self._decomp = hogmt_decompose(self._kernel)
-        return self._decomp
+def _trial_draws(seed, si, mi, trials, k, dims, sigma2):
+    """Data bits and received noise of each trial, one row per trial.
+
+    Every trial has its own bit and noise substream, so the draws do not
+    depend on how trials are grouped.  No noise is drawn when sigma2 is 0.
+    """
+    bits = np.empty((len(trials), k * dims[0] * dims[1]), dtype=np.uint8)
+    normals = np.empty((len(trials), 2) + dims)
+    for j, trial in enumerate(trials):
+        bits[j] = _substream(seed, _SEED_BITS, si, trial, mi).integers(
+            0, 2, size=bits.shape[1], dtype=np.uint8
+        )
+        if sigma2 != 0.0:
+            rng = _substream(seed, _SEED_NOISE, si, trial, mi)
+            rng.standard_normal(out=normals[j, 0])
+            rng.standard_normal(out=normals[j, 1])
+    if sigma2 == 0.0:
+        return bits, None
+    unit_noise = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+    return bits, math.sqrt(sigma2) * unit_noise
 
 
-def _trial_counts(
-    bundle: _ChannelBundle,
-    spec: PrecoderSpec,
-    scheme: ModulationScheme,
-    s: SpaceTimeSignal,
-    bits: np.ndarray,
-    unit_noise: np.ndarray,
-    sigma2: float,
-) -> tuple[int, float]:
-    """Errors and mean per-symbol transmit energy for one trial."""
-    if spec.kind == "ideal":
-        x_grid = s.grid
-        clean = s.grid
-    else:
-        if spec.kind == "hogmt":
-            policy = (
-                TruncationPolicy.fraction(spec.fraction)
-                if spec.fraction < 1.0
-                else TruncationPolicy.full()
-            )
-            x, _ = hogmt_precode(bundle.decomp, s, policy)
-            x_grid = x.grid
-        elif spec.kind == "zf":
-            x_grid = zf_precode_instant(bundle.h, s).grid
-        elif spec.kind == "zfdpc":
-            x_grid = zfdpc_precode(bundle.h, s).grid
-        else:  # none
-            x_grid = s.grid
-        clean = (bundle.flat @ x_grid.ravel()).reshape(s.grid.shape)
-    r = clean if sigma2 == 0.0 else clean + math.sqrt(sigma2) * unit_noise
-    got = demodulate(r, scheme)
-    errors = int(np.count_nonzero(got != bits))
-    tx_energy = float(np.mean(np.abs(x_grid) ** 2))
-    return errors, tx_energy
+_POPCOUNT = np.array([bin(v).count("1") for v in range(64)])  # labels have <= 6 bits
+
+
+def _count_chunk(s, sent, noise, flat, pmap, slicer) -> tuple[int, float]:
+    """Bit errors and transmit-energy sum of one link over a chunk of trials."""
+    x = s if pmap is None else pmap.apply(s)
+    r = x if flat is None else (x.reshape(len(x), -1) @ flat.T).reshape(s.shape)
+    if noise is not None:
+        r = r + noise
+    got = slicer(r.reshape(len(r), -1))
+    tx_energy = np.mean(np.abs(x) ** 2, axis=(1, 2))
+    return int(_POPCOUNT[got ^ sent].sum()), float(tx_energy.sum())
+
+
+def _point_counts(scenario, specs, schemes, n_trials, n_channels, seed, si, sigma2):
+    """[bit errors, transmit-energy sum] per (precoder, modulation) at one SNR point.
+
+    Trial t of a modulation runs on channel t mod n_channels, in chunks of
+    trials.  A precoder whose map fails on a channel the modulation uses
+    gets None.
+    """
+    dims = (scenario.users, scenario.time_symbols)
+    chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
+    channels = []
+    for c in range(min(n_channels, max(n_trials))):
+        ch_seed = int(_substream(seed, _SEED_CHANNEL, si, c).integers(0, 2**63))
+        channels.append(_links(scenario, ch_seed, specs))
+    acc = {key: [0, 0.0] for key in np.ndindex(len(specs), len(schemes))}
+    for mi, scheme in enumerate(schemes):
+        k = scheme.bits_per_symbol
+        slicer = _slicer(scheme)
+        for c in range(min(n_channels, n_trials[mi])):
+            trials = range(c, n_trials[mi], n_channels)
+            for lo in range(0, len(trials), chunk):
+                bits, noise = _trial_draws(
+                    seed, si, mi, trials[lo : lo + chunk], k, dims, sigma2
+                )
+                sent = _labels(bits, k)
+                s = scheme.points[sent].reshape((len(bits),) + dims)
+                for pi, (flat, pmap) in enumerate(channels[c]):
+                    if isinstance(pmap, DegenerateChannelError):
+                        acc[pi, mi] = None
+                    if acc[pi, mi] is not None:
+                        counts = _count_chunk(s, sent, noise, flat, pmap, slicer)
+                        acc[pi, mi] = [a + b for a, b in zip(acc[pi, mi], counts)]
+    return acc
 
 
 def run_ber(
@@ -401,9 +472,12 @@ def run_ber(
     signal (unit symbol energy).  Each trial spans one (users, time_symbols)
     block; channel realizations rotate over ``n_channels`` per SNR point and
     are shared by every precoder and modulation, as are the data bits and
-    the noise draw of each trial, so comparisons are paired.  Results are
-    sums over per-trial counts from dedicated substreams, hence identical
-    for any ``n_workers``.
+    the noise draw of each trial, so comparisons are paired.  Per channel,
+    each precoder is built once as a linear map and applied to chunks of
+    trials; the received grids still pass through the channel's kernel.
+    Bit and error counts are sums over per-trial draws from dedicated
+    substreams, so they do not depend on the chunking.  ``n_workers`` is
+    validated but has no effect: the batched algebra runs on BLAS threads.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -418,6 +492,8 @@ def run_ber(
     snr_list = [float(v) for v in np.atleast_1d(np.asarray(snr_db, dtype=float))]
     if not snr_list:
         raise ValidationError("need at least one SNR point")
+    if any(math.isnan(v) or v == -math.inf for v in snr_list):
+        raise ValidationError(f"snr_db must be finite or +inf, got {snr_list}")
     if min_bits < MIN_BITS_FLOOR:
         raise ValidationError(
             f"min_bits must be >= {MIN_BITS_FLOOR}, got {min_bits}"
@@ -427,115 +503,30 @@ def run_ber(
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
     seed = int(seed)
-    l_u, l_t = scenario.users, scenario.time_symbols
-    dims = (l_u, l_t)
-    n_sym = l_u * l_t
-    needs_channel = any(sp.kind != "ideal" for sp in specs)
+    n_sym = scenario.users * scenario.time_symbols
+    n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
 
     points: list[BerPoint] = []
     for si, snr in enumerate(snr_list):
         sigma2 = 10.0 ** (-snr / 10.0)
-        bundles: dict[int, _ChannelBundle] = {}
-
-        def bundle_for(c: int) -> _ChannelBundle:
-            if c not in bundles:
-                ch_seed = int(
-                    _substream(seed, _SEED_CHANNEL, si, c).integers(0, 2**63)
-                )
-                bundles[c] = _ChannelBundle(scenario, ch_seed)
-            return bundles[c]
-
-        def run_trial(args):
-            trial, mi = args
-            scheme = schemes[mi]
-            k = scheme.bits_per_symbol
-            bits = _substream(seed, _SEED_BITS, si, trial, mi).integers(
-                0, 2, size=k * n_sym, dtype=np.uint8
-            )
-            s = modulate(bits, scheme, dims)
-            rng_noise = _substream(seed, _SEED_NOISE, si, trial, mi)
-            unit_noise = (
-                rng_noise.standard_normal(dims) + 1j * rng_noise.standard_normal(dims)
-            ) / math.sqrt(2.0)
-            bundle = bundle_for(trial % n_channels) if needs_channel else None
-            out = []
-            for pi, spec in enumerate(specs):
-                try:
-                    errors, tx_e = _trial_counts(
-                        bundle, spec, scheme, s, bits, unit_noise, sigma2
-                    )
-                    out.append((pi, mi, errors, bits.size, tx_e))
-                except DegenerateChannelError:
-                    out.append((pi, mi, -1, 0, math.nan))
-            return out
-
-        # materialize channels before threading so bundle construction is
-        # single-threaded (lazy SVDs inside would race otherwise)
-        tasks = []
-        for mi, scheme in enumerate(schemes):
-            bits_per_trial = scheme.bits_per_symbol * n_sym
-            n_trials = max(1, math.ceil(min_bits / bits_per_trial))
-            tasks.extend((trial, mi) for trial in range(n_trials))
-        if needs_channel:
-            n_trials_max = max(
-                math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes
-            )
-            for c in range(min(n_channels, max(1, n_trials_max))):
-                b = bundle_for(c)
-                if any(sp.kind == "hogmt" for sp in specs):
-                    _ = b.decomp
-                elif any(sp.kind in ("zf", "zfdpc", "none") for sp in specs):
-                    _ = b.flat
-
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(run_trial, tasks))
-        else:
-            results = [run_trial(t) for t in tasks]
-
-        acc: dict[tuple[int, int], list] = {
-            (pi, mi): [0, 0, 0.0, 0, False]  # errors, bits, tx_energy_sum, trials, failed
-            for pi in range(len(specs))
-            for mi in range(len(schemes))
-        }
-        for trial_out in results:
-            for pi, mi, errors, nbits, tx_e in trial_out:
-                slot = acc[(pi, mi)]
-                if errors < 0:
-                    slot[4] = True
-                    continue
-                slot[0] += errors
-                slot[1] += nbits
-                slot[2] += tx_e
-                slot[3] += 1
-
+        acc = _point_counts(
+            scenario, specs, schemes, n_trials, n_channels, seed, si, sigma2
+        )
         for pi, spec in enumerate(specs):
             for mi, scheme in enumerate(schemes):
-                errors, nbits, tx_sum, n_ok, failed = acc[(pi, mi)]
-                if failed or nbits == 0:
-                    points.append(
-                        BerPoint(
-                            snr_db=snr,
-                            precoder=spec.label,
-                            modulation=scheme.name,
-                            fraction=spec.fraction,
-                            bits=0,
-                            errors=0,
-                            ber=math.nan,
-                            tx_energy=math.nan,
-                        )
+                nbits = n_trials[mi] * scheme.bits_per_symbol * n_sym
+                failed = acc[pi, mi] is None
+                errors, tx_sum = acc[pi, mi] or (0, math.nan)
+                points.append(
+                    BerPoint(
+                        snr_db=snr,
+                        precoder=spec.label,
+                        modulation=scheme.name,
+                        fraction=spec.fraction,
+                        bits=0 if failed else nbits,
+                        errors=errors,
+                        ber=math.nan if failed else errors / nbits,
+                        tx_energy=tx_sum / n_trials[mi],
                     )
-                else:
-                    points.append(
-                        BerPoint(
-                            snr_db=snr,
-                            precoder=spec.label,
-                            modulation=scheme.name,
-                            fraction=spec.fraction,
-                            bits=nbits,
-                            errors=errors,
-                            ber=errors / nbits,
-                            tx_energy=tx_sum / n_ok,
-                        )
-                    )
+                )
     return BerReport(points=tuple(points))

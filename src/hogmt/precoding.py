@@ -8,7 +8,14 @@ no spatial, temporal, or joint interference (up to truncated modes).
 
 Two per-time-instant baselines are included for comparison: plain spatial
 zero-forcing and QR-based zero-forcing dirty-paper coding.  Both ignore the
-delay dimension, so they cancel only spatial interference.
+delay dimension, so they cancel only spatial interference.  Without a
+modulo lattice the dirty-paper pre-subtraction is linear, and on square
+full-rank instants Q R^-H is exactly H(t)^-1: its output equals per-instant
+zero-forcing up to rounding.  Both are kept as the two named baselines.
+
+For a fixed channel every precoder is one linear map on data grids, built
+once by :func:`hogmt_map`, :func:`zf_map` or :func:`zfdpc_map` and applied
+to any stack of grids; the ``*_precode`` functions apply it to one grid.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import ImpulseResponse4D, SpaceTimeSignal
 from .errors import (
@@ -30,6 +36,11 @@ from .kernels import EigenDecomposition, TruncationPolicy, _freeze, ensure_grid
 __all__ = [
     "CoefficientSet",
     "EnergyReport",
+    "ModeMap",
+    "InstantMap",
+    "hogmt_map",
+    "zf_map",
+    "zfdpc_map",
     "hogmt_precode",
     "energy_report",
     "zf_precode_instant",
@@ -104,6 +115,54 @@ def _cumulative_normalized(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values) / total
 
 
+@dataclass(frozen=True)
+class ModeMap:
+    """hogmt(f) of one channel: x = conj(Phi_k)^T diag(1/sigma_k) conj(Psi_k) s.
+
+    Applied factor by factor over the k retained modes (flattened views of
+    the decomposition, shape (k, N)), so no N x N map and no conjugated
+    copy of the eigenfunctions is ever formed.
+    """
+
+    psis: np.ndarray
+    phis: np.ndarray
+    sigmas: np.ndarray
+    out_dims: tuple[int, int]
+
+    def apply(self, grids: np.ndarray) -> np.ndarray:
+        """Precode a stack of data grids (..., L_u, L_t) -> (..., L_u', L_t')."""
+        flat = grids.reshape(grids.shape[:-2] + (-1,))
+        x_coeffs = np.conj(np.conj(flat) @ self.psis.T) / self.sigmas
+        x = np.conj(np.conj(x_coeffs) @ self.phis)
+        return x.reshape(grids.shape[:-2] + self.out_dims)
+
+
+def hogmt_map(
+    decomp: EigenDecomposition,
+    policy: TruncationPolicy | None = None,
+    sigma_floor_rel: float = DEFAULT_SIGMA_FLOOR_REL,
+) -> ModeMap:
+    """The hogmt precoder of one channel decomposition.
+
+    Retention follows ``policy`` (default: keep everything) intersected with
+    the relative sigma floor; no surviving mode means a degenerate channel.
+    """
+    if policy is None:
+        policy = TruncationPolicy.full()
+    n_keep = policy.retained_count(decomp.sigmas, floor_rel=sigma_floor_rel)
+    if n_keep == 0:
+        raise DegenerateChannelError(
+            "every mode falls below the singular-value floor "
+            f"(largest sigma = {decomp.sigmas[0] if decomp.n_modes else 0.0})"
+        )
+    return ModeMap(
+        psis=decomp.psis[:n_keep].reshape(n_keep, -1),
+        phis=decomp.phis[:n_keep].reshape(n_keep, -1),
+        sigmas=decomp.sigmas[:n_keep],
+        out_dims=decomp.source_dims[2:],
+    )
+
+
 def hogmt_precode(
     decomp: EigenDecomposition,
     s: SpaceTimeSignal | np.ndarray,
@@ -113,41 +172,26 @@ def hogmt_precode(
     """Precode a data grid through a channel decomposition.
 
     x = sum over retained modes of (<s, psi_n> / sigma_n) * conj(phi_n),
-    with <a, b> conjugating the second argument.  Retention follows
-    ``policy`` (default: keep everything) intersected with the relative
-    sigma floor; if no mode survives the floor the channel is degenerate.
+    with <a, b> conjugating the second argument.  Retention is that of
+    :func:`hogmt_map`.
     """
-    if policy is None:
-        policy = TruncationPolicy.full()
     grid = ensure_grid(getattr(s, "grid", s), "data signal")
     if grid.shape != decomp.source_dims[:2]:
         raise DimensionMismatchError(
             f"data shape {grid.shape} does not match receive-side grid "
             f"{decomp.source_dims[:2]}"
         )
-    n_keep = policy.retained_count(decomp.sigmas, floor_rel=sigma_floor_rel)
-    if n_keep == 0:
-        raise DegenerateChannelError(
-            "every mode falls below the singular-value floor "
-            f"(largest sigma = {decomp.sigmas[0] if decomp.n_modes else 0.0})"
-        )
+    pmap = hogmt_map(decomp, policy, sigma_floor_rel)
+    n_keep = pmap.sigmas.size
     # projections on all modes; the tail beyond n_keep is only reported
-    proj = np.einsum(
-        "ut,nut->n", grid, np.conj(decomp.psis), optimize=True
-    )
-    s_coeffs = proj[:n_keep]
-    x_coeffs = s_coeffs / decomp.sigmas[:n_keep]
-    x_grid = np.einsum(
-        "n,nvs->vs", x_coeffs, np.conj(decomp.phis[:n_keep]), optimize=True
-    )
-    dropped = float(np.sum(np.abs(proj[n_keep:]) ** 2))
+    proj = np.conj(decomp.psis.reshape(decomp.n_modes, -1) @ np.conj(grid.ravel()))
     coeffs = CoefficientSet(
-        x_coeffs=x_coeffs,
-        s_coeffs=s_coeffs,
+        x_coeffs=proj[:n_keep] / pmap.sigmas,
+        s_coeffs=proj[:n_keep],
         retained=n_keep,
-        dropped_energy=dropped,
+        dropped_energy=float(np.sum(np.abs(proj[n_keep:]) ** 2)),
     )
-    return SpaceTimeSignal(grid=x_grid, role="precoded"), coeffs
+    return SpaceTimeSignal(grid=pmap.apply(grid), role="precoded"), coeffs
 
 
 def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyReport:
@@ -173,6 +217,20 @@ def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyR
     )
 
 
+@dataclass(frozen=True)
+class InstantMap:
+    """A per-time-instant baseline of one channel: x(:, t) = mats[t] s(:, t)."""
+
+    mats: np.ndarray  # (L_t, L_u', L_u)
+
+    def apply(self, grids: np.ndarray) -> np.ndarray:
+        """Precode a stack of data grids (..., L_u, L_t) -> (..., L_u', L_t)."""
+        lead, (l_u, l_t) = grids.shape[:-2], grids.shape[-2:]
+        cols = grids.reshape(-1, l_u, l_t).transpose(2, 1, 0)  # (L_t, L_u, batch)
+        x = (self.mats @ cols).transpose(2, 1, 0)
+        return x.reshape(lead + x.shape[1:])
+
+
 def _instant_matrices(h: ImpulseResponse4D) -> np.ndarray:
     """Narrowband per-instant matrices H(t) = sum over taps, shape (L_t, L_u, L_u')."""
     return np.moveaxis(h.values.sum(axis=3), 2, 0)
@@ -189,49 +247,34 @@ def _check_signal(h: ImpulseResponse4D, s) -> np.ndarray:
     return grid
 
 
-def zf_precode_instant(
-    h: ImpulseResponse4D, s: SpaceTimeSignal | np.ndarray
-) -> SpaceTimeSignal:
+def zf_map(h: ImpulseResponse4D) -> InstantMap:
     """Per-instant spatial zero-forcing baseline.
 
     Inverts the tap-summed matrix at each time symbol (pseudo-inverse when
     singular, with a warning).  Delay taps are ignored, so temporal and
     joint interference pass through untouched.
     """
-    grid = _check_signal(h, s)
     mats = _instant_matrices(h)
-    l_t = mats.shape[0]
-    pinvs = np.linalg.pinv(mats)
-    full = min(mats.shape[1], mats.shape[2])
     ranks = np.linalg.matrix_rank(mats)
-    deficient = int(np.count_nonzero(ranks < full))
+    deficient = int(np.count_nonzero(ranks < min(mats.shape[1:])))
     if deficient:
         warnings.warn(
-            f"{deficient} of {l_t} per-instant matrices are rank-deficient; "
-            "pseudo-inverse used",
+            f"{deficient} of {mats.shape[0]} per-instant matrices are "
+            "rank-deficient; pseudo-inverse used",
             stacklevel=2,
         )
-    x = np.einsum("tij,jt->it", pinvs, grid, optimize=True)
-    return SpaceTimeSignal(grid=x, role="precoded")
+    return InstantMap(np.linalg.pinv(mats))
 
 
-def zfdpc_precode(
-    h: ImpulseResponse4D,
-    s: SpaceTimeSignal | np.ndarray,
-    modulation: str | None = None,
-) -> SpaceTimeSignal:
+def zfdpc_map(h: ImpulseResponse4D) -> InstantMap:
     """Per-instant QR-based zero-forcing dirty-paper baseline.
 
     Factor the conjugate transpose of each instantaneous matrix as Q R, so
     the channel becomes lower-triangular in the encoding order.  Streams are
     encoded in natural order; each symbol pre-subtracts the interference of
     already-encoded streams and divides by the matching diagonal of R, which
-    makes the spatial part arrive clean.  ``modulation`` is accepted for
-    interface symmetry with modulo-lattice variants but is not used by this
-    plain linear pre-subtraction.
+    makes the spatial part arrive clean: x(t) = Q R^-H s(t).
     """
-    del modulation
-    grid = _check_signal(h, s)
     mats = _instant_matrices(h)
     l_t, l_u, l_up = mats.shape
     if l_u != l_up:
@@ -239,20 +282,36 @@ def zfdpc_precode(
             f"dirty-paper baseline needs square per-instant matrices, got "
             f"{l_u}x{l_up}"
         )
-    x = np.empty((l_up, l_t), dtype=np.complex128)
-    eps = np.finfo(float).eps
-    for ti in range(l_t):
-        q, r = np.linalg.qr(mats[ti].conj().T)
-        diag = np.abs(np.diag(r))
-        tol = l_u * eps * (diag.max() if diag.size else 0.0)
-        if np.any(diag <= tol):
-            raise NumericalError(
-                f"rank-deficient instantaneous channel at time symbol {ti}: "
-                "zero diagonal in the QR factor"
-            )
-        # lower-triangular system R^H w = s(t), solved in encoding order
-        w = scipy.linalg.solve_triangular(
-            r.conj().T, grid[:, ti], lower=True, check_finite=False
+    q, r = np.linalg.qr(np.conj(np.swapaxes(mats, 1, 2)))
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    tol = l_u * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
+    bad = np.flatnonzero(np.any(diag <= tol, axis=1))
+    if bad.size:
+        raise NumericalError(
+            f"rank-deficient instantaneous channel at time symbol {bad[0]}: "
+            "zero diagonal in the QR factor"
         )
-        x[:, ti] = q @ w
-    return SpaceTimeSignal(grid=x, role="precoded")
+    return InstantMap(q @ np.conj(np.swapaxes(np.linalg.inv(r), 1, 2)))
+
+
+def zf_precode_instant(
+    h: ImpulseResponse4D, s: SpaceTimeSignal | np.ndarray
+) -> SpaceTimeSignal:
+    """Per-instant spatial zero-forcing baseline (see :func:`zf_map`) on one grid."""
+    grid = _check_signal(h, s)
+    return SpaceTimeSignal(grid=zf_map(h).apply(grid), role="precoded")
+
+
+def zfdpc_precode(
+    h: ImpulseResponse4D,
+    s: SpaceTimeSignal | np.ndarray,
+    modulation: str | None = None,
+) -> SpaceTimeSignal:
+    """Per-instant dirty-paper baseline (see :func:`zfdpc_map`) on one grid.
+
+    ``modulation`` is accepted for interface symmetry with modulo-lattice
+    variants but is not used by this plain linear pre-subtraction.
+    """
+    del modulation
+    grid = _check_signal(h, s)
+    return SpaceTimeSignal(grid=zfdpc_map(h).apply(grid), role="precoded")

@@ -1,21 +1,29 @@
 """Tests for modulation tables, AWGN reference curves and the BER driver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import erfc
 
+import hogmt.linksim
 from hogmt import (
     MIN_BITS_FLOOR,
+    EigenDecomposition,
     ScenarioConfig,
     demodulate,
+    flatten_kernel,
+    generate_channel,
     get_scheme,
+    hogmt_decompose,
     modulate,
     parse_precoder,
     run_ber,
     theoretical_awgn_ber,
+    to_kernel,
 )
 from hogmt.errors import ValidationError
 
@@ -69,6 +77,22 @@ class TestSchemeTables:
                 assert bin(a ^ b).count("1") == 1, (name, a, b)
 
 
+def _decision_edges():
+    """Float midpoints of adjacent levels of every scheme and their neighbours."""
+    edges = set()
+    for name in ("bpsk", "qpsk", "qam16", "qam64"):
+        lv = np.sort(get_scheme(name).i_levels)
+        for mid in (lv[:-1] + lv[1:]) / 2:
+            edges.update((mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)))
+    return sorted(float(e) for e in edges)
+
+
+# any finite float, with decision boundaries and their neighbours drawn often
+_AXIS_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_decision_edges())
+)
+
+
 class TestModulateDemodulate:
     @pytest.mark.parametrize("name", ["bpsk", "qpsk", "qam16", "qam64"])
     def test_roundtrip_exact(self, name):
@@ -93,6 +117,29 @@ class TestModulateDemodulate:
         sch = get_scheme("qpsk")
         with pytest.raises(ValidationError):
             modulate(np.zeros(7, dtype=np.uint8), sch, (1, 4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"]),
+        values=st.lists(st.tuples(_AXIS_VALUES, _AXIS_VALUES), min_size=1, max_size=8),
+    )
+    def test_slicer_matches_brute_force_argmin(self, name, values):
+        # brute-force minimum distance over every constellation point, in
+        # exact arithmetic: float distances tie for values far outside the
+        # constellation; an exact tie goes to the lowest label
+        sch = get_scheme(name)
+        k = sch.bits_per_symbol
+        pts = [(Fraction(p.real), Fraction(p.imag)) for p in sch.points]
+        want = []
+        for re, im in values:
+            fre, fim = Fraction(re), Fraction(im)
+            label = min(
+                range(len(pts)),
+                key=lambda n: ((fre - pts[n][0]) ** 2 + (fim - pts[n][1]) ** 2, n),
+            )
+            want.extend((label >> (k - 1 - b)) & 1 for b in range(k))
+        r = np.array([complex(re, im) for re, im in values])
+        np.testing.assert_array_equal(demodulate(r, sch), want)
 
     def test_nearest_point_decision(self):
         sch = get_scheme("qam16")
@@ -289,3 +336,121 @@ class TestRunBer:
                 fast_scenario(), precoders=(parse_precoder("ideal"),),
                 snr_db=(0.0,), min_bits=20_000, seed=0, modulations=("pam8",),
             )
+
+    def test_non_finite_snr_rejected(self):
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValidationError, match="snr_db"):
+                run_ber(
+                    fast_scenario(), precoders=(parse_precoder("ideal"),),
+                    snr_db=(0.0, bad), min_bits=20_000, seed=0,
+                )
+
+
+def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels):
+    """Per-trial reference for run_ber: explicit solves, SVD and brute force.
+
+    Uses the documented substream keys (purpose 10 channel, 11 bits,
+    12 noise) and returns {(snr, precoder, fraction, modulation): (bits,
+    errors, tx_energy)}.
+    """
+
+    def rng(*key):
+        return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+    l_u, l_t = cfg.users, cfg.time_symbols
+    n_sym = l_u * l_t
+    out = {}
+    for si, snr in enumerate(snr_db):
+        sigma2 = 10.0 ** (-snr / 10.0)
+        chans = []
+        for c in range(n_channels):
+            h = generate_channel(cfg, int(rng(10, si, c).integers(0, 2**63)))
+            flat = flatten_kernel(to_kernel(h))
+            u, sig, vh = np.linalg.svd(flat)
+            chans.append((h.values.sum(axis=3), flat, u, sig, vh))
+        for mi, name in enumerate(modulations):
+            sch = get_scheme(name)
+            k = sch.bits_per_symbol
+            n_trials = max(1, math.ceil(min_bits / (k * n_sym)))
+            for spec in map(parse_precoder, precoders):
+                errors, tx = 0, 0.0
+                for trial in range(n_trials):
+                    bits = rng(11, si, trial, mi).integers(0, 2, size=k * n_sym, dtype=np.uint8)
+                    noise_rng = rng(12, si, trial, mi)
+                    noise = (
+                        noise_rng.standard_normal((l_u, l_t))
+                        + 1j * noise_rng.standard_normal((l_u, l_t))
+                    ) / math.sqrt(2.0)
+                    labels = bits.reshape(n_sym, k) @ (1 << np.arange(k - 1, -1, -1))
+                    s = sch.points[labels]
+                    inst, flat, u, sig, vh = chans[trial % n_channels]
+                    if spec.kind == "hogmt":
+                        keep = int(np.count_nonzero(sig >= 1e-10 * sig[0]))
+                        if spec.fraction < 1.0:
+                            keep = min(keep, math.ceil(spec.fraction * sig.size))
+                        coef = (u[:, :keep].conj().T @ s) / sig[:keep]
+                        x = vh[:keep].conj().T @ coef
+                    elif spec.kind in ("zf", "zfdpc"):
+                        grid = s.reshape(l_u, l_t)
+                        x = np.stack(
+                            [np.linalg.solve(inst[:, :, t], grid[:, t]) for t in range(l_t)],
+                            axis=1,
+                        ).ravel()
+                    else:
+                        x = s
+                    r = x if spec.kind == "ideal" else flat @ x
+                    if sigma2 != 0.0:
+                        r = r + math.sqrt(sigma2) * noise.ravel()
+                    got = np.argmin(np.abs(r[:, None] - sch.points[None, :]), axis=1)
+                    errors += sum(bin(int(v)).count("1") for v in got ^ labels)
+                    tx += float(np.mean(np.abs(x) ** 2))
+                out[(snr, spec.kind, spec.fraction, name)] = (
+                    n_trials * k * n_sym, errors, tx / n_trials
+                )
+    return out
+
+
+class TestRunBerOracle:
+    PRECODERS = ("hogmt(0.5)", "hogmt(1.0)", "zf", "zfdpc", "none", "ideal")
+
+    def test_matches_per_trial_oracle(self):
+        cfg = fast_scenario(mode="drift", doppler_max=0.2, doppler_drift=0.01,
+                            delay_decay=1.0)
+        kw = dict(
+            precoders=self.PRECODERS, snr_db=(9.0, math.inf), min_bits=MIN_BITS_FLOOR,
+            seed=31, modulations=("qpsk", "qam16"), n_channels=3,
+        )
+        rep = run_ber(cfg, **kw)
+        want = _oracle_ber(cfg, **kw)
+        assert len(rep.points) == len(want)
+        for p in rep.points:
+            bits, errors, tx = want[(p.snr_db, p.precoder, p.fraction, p.modulation)]
+            assert (p.bits, p.errors) == (bits, errors), p
+            assert p.tx_energy == pytest.approx(tx, rel=1e-9), p
+        inf_full = rep.select(precoder="hogmt", fraction=1.0)
+        assert all(p.errors == 0 for p in inf_full if p.snr_db == math.inf)
+        assert any(p.errors > 0 for p in rep.select(precoder="zf"))
+
+    def test_degenerate_precoder_fails_alone(self, monkeypatch):
+        kw = dict(
+            precoders=("hogmt(1.0)", "zf", "ideal"), snr_db=(6.0,),
+            min_bits=MIN_BITS_FLOOR, seed=8, modulations=("qpsk",),
+        )
+        before = run_ber(fast_scenario(), **kw)
+
+        def all_zero_sigmas(kernel):
+            d = hogmt_decompose(kernel)
+            return EigenDecomposition(
+                sigmas=np.zeros_like(d.sigmas), psis=d.psis, phis=d.phis,
+                source_dims=d.source_dims,
+            )
+
+        monkeypatch.setattr(hogmt.linksim, "hogmt_decompose", all_zero_sigmas)
+        after = run_ber(fast_scenario(), **kw)
+        (failed,) = after.select(precoder="hogmt")
+        assert failed.failed and failed.bits == 0
+        assert math.isnan(failed.ber) and math.isnan(failed.tx_energy)
+        for kind in ("zf", "ideal"):
+            (pb,) = before.select(precoder=kind)
+            (pa,) = after.select(precoder=kind)
+            assert pa == pb and pa.bits > 0

@@ -240,6 +240,21 @@ class TestZfDpcBaseline:
         b = zfdpc_precode(h, s, modulation="qam16")
         np.testing.assert_array_equal(a.grid, b.grid)
 
+    def test_equals_zero_forcing_on_square_full_rank_instants(self):
+        # without a modulo lattice, Q R^-H is H(t)^-1 itself
+        rng = np.random.default_rng(16)
+        h = generate_channel(
+            ScenarioConfig(
+                users=3, tx_antennas=3, time_symbols=10, min_delay_taps=3,
+                max_delay_taps=3, mode="wssus", doppler_max=0.1,
+            ),
+            19,
+        )
+        s = random_signal(rng, (3, 10))
+        np.testing.assert_allclose(
+            zfdpc_precode(h, s).grid, zf_precode_instant(h, s).grid, rtol=1e-10, atol=0
+        )
+
     def test_singular_instant_raises_with_time_index(self):
         h = single_tap_channel(users=2, seed=17)
         vals = h.values.copy()
