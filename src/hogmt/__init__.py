@@ -17,18 +17,15 @@ from .errors import (
 )
 from .kernels import (
     EigenDecomposition,
-    FlattenMap,
     Kernel4D,
     TruncationPolicy,
     apply_kernel,
     decompose_grid_pairs,
     duality_residual,
-    flatten_index,
     flatten_kernel,
     frobenius_inner,
     hogmt_decompose,
     reconstruct,
-    unflatten_index,
     unflatten_kernel,
 )
 from .channel import (
@@ -96,12 +93,9 @@ __all__ = [
     "NumericalError",
     "DegenerateChannelError",
     # kernels
-    "FlattenMap",
     "Kernel4D",
     "TruncationPolicy",
     "EigenDecomposition",
-    "flatten_index",
-    "unflatten_index",
     "flatten_kernel",
     "unflatten_kernel",
     "decompose_grid_pairs",

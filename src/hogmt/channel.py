@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,24 +84,22 @@ class ScenarioConfig:
     doppler_drift: float = 0.0
     spatial_corr: float = 0.0
     delay_decay: float = 0.5
-    noise_var: float = 0.0
-    master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("users", "tx_antennas", "time_symbols", "block_len"):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, int) and (
+                isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            ):
+                raise ValidationError(f"{f.name} must be an integer, got {v!r}")
+            if isinstance(f.default, float) and not math.isfinite(v):
+                raise ValidationError(f"{f.name} must be finite, got {v}")
+        for name in (
+            "users", "tx_antennas", "time_symbols", "block_len", "min_delay_taps"
+        ):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
             if v < 1:
                 raise ValidationError(f"{name} must be >= 1, got {v}")
-        if not isinstance(self.min_delay_taps, (int, np.integer)) or not isinstance(
-            self.max_delay_taps, (int, np.integer)
-        ):
-            raise ValidationError("min_delay_taps and max_delay_taps must be integers")
-        if self.min_delay_taps < 1:
-            raise ValidationError(
-                f"min_delay_taps must be >= 1, got {self.min_delay_taps}"
-            )
         if self.max_delay_taps < self.min_delay_taps:
             raise ValidationError(
                 "max_delay_taps must be >= min_delay_taps, got "
@@ -144,21 +142,6 @@ class ScenarioConfig:
             raise ValidationError(
                 f"delay_decay must be >= 0, got {self.delay_decay}"
             )
-        if self.noise_var < 0.0:
-            raise ValidationError(f"noise_var must be >= 0, got {self.noise_var}")
-        if not isinstance(self.master_seed, (int, np.integer)) or isinstance(
-            self.master_seed, bool
-        ):
-            raise ValidationError(
-                f"master_seed must be an integer, got {self.master_seed!r}"
-            )
-        if not (0 <= self.master_seed < 2**64):
-            raise ValidationError(
-                f"master_seed must fit in 64 bits, got {self.master_seed}"
-            )
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, master_seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -238,7 +221,7 @@ class InterferenceSplit:
         )
 
 
-def generate_channel(cfg: ScenarioConfig, seed: int | None = None) -> ImpulseResponse4D:
+def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     """Draw one channel realization, deterministic in (cfg, seed).
 
     Per-(u, u') delay spreads are uniform integers in
@@ -246,8 +229,6 @@ def generate_channel(cfg: ScenarioConfig, seed: int | None = None) -> ImpulseRes
     exponential profile exp(-delay_decay * tau); antenna columns are mixed
     by the Cholesky factor of the spatial_corr^|du'| correlation matrix.
     """
-    if seed is None:
-        seed = cfg.master_seed
     seed = int(seed)
     l_u, l_up = cfg.users, cfg.tx_antennas
     l_t, l_tau = cfg.time_symbols, cfg.max_delay_taps

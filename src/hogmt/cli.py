@@ -18,7 +18,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .channel import (
 from .errors import ConfigError, HogmtError, NumericalError, ValidationError, FormatError
 from .kernels import hogmt_decompose, TruncationPolicy
 from .linksim import (
+    MIN_BITS_FLOOR,
     get_scheme,
     modulate,
     parse_precoder,
@@ -62,131 +63,132 @@ __all__ = [
 _SEED_CLI_BITS = 20
 _SEED_STATS_MEMBER = 21
 
-_SCENARIO_DEFAULTS = {
-    "users": 4,
-    "tx_antennas": 4,
-    "time_symbols": 256,
-    "min_delay_taps": 1,
-    "max_delay_taps": 4,
-    "mode": "wssus",
-    "block_len": 64,
-    "doppler_max": 0.05,
-    "doppler_drift": 0.0,
-    "spatial_corr": 0.0,
+# YAML key -> RunConfig field for every section but "scenario", whose keys
+# are the ScenarioConfig fields under their own names.
+_SECTIONS = {
+    "sim": {
+        k: k for k in ("precoder", "fraction", "modulation", "snr_db", "min_bits", "seed")
+    },
+    "stats": {
+        k: k for k in ("d0", "window", "ensemble", "proto_spread_t", "proto_spread_f")
+    },
+    "out": {"dir": "out_dir"},
 }
-_SIM_DEFAULTS = {
-    "precoder": "hogmt",
-    "fraction": 1.0,
-    "modulation": "qam16",
-    "snr_db": [0.0, 5.0, 10.0, 15.0, 20.0],
-    "min_bits": 100_000,
-    "seed": 12345,
+_YAML_KEY = {
+    field: f"{section}.{key}"
+    for section, keys in _SECTIONS.items()
+    for key, field in keys.items()
 }
-_STATS_DEFAULTS = {
-    "d0": 0.2,
-    "window": 8,
-    "ensemble": 1,
-    "proto_spread_t": 4.0,
-    "proto_spread_f": 1.0,
-}
-_OUT_DEFAULTS = {"dir": "out"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run configuration (defaults applied)."""
+    """Fully validated run configuration; field defaults are the YAML defaults.
 
-    scenario: ScenarioConfig
-    precoder: str
-    fraction: float
-    modulation: str
-    snr_db: tuple[float, ...]
-    min_bits: int
-    seed: int
-    d0: float
-    window: int
-    ensemble: int
-    proto_spread_t: float
-    proto_spread_f: float
-    out_dir: str
+    Range errors raise ``ConfigError`` naming the YAML ``section.key``.
+    """
+
+    scenario: ScenarioConfig = ScenarioConfig()
+    precoder: str = "hogmt"
+    fraction: float = 1.0
+    modulation: str = "qam16"
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    min_bits: int = 100_000
+    seed: int = 12345
+    d0: float = 0.2
+    window: int = 8
+    ensemble: int = 1
+    proto_spread_t: float = 4.0
+    proto_spread_f: float = 1.0
+    out_dir: str = "out"
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(v):
+                raise ConfigError(f"{_YAML_KEY[f.name]} must be finite, got {v}")
+        if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
+            raise ConfigError(
+                f"sim.snr_db must be finite or +inf (noiseless), got {list(self.snr_db)}"
+            )
+        for name, check in (("precoder", parse_precoder), ("modulation", get_scheme)):
+            try:
+                check(getattr(self, name))
+            except ValidationError as exc:
+                raise ConfigError(f"sim.{name}: {exc}") from exc
+        if not (0.0 < self.fraction <= 1.0):
+            raise ConfigError(f"sim.fraction must be in (0, 1], got {self.fraction}")
+        if self.min_bits < MIN_BITS_FLOOR:
+            raise ConfigError(
+                f"sim.min_bits must be >= {MIN_BITS_FLOOR}, got {self.min_bits}"
+            )
+        if not (0 <= self.seed < 2**64):
+            raise ConfigError(f"sim.seed must fit in 64 bits, got {self.seed}")
+        if not (0.0 < self.d0 <= 1.0):
+            raise ConfigError(f"stats.d0 must be in (0, 1], got {self.d0}")
+        if self.window < 2:
+            raise ConfigError(f"stats.window must be >= 2, got {self.window}")
+        if self.window > self.scenario.time_symbols:
+            raise ConfigError(
+                f"stats.window must be <= scenario.time_symbols, got {self.window} > "
+                f"{self.scenario.time_symbols}"
+            )
+        if self.ensemble < 1:
+            raise ConfigError(f"stats.ensemble must be >= 1, got {self.ensemble}")
+        for name in ("proto_spread_t", "proto_spread_f"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(
+                    f"stats.{name} must be > 0, got {getattr(self, name)}"
+                )
 
     def to_mapping(self) -> dict:
         """Schema-shaped mapping that reparses to an identical RunConfig."""
-        sc = self.scenario
-        return {
-            "scenario": {
-                "users": sc.users,
-                "tx_antennas": sc.tx_antennas,
-                "time_symbols": sc.time_symbols,
-                "min_delay_taps": sc.min_delay_taps,
-                "max_delay_taps": sc.max_delay_taps,
-                "mode": sc.mode,
-                "block_len": sc.block_len,
-                "doppler_max": sc.doppler_max,
-                "doppler_drift": sc.doppler_drift,
-                "spatial_corr": sc.spatial_corr,
-            },
-            "sim": {
-                "precoder": self.precoder,
-                "fraction": self.fraction,
-                "modulation": self.modulation,
-                "snr_db": list(self.snr_db),
-                "min_bits": self.min_bits,
-                "seed": self.seed,
-            },
-            "stats": {
-                "d0": self.d0,
-                "window": self.window,
-                "ensemble": self.ensemble,
-                "proto_spread_t": self.proto_spread_t,
-                "proto_spread_f": self.proto_spread_f,
-            },
-            "out": {"dir": self.out_dir},
-        }
+        flat = asdict(self)
+        flat["snr_db"] = list(self.snr_db)
+        mapping = {"scenario": flat.pop("scenario")}
+        for section, keys in _SECTIONS.items():
+            mapping[section] = {key: flat[field] for key, field in keys.items()}
+        return mapping
 
 
-def _want_int(section: str, key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    return int(value)
+_KINDS = {
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.floating), "a number"),
+    str: (str, "a string"),
+}
 
 
-def _want_float(section: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
+def _coerce(name: str, value, default):
+    """``value`` checked against the type of ``default``; ``name`` is section.key.
+
+    A tuple default is list-valued: a single number or a non-empty list.
+    """
+    if isinstance(default, tuple):
+        items = value if isinstance(value, list) else [value]
+        if not items:
+            raise ConfigError(
+                f"{name} must be a number or non-empty list of numbers, got {value!r}"
+            )
+        return tuple(_coerce(name, v, default[0]) for v in items)
+    types, label = _KINDS[type(default)]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be {label}, got {value!r}")
+    return type(default)(value)
 
 
-def _want_str(section: str, key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{section}.{key} must be a string, got {value!r}")
-    return value
-
-
-def _want_float_list(section: str, key: str, value) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(
-            f"{section}.{key} must be a number or non-empty list of numbers, "
-            f"got {value!r}"
-        )
-    return [_want_float(section, key, v) for v in value]
-
-
-def _section(raw: dict, name: str) -> dict:
-    sec = raw.pop(name, None)
+def _read_section(raw: dict, section: str, keys: dict, defaults: dict) -> dict:
+    """Coerced values of one YAML section, keyed by field name."""
+    sec = raw.get(section)
     if sec is None:
         return {}
     if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return dict(sec)
-
-
-def _reject_unknown(section: str, leftover: dict) -> None:
-    if leftover:
-        key = sorted(leftover)[0]
-        raise ConfigError(f"unknown config key {section}.{key}")
+        raise ConfigError(f"config section {section!r} must be a mapping")
+    unknown = sorted(set(sec) - set(keys), key=str)
+    if unknown:
+        raise ConfigError(f"unknown config key {section}.{unknown[0]}")
+    return {
+        keys[k]: _coerce(f"{section}.{k}", v, defaults[keys[k]]) for k, v in sec.items()
+    }
 
 
 def config_from_mapping(raw) -> RunConfig:
@@ -195,106 +197,30 @@ def config_from_mapping(raw) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a mapping of sections")
-    raw = dict(raw)
-    scen_raw = _section(raw, "scenario")
-    sim_raw = _section(raw, "sim")
-    stats_raw = _section(raw, "stats")
-    out_raw = _section(raw, "out")
-    if raw:
-        name = sorted(raw)[0]
-        raise ConfigError(f"unknown config section {name!r}")
-
-    scen_kwargs = {}
-    for key, default in _SCENARIO_DEFAULTS.items():
-        value = scen_raw.pop(key, default)
-        if key == "mode":
-            scen_kwargs[key] = _want_str("scenario", key, value)
-        elif isinstance(default, int):
-            scen_kwargs[key] = _want_int("scenario", key, value)
-        else:
-            scen_kwargs[key] = _want_float("scenario", key, value)
-    _reject_unknown("scenario", scen_raw)
+    unknown = sorted(set(raw) - {"scenario", *_SECTIONS}, key=str)
+    if unknown:
+        raise ConfigError(f"unknown config section {unknown[0]!r}")
+    scenario_fields = {f.name: f.default for f in fields(ScenarioConfig)}
+    scenario = _read_section(
+        raw, "scenario", {k: k for k in scenario_fields}, scenario_fields
+    )
     try:
-        scenario = ScenarioConfig(**scen_kwargs)
+        scenario = ScenarioConfig(**scenario)
     except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    precoder = _want_str("sim", "precoder", sim_raw.pop("precoder", _SIM_DEFAULTS["precoder"]))
-    fraction = _want_float("sim", "fraction", sim_raw.pop("fraction", _SIM_DEFAULTS["fraction"]))
-    modulation = _want_str(
-        "sim", "modulation", sim_raw.pop("modulation", _SIM_DEFAULTS["modulation"])
-    )
-    snr_db = _want_float_list("sim", "snr_db", sim_raw.pop("snr_db", list(_SIM_DEFAULTS["snr_db"])))
-    min_bits = _want_int("sim", "min_bits", sim_raw.pop("min_bits", _SIM_DEFAULTS["min_bits"]))
-    seed = _want_int("sim", "seed", sim_raw.pop("seed", _SIM_DEFAULTS["seed"]))
-    _reject_unknown("sim", sim_raw)
-    try:
-        parse_precoder(precoder)
-        get_scheme(modulation)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"sim.fraction must be in (0, 1], got {fraction}")
-    if min_bits < 10_000:
-        raise ConfigError(f"sim.min_bits must be >= 10000, got {min_bits}")
-    if not (0 <= seed < 2**64):
-        raise ConfigError(f"sim.seed must fit in 64 bits, got {seed}")
-
-    d0 = _want_float("stats", "d0", stats_raw.pop("d0", _STATS_DEFAULTS["d0"]))
-    window = _want_int("stats", "window", stats_raw.pop("window", _STATS_DEFAULTS["window"]))
-    ensemble = _want_int(
-        "stats", "ensemble", stats_raw.pop("ensemble", _STATS_DEFAULTS["ensemble"])
-    )
-    proto_t = _want_float(
-        "stats", "proto_spread_t",
-        stats_raw.pop("proto_spread_t", _STATS_DEFAULTS["proto_spread_t"]),
-    )
-    proto_f = _want_float(
-        "stats", "proto_spread_f",
-        stats_raw.pop("proto_spread_f", _STATS_DEFAULTS["proto_spread_f"]),
-    )
-    _reject_unknown("stats", stats_raw)
-    if not (0.0 < d0 <= 1.0):
-        raise ConfigError(f"stats.d0 must be in (0, 1], got {d0}")
-    if window < 2:
-        raise ConfigError(f"stats.window must be >= 2, got {window}")
-    if window > scenario.time_symbols:
-        raise ConfigError(
-            f"stats.window must be <= scenario.time_symbols, got {window} > "
-            f"{scenario.time_symbols}"
-        )
-    if ensemble < 1:
-        raise ConfigError(f"stats.ensemble must be >= 1, got {ensemble}")
-    if proto_t <= 0.0:
-        raise ConfigError(f"stats.proto_spread_t must be > 0, got {proto_t}")
-    if proto_f <= 0.0:
-        raise ConfigError(f"stats.proto_spread_f must be > 0, got {proto_f}")
-
-    out_dir = _want_str("out", "dir", out_raw.pop("dir", _OUT_DEFAULTS["dir"]))
-    _reject_unknown("out", out_raw)
-
-    return RunConfig(
-        scenario=scenario,
-        precoder=precoder,
-        fraction=fraction,
-        modulation=modulation,
-        snr_db=tuple(snr_db),
-        min_bits=min_bits,
-        seed=seed,
-        d0=d0,
-        window=window,
-        ensemble=ensemble,
-        proto_spread_t=proto_t,
-        proto_spread_f=proto_f,
-        out_dir=out_dir,
-    )
+        raise ConfigError(f"scenario.{exc}") from exc
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    run = {}
+    for section, keys in _SECTIONS.items():
+        run.update(_read_section(raw, section, keys, defaults))
+    return RunConfig(scenario=scenario, **run)
 
 
 def parse_config(path) -> RunConfig:
     """Load and validate a YAML configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         text = fh.read()
     try:
+        # decoding errors surface as yaml.YAMLError too
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
@@ -615,32 +541,29 @@ def _cmd_complexity(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
     return []
 
 
-_EPILOG = """\
-configuration file (YAML), all keys optional:
-
-  scenario.users (4)            scenario.tx_antennas (4)
-  scenario.time_symbols (256)   scenario.min_delay_taps (1)
-  scenario.max_delay_taps (4)   scenario.mode (wssus | block | drift)
-  scenario.block_len (64)       scenario.doppler_max (0.05, < 0.5)
-  scenario.doppler_drift (0.0)  scenario.spatial_corr (0.0, < 1)
-  sim.precoder (hogmt; hogmt(f) | zf | zfdpc | none | ideal)
-  sim.fraction (1.0)            sim.modulation (qam16; bpsk|qpsk|qam16|qam64)
-  sim.snr_db ([0,5,10,15,20])   sim.min_bits (100000, >= 10000)
-  sim.seed (12345)
-  stats.d0 (0.2)                stats.window (8)
-  stats.ensemble (1)            stats.proto_spread_t (4.0)
-  stats.proto_spread_f (1.0)
-  out.dir (out)
-
-every run writes effective_config.yaml and manifest.yaml into the output
-directory; rerunning a subcommand from those files reproduces its outputs
-byte for byte.
-"""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(f"bad command line: {message}")
+
+
+def _epilog() -> str:
+    """Every YAML key with its default; the README documents the value ranges."""
+    keys = [
+        f"  {section}.{key} ({value})"
+        for section, values in RunConfig().to_mapping().items()
+        for key, value in values.items()
+    ]
+    return "\n".join(
+        [
+            "configuration file (YAML), all keys optional, defaults in parentheses:",
+            "",
+            *keys,
+            "",
+            "every run writes effective_config.yaml and manifest.yaml into the output",
+            "directory; rerunning a subcommand from those files reproduces its outputs",
+            "byte for byte.",
+        ]
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -650,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Eigenfunction-domain channel decomposition, precoding and "
             "link simulation."
         ),
-        epilog=_EPILOG,
+        epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -680,9 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        if not (0 <= args.seed < 2**64):
-            raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
-        cfg = replace(cfg, seed=int(args.seed))
+        cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     out_dir = Path(cfg.out_dir)
@@ -708,26 +629,18 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _dispatch(parser.parse_args(argv))
+    except (FormatError, OSError) as exc:
+        return _fail(exc, 2)
     except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     except HogmtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

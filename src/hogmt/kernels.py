@@ -24,13 +24,10 @@ from .errors import (
 )
 
 __all__ = [
-    "FlattenMap",
     "Kernel4D",
     "TruncationPolicy",
     "EigenDecomposition",
     "ensure_grid",
-    "flatten_index",
-    "unflatten_index",
     "flatten_kernel",
     "unflatten_kernel",
     "decompose_grid_pairs",
@@ -65,40 +62,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
         out = out.copy()
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class FlattenMap:
-    """Bijection between (row, col) pairs and a single index m = row*n_cols + col."""
-
-    n_rows: int
-    n_cols: int
-
-    def __post_init__(self):
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValidationError(
-                f"FlattenMap dims must be >= 1, got ({self.n_rows}, {self.n_cols})"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.n_rows * self.n_cols
-
-
-def flatten_index(u: int, t: int, fmap: FlattenMap) -> int:
-    """Map a (row, col) pair to its flat index, row-major with col fastest."""
-    if not (0 <= u < fmap.n_rows and 0 <= t < fmap.n_cols):
-        raise ValidationError(
-            f"index ({u}, {t}) out of range for map {fmap.n_rows}x{fmap.n_cols}"
-        )
-    return u * fmap.n_cols + t
-
-
-def unflatten_index(m: int, fmap: FlattenMap) -> tuple[int, int]:
-    """Inverse of :func:`flatten_index`."""
-    if not (0 <= m < fmap.size):
-        raise ValidationError(f"flat index {m} out of range for size {fmap.size}")
-    return divmod(m, fmap.n_cols)
 
 
 @dataclass(frozen=True)

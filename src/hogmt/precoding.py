@@ -303,15 +303,8 @@ def zf_precode_instant(
 
 
 def zfdpc_precode(
-    h: ImpulseResponse4D,
-    s: SpaceTimeSignal | np.ndarray,
-    modulation: str | None = None,
+    h: ImpulseResponse4D, s: SpaceTimeSignal | np.ndarray
 ) -> SpaceTimeSignal:
-    """Per-instant dirty-paper baseline (see :func:`zfdpc_map`) on one grid.
-
-    ``modulation`` is accepted for interface symmetry with modulo-lattice
-    variants but is not used by this plain linear pre-subtraction.
-    """
-    del modulation
+    """Per-instant dirty-paper baseline (see :func:`zfdpc_map`) on one grid."""
     grid = _check_signal(h, s)
     return SpaceTimeSignal(grid=zfdpc_map(h).apply(grid), role="precoded")

@@ -1,19 +1,29 @@
 """End-to-end tests for the command-line interface and its file formats."""
 
+import contextlib
 import dataclasses
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from hogmt import load_ctf
+from hogmt import MIN_BITS_FLOOR, load_ctf
 from hogmt.cli import (
+    RunConfig,
     complexity_estimate,
     config_from_mapping,
     main,
     parse_config,
 )
-from hogmt.errors import ConfigError
+from hogmt.errors import ConfigError, NumericalError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, mapping, name="run.yaml"):
@@ -81,6 +91,48 @@ class TestConfigParsing:
         again = config_from_mapping(cfg.to_mapping())
         assert again == cfg
 
+    def test_readme_block_is_the_schema(self):
+        text = README.read_text(encoding="utf-8")
+        after = text[text.index("### Configuration file"):]
+        block = yaml.safe_load(after.split("```yaml\n", 1)[1].split("```", 1)[0])
+        want = RunConfig().to_mapping()
+        assert {s: sorted(keys) for s, keys in block.items()} == {
+            s: sorted(keys) for s, keys in want.items()
+        }
+        assert config_from_mapping(block) == RunConfig()
+
+    def test_delay_decay_key(self):
+        cfg = config_from_mapping({"scenario": {"delay_decay": 4}})
+        assert cfg.scenario.delay_decay == 4.0
+        assert cfg.to_mapping()["scenario"]["delay_decay"] == 4.0
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("scenario", "doppler_drift", math.nan),
+            ("scenario", "delay_decay", math.inf),
+            ("scenario", "spatial_corr", -math.inf),
+            ("sim", "fraction", math.nan),
+            ("sim", "snr_db", [5.0, math.nan]),
+            ("sim", "snr_db", -math.inf),
+            ("stats", "d0", math.inf),
+            ("stats", "proto_spread_t", math.inf),
+            ("stats", "proto_spread_f", math.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            config_from_mapping({section: {key: value}})
+
+    def test_noiseless_snr_kept(self):
+        cfg = config_from_mapping({"sim": {"snr_db": [10.0, math.inf]}})
+        assert cfg.snr_db == (10.0, math.inf)
+        assert config_from_mapping(yaml.safe_load(yaml.safe_dump(cfg.to_mapping()))) == cfg
+
+    def test_unknown_non_string_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key scenario.1"):
+            config_from_mapping({"scenario": {1: 2, "x": 3}})
+
     def test_parse_config_file(self, tmp_path):
         path = write_config(tmp_path, FAST)
         cfg = parse_config(path)
@@ -92,6 +144,113 @@ class TestConfigParsing:
         path.write_text("scenario: [unbalanced")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+
+@st.composite
+def valid_mappings(draw):
+    """A valid config: the whole scenario section and any subset of the rest."""
+    t = draw(st.integers(8, 64))  # the default stats.window is 8
+    lo = draw(st.integers(1, t))
+    scenario = {
+        "users": draw(st.integers(1, 4)),
+        "tx_antennas": draw(st.integers(1, 4)),
+        "time_symbols": t,
+        "min_delay_taps": lo,
+        "max_delay_taps": draw(st.integers(lo, t)),
+        "mode": draw(st.sampled_from(["wssus", "block", "drift"])),
+        "block_len": draw(st.integers(1, 100)),
+        # keeps the drift peak doppler_max * (1 + drift * 63) below 1/2
+        "doppler_max": draw(st.floats(0.0, 0.4)),
+        "doppler_drift": draw(st.floats(0.0, 1e-3)),
+        "spatial_corr": draw(st.floats(0.0, 0.99)),
+        "delay_decay": draw(st.floats(0.0, 10.0)),
+    }
+    rest = {
+        "sim": {
+            "precoder": draw(
+                st.sampled_from(["hogmt", "hogmt(0.5)", "zf", "zfdpc", "none", "ideal"])
+            ),
+            "fraction": draw(st.floats(1e-6, 1.0)),
+            "modulation": draw(st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"])),
+            "snr_db": draw(
+                st.lists(st.floats(-50.0, 50.0) | st.just(math.inf), min_size=1, max_size=4)
+            ),
+            "min_bits": draw(st.integers(MIN_BITS_FLOOR, 10**9)),
+            "seed": draw(st.integers(0, 2**64 - 1)),
+        },
+        "stats": {
+            "d0": draw(st.floats(1e-6, 1.0)),
+            "window": draw(st.integers(2, t)),
+            "ensemble": draw(st.integers(1, 8)),
+            "proto_spread_t": draw(st.floats(1e-3, 100.0)),
+            "proto_spread_f": draw(st.floats(1e-3, 100.0)),
+        },
+        "out": {
+            "dir": draw(
+                st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+            )
+        },
+    }
+    mapping = {"scenario": scenario}
+    for section, values in rest.items():
+        keep = draw(st.sets(st.sampled_from(sorted(values))))
+        mapping[section] = {k: values[k] for k in keep}
+    return mapping
+
+
+def bad_values(default):
+    """Values of the wrong type for a key whose default is ``default``."""
+    not_number = (
+        st.text(max_size=5) | st.booleans() | st.none() | st.lists(st.integers(), max_size=2)
+    )
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+    if isinstance(default, list):  # sim.snr_db keeps +inf, the noiseless point
+        element = (
+            st.text(max_size=5) | st.booleans() | st.none()
+            | st.sampled_from([math.nan, -math.inf])
+        )
+        return (
+            st.just([])
+            | element
+            | st.lists(element, min_size=1, max_size=3).map(lambda v: [1.0, *v])
+        )
+    if isinstance(default, str):
+        return st.integers() | st.floats() | st.booleans() | st.none()
+    if isinstance(default, int):
+        return not_number | st.floats()
+    return not_number | non_finite
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_mappings())
+    def test_valid_config_roundtrips(self, mapping):
+        cfg = config_from_mapping(mapping)
+        assert config_from_mapping(cfg.to_mapping()) == cfg
+        assert config_from_mapping(yaml.safe_load(yaml.safe_dump(cfg.to_mapping()))) == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bad_value_names_its_key_and_exits_1(self, data):
+        defaults = RunConfig().to_mapping()
+        section = data.draw(st.sampled_from(sorted(defaults)))
+        key = data.draw(st.sampled_from(sorted(defaults[section])))
+        mapping = {section: {key: data.draw(bad_values(defaults[section][key]))}}
+        name = f"{section}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            config_from_mapping(mapping)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "run.yaml"
+            cfg_path.write_text(yaml.safe_dump(mapping), encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(
+                    ["generate", "--config", str(cfg_path), "--out", str(out), "--quiet"]
+                )
+            assert code == 1
+            assert name in err.getvalue() and "Traceback" not in err.getvalue()
+            assert not out.exists()
 
 
 class TestComplexity:
@@ -245,6 +404,12 @@ class TestCliExitCodes:
         path = write_config(tmp_path, {"scenario": {"doppler_max": 0.7}})
         assert run_cli("generate", "--config", str(path), "--quiet") == 1
 
+    def test_non_utf8_config_is_1(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_bytes(b"scenario: {users: \xff}\n")
+        assert run_cli("generate", "--config", str(path), "--quiet") == 1
+        assert "not valid YAML" in capsys.readouterr().err
+
     def test_missing_config_is_2(self, tmp_path):
         assert run_cli("generate", "--config", str(tmp_path / "nope.yaml")) == 2
 
@@ -252,6 +417,44 @@ class TestCliExitCodes:
         cfg_path = write_config(tmp_path, FAST)
         out = tmp_path / "o"
         assert run_cli("decompose", "--config", str(cfg_path), "--out", str(out), "--quiet") == 2
+
+    def test_truncated_ctf_is_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, FAST)
+        out = tmp_path / "o"
+        assert run_cli("generate", "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+        ctf = out / "channel.ctf"
+        ctf.write_bytes(ctf.read_bytes()[:-16])
+        assert run_cli("decompose", "--config", str(cfg_path), "--out", str(out), "--quiet") == 2
+        assert "byte offset 28" in capsys.readouterr().err
+
+    def test_numerical_error_is_3(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path, FAST)
+        out = tmp_path / "o"
+        assert run_cli("generate", "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+
+        def broken(kernel):
+            raise NumericalError("SVD did not converge")
+
+        monkeypatch.setattr("hogmt.cli.hogmt_decompose", broken)
+        assert run_cli("decompose", "--config", str(cfg_path), "--out", str(out), "--quiet") == 3
+        assert "SVD did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mapping", [{"scenario": {"doppler_drift": math.nan}}, {"sim": {"snr_db": [math.nan]}}]
+    )
+    def test_non_finite_config_is_1(self, tmp_path, mapping):
+        path = write_config(tmp_path, mapping)
+        out = tmp_path / "o"
+        assert run_cli("generate", "--config", str(path), "--out", str(out), "--quiet") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_override_out_of_range_is_1(self, tmp_path, seed, capsys):
+        path = write_config(tmp_path, FAST)
+        out = tmp_path / "o"
+        assert run_cli("generate", "--config", str(path), "--out", str(out), "--seed", seed) == 1
+        assert "sim.seed must fit in 64 bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_is_1(self, tmp_path, capsys):
         # argparse errors are routed through the config-error path

@@ -6,18 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from hogmt import (
     EigenDecomposition,
-    FlattenMap,
     Kernel4D,
     TruncationPolicy,
     apply_kernel,
     decompose_grid_pairs,
     duality_residual,
-    flatten_index,
     flatten_kernel,
     frobenius_inner,
     hogmt_decompose,
     reconstruct,
-    unflatten_index,
     unflatten_kernel,
 )
 from hogmt.errors import DimensionMismatchError, ValidationError
@@ -26,35 +23,6 @@ from hogmt.errors import DimensionMismatchError, ValidationError
 def random_kernel(rng, dims):
     vals = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     return Kernel4D(vals)
-
-
-class TestFlattenMap:
-    def test_row_major_order(self):
-        fm = FlattenMap(n_rows=3, n_cols=5)
-        assert flatten_index(0, 0, fm) == 0
-        assert flatten_index(0, 4, fm) == 4
-        assert flatten_index(1, 0, fm) == 5
-        assert flatten_index(2, 3, fm) == 13
-
-    def test_out_of_range_rejected(self):
-        fm = FlattenMap(n_rows=2, n_cols=2)
-        with pytest.raises(ValidationError):
-            flatten_index(2, 0, fm)
-        with pytest.raises(ValidationError):
-            unflatten_index(4, fm)
-
-    @given(
-        n_rows=st.integers(1, 7),
-        n_cols=st.integers(1, 7),
-        data=st.data(),
-    )
-    def test_bijection(self, n_rows, n_cols, data):
-        fm = FlattenMap(n_rows=n_rows, n_cols=n_cols)
-        r = data.draw(st.integers(0, n_rows - 1))
-        c = data.draw(st.integers(0, n_cols - 1))
-        m = flatten_index(r, c, fm)
-        assert 0 <= m < fm.size
-        assert unflatten_index(m, fm) == (r, c)
 
 
 class TestFlattenKernel:

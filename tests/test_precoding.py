@@ -232,14 +232,6 @@ class TestZfDpcBaseline:
         r = apply_kernel(to_kernel(h), x)
         np.testing.assert_allclose(r.grid, s.grid, rtol=0, atol=1e-9)
 
-    def test_modulation_argument_inert(self):
-        rng = np.random.default_rng(15)
-        h = single_tap_channel(seed=16)
-        s = random_signal(rng, (3, 10))
-        a = zfdpc_precode(h, s)
-        b = zfdpc_precode(h, s, modulation="qam16")
-        np.testing.assert_array_equal(a.grid, b.grid)
-
     def test_equals_zero_forcing_on_square_full_rank_instants(self):
         # without a modulo lattice, Q R^-H is H(t)^-1 itself
         rng = np.random.default_rng(16)
