@@ -18,15 +18,12 @@ from .errors import (
 from .kernels import (
     EigenDecomposition,
     Kernel4D,
-    TruncationPolicy,
     apply_kernel,
     decompose_grid_pairs,
     duality_residual,
     flatten_kernel,
-    frobenius_inner,
     hogmt_decompose,
     reconstruct,
-    unflatten_kernel,
 )
 from .channel import (
     ImpulseResponse4D,
@@ -94,15 +91,12 @@ __all__ = [
     "DegenerateChannelError",
     # kernels
     "Kernel4D",
-    "TruncationPolicy",
     "EigenDecomposition",
     "flatten_kernel",
-    "unflatten_kernel",
     "decompose_grid_pairs",
     "hogmt_decompose",
     "reconstruct",
     "apply_kernel",
-    "frobenius_inner",
     "duality_residual",
     # channel
     "ScenarioConfig",

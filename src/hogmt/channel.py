@@ -46,12 +46,17 @@ ROLES = ("data", "precoded", "received")
 
 _SINUSOIDS_PER_TAP = 16
 
-# Substream tags for seed derivation.  Every random draw comes from a
-# SeedSequence keyed by (tag, indices...) under the master seed, so results
-# do not depend on loop order or parallel scheduling.
+# Substream tags for seed derivation, all modules' here so they stay disjoint.
+# Every random draw comes from a SeedSequence keyed by (tag, indices...) under
+# the master seed, so results do not depend on loop order or parallel scheduling.
 _SEED_SPREAD = 1
 _SEED_TAP = 2
 _SEED_NOISE = 3
+_SEED_BER_CHANNEL = 10  # linksim: channel draw per (SNR point, channel)
+_SEED_BER_BITS = 11  # linksim: data bits per (SNR point, trial, modulation)
+_SEED_BER_NOISE = 12  # linksim: noise per (SNR point, trial, modulation)
+_SEED_CLI_BITS = 20  # cli precode: data bits
+_SEED_STATS_MEMBER = 21  # cli stats: channel seed per ensemble member
 
 _CTF_MAGIC = b"HGMTCTF1"
 _CTF_VERSION = 1
@@ -177,6 +182,11 @@ class ImpulseResponse4D:
     def dims(self) -> tuple[int, int, int, int]:
         """(L_u, L_u', L_t, L_tau)."""
         return self.values.shape
+
+
+def _instant_matrices(h: ImpulseResponse4D) -> np.ndarray:
+    """Narrowband per-instant matrices H(t) = sum over taps, shape (L_t, L_u, L_u')."""
+    return np.moveaxis(h.values.sum(axis=3), 2, 0)
 
 
 @dataclass(frozen=True)

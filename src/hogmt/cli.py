@@ -26,16 +26,21 @@ import yaml
 
 from . import __version__
 from .channel import (
+    _SEED_CLI_BITS,
+    _SEED_STATS_MEMBER,
     ScenarioConfig,
+    _substream,
     generate_channel,
     load_ctf,
     save_ctf,
     to_kernel,
 )
 from .errors import ConfigError, HogmtError, NumericalError, ValidationError, FormatError
-from .kernels import hogmt_decompose, TruncationPolicy
+from .kernels import hogmt_decompose
 from .linksim import (
     MIN_BITS_FLOOR,
+    PrecoderSpec,
+    _noise_variance,
     get_scheme,
     modulate,
     parse_precoder,
@@ -59,9 +64,6 @@ __all__ = [
     "complexity_estimate",
     "main",
 ]
-
-_SEED_CLI_BITS = 20
-_SEED_STATS_MEMBER = 21
 
 # YAML key -> RunConfig field for every section but "scenario", whose keys
 # are the ScenarioConfig fields under their own names.
@@ -107,17 +109,16 @@ class RunConfig:
             v = getattr(self, f.name)
             if isinstance(f.default, float) and not math.isfinite(v):
                 raise ConfigError(f"{_YAML_KEY[f.name]} must be finite, got {v}")
-        if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
-            raise ConfigError(
-                f"sim.snr_db must be finite or +inf (noiseless), got {list(self.snr_db)}"
-            )
-        for name, check in (("precoder", parse_precoder), ("modulation", get_scheme)):
+        for name, check in (
+            ("precoder", parse_precoder),
+            ("fraction", lambda f: PrecoderSpec("hogmt", f)),
+            ("modulation", get_scheme),
+            ("snr_db", lambda snrs: [_noise_variance(v) for v in snrs]),
+        ):
             try:
                 check(getattr(self, name))
             except ValidationError as exc:
                 raise ConfigError(f"sim.{name}: {exc}") from exc
-        if not (0.0 < self.fraction <= 1.0):
-            raise ConfigError(f"sim.fraction must be in (0, 1], got {self.fraction}")
         if self.min_bits < MIN_BITS_FLOOR:
             raise ConfigError(
                 f"sim.min_bits must be >= {MIN_BITS_FLOOR}, got {self.min_bits}"
@@ -338,7 +339,7 @@ def _resolve_input(arg: str | None, out_dir: Path) -> Path:
 def _resolve_precoder(cfg: RunConfig):
     """sim.precoder with sim.fraction folded in for a bare "hogmt"."""
     if cfg.precoder.strip().lower() == "hogmt":
-        return parse_precoder(f"hogmt({cfg.fraction})")
+        return PrecoderSpec("hogmt", cfg.fraction)
     return parse_precoder(cfg.precoder)
 
 
@@ -374,10 +375,9 @@ def _cmd_precode(
     scheme = get_scheme(cfg.modulation)
     l_u = h.dims[0]
     l_t = h.dims[2]
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_SEED_CLI_BITS,))
+    bits = _substream(cfg.seed, _SEED_CLI_BITS).integers(
+        0, 2, size=scheme.bits_per_symbol * l_u * l_t, dtype=np.uint8
     )
-    bits = rng.integers(0, 2, size=scheme.bits_per_symbol * l_u * l_t, dtype=np.uint8)
     s = modulate(bits, scheme, (l_u, l_t))
     spec = _resolve_precoder(cfg)
     if spec.kind != "hogmt":
@@ -385,12 +385,7 @@ def _cmd_precode(
             "the precode subcommand emits eigen-domain coefficients and "
             f"requires an hogmt precoder, got sim.precoder={cfg.precoder!r}"
         )
-    policy = (
-        TruncationPolicy.fraction(spec.fraction)
-        if spec.fraction < 1.0
-        else TruncationPolicy.full()
-    )
-    x, coeffs = hogmt_precode(decomp, s, policy)
+    x, coeffs = hogmt_precode(decomp, s, spec.fraction)
     report = energy_report(decomp, coeffs)
     xt = out_dir / "precoded.npy"
     np.save(xt, x.grid)
@@ -458,14 +453,8 @@ def _cmd_stats(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
     decomps = []
     first_h = None
     for member in range(cfg.ensemble):
-        member_seed = int(
-            np.random.default_rng(
-                np.random.SeedSequence(
-                    entropy=cfg.seed, spawn_key=(_SEED_STATS_MEMBER, member)
-                )
-            ).integers(0, 2**63)
-        )
-        h = generate_channel(cfg.scenario, member_seed)
+        rng = _substream(cfg.seed, _SEED_STATS_MEMBER, member)
+        h = generate_channel(cfg.scenario, int(rng.integers(0, 2**63)))
         if first_h is None:
             first_h = h
         transfer = tf_transfer(h, 0, 0)

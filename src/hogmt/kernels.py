@@ -12,7 +12,6 @@ the precoder).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,18 +24,18 @@ from .errors import (
 
 __all__ = [
     "Kernel4D",
-    "TruncationPolicy",
     "EigenDecomposition",
     "ensure_grid",
     "flatten_kernel",
-    "unflatten_kernel",
     "decompose_grid_pairs",
     "hogmt_decompose",
     "reconstruct",
     "apply_kernel",
-    "frobenius_inner",
     "duality_residual",
 ]
+
+# Decompositions keep the modes with sigma_n >= this fraction of sigma_1.
+DECOMPOSITION_FLOOR_REL = 1e-12
 
 
 def ensure_grid(data, name: str = "grid") -> np.ndarray:
@@ -101,67 +100,6 @@ class Kernel4D:
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    """Mode-retention rule for decompositions and precoding.
-
-    mode "full" keeps every mode above the relative singular-value floor;
-    "count_fraction" additionally caps the count at ceil(fraction * n_modes)
-    taken in descending sigma order; "sigma_rel_floor" keeps modes with
-    sigma_n >= sigma_rel_floor * sigma_1.
-    """
-
-    mode: str = "full"
-    count_fraction: float = 1.0
-    sigma_rel_floor: float = 1e-12
-
-    _MODES = ("full", "count_fraction", "sigma_rel_floor")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValidationError(
-                f"policy mode must be one of {self._MODES}, got {self.mode!r}"
-            )
-        if not (0.0 < self.count_fraction <= 1.0):
-            raise ValidationError(
-                f"count_fraction must be in (0, 1], got {self.count_fraction}"
-            )
-        if not (0.0 <= self.sigma_rel_floor < 1.0):
-            raise ValidationError(
-                f"sigma_rel_floor must be in [0, 1), got {self.sigma_rel_floor}"
-            )
-
-    @classmethod
-    def full(cls) -> "TruncationPolicy":
-        return cls()
-
-    @classmethod
-    def fraction(cls, f: float) -> "TruncationPolicy":
-        return cls(mode="count_fraction", count_fraction=f)
-
-    @classmethod
-    def sigma_floor(cls, rel: float) -> "TruncationPolicy":
-        return cls(mode="sigma_rel_floor", sigma_rel_floor=rel)
-
-    def retained_count(self, sigmas: np.ndarray, floor_rel: float | None = None) -> int:
-        """Number of leading modes retained from a descending sigma array.
-
-        ``floor_rel`` overrides the policy's relative floor when a caller
-        needs a stricter one (the precoder does).
-        """
-        sigmas = np.asarray(sigmas, dtype=float)
-        n = sigmas.size
-        if n == 0 or sigmas[0] <= 0.0:
-            return 0
-        floor = self.sigma_rel_floor if floor_rel is None else max(
-            self.sigma_rel_floor, floor_rel
-        )
-        keep = int(np.count_nonzero(sigmas >= floor * sigmas[0]))
-        if self.mode == "count_fraction":
-            keep = min(keep, math.ceil(self.count_fraction * n))
-        return keep
-
-
-@dataclass(frozen=True)
 class EigenDecomposition:
     """Ordered singular values with dual eigenfunction grids.
 
@@ -215,30 +153,23 @@ class EigenDecomposition:
         return self.sigmas**2
 
 
+def _floor_count(sigmas: np.ndarray, floor_rel: float) -> int:
+    """Count of descending sigmas >= floor_rel * sigma_1; 0 when sigma_1 is 0."""
+    if sigmas.size == 0 or sigmas[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(sigmas >= floor_rel * sigmas[0]))
+
+
 def flatten_kernel(kernel: Kernel4D) -> np.ndarray:
     """Matrix view of the kernel: rows (u, t) flattened, cols (u', t')."""
     l_u, l_t, l_up, l_tp = kernel.dims
     return kernel.values.reshape(l_u * l_t, l_up * l_tp)
 
 
-def unflatten_kernel(
-    matrix: np.ndarray, dims: tuple[int, int, int, int]
-) -> Kernel4D:
-    """Inverse of :func:`flatten_kernel` for the given four dims."""
-    l_u, l_t, l_up, l_tp = dims
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.shape != (l_u * l_t, l_up * l_tp):
-        raise DimensionMismatchError(
-            f"matrix shape {mat.shape} does not match dims {dims}"
-        )
-    return Kernel4D(mat.reshape(l_u, l_t, l_up, l_tp))
-
-
 def decompose_grid_pairs(
     matrix: np.ndarray,
     row_shape: tuple[int, int],
     col_shape: tuple[int, int],
-    policy: TruncationPolicy | None = None,
 ) -> EigenDecomposition:
     """SVD engine behind :func:`hogmt_decompose`.
 
@@ -246,9 +177,8 @@ def decompose_grid_pairs(
     (shape ``row_shape``) and whose columns index the second (``col_shape``).
     Works for any pair of grid shapes, which lets the statistics module
     decompose time-frequency x delay-Doppler operators with the same code.
+    Modes below DECOMPOSITION_FLOOR_REL * sigma_1 are dropped; a zero operator has none.
     """
-    if policy is None:
-        policy = TruncationPolicy.full()
     mat = np.asarray(matrix, dtype=np.complex128)
     if not np.all(np.isfinite(mat)):
         raise ValidationError("matrix contains non-finite entries")
@@ -264,9 +194,7 @@ def decompose_grid_pairs(
             f"SVD failed to converge on a {mat.shape} matrix: {exc}"
         ) from exc
 
-    keep = policy.retained_count(sig)
-    if keep == 0 and sig.size > 0 and sig[0] > 0.0:
-        keep = 1  # never return an empty decomposition for a nonzero operator
+    keep = _floor_count(sig, DECOMPOSITION_FLOOR_REL)
     u_mat = u_mat[:, :keep]
     sig = sig[:keep]
     vh_mat = vh_mat[:keep, :]
@@ -290,9 +218,7 @@ def decompose_grid_pairs(
     return EigenDecomposition(sigmas=sig, psis=psis, phis=phis, source_dims=dims)
 
 
-def hogmt_decompose(
-    kernel: Kernel4D, policy: TruncationPolicy | None = None
-) -> EigenDecomposition:
+def hogmt_decompose(kernel: Kernel4D) -> EigenDecomposition:
     """Decompose a 4-D kernel into dual 2-D eigenfunction pairs.
 
     Returns descending sigma_n with grids psi_n(u, t) and phi_n(u', t') such
@@ -300,9 +226,7 @@ def hogmt_decompose(
     the kernel yields sigma_n * psi_n.
     """
     l_u, l_t, l_up, l_tp = kernel.dims
-    return decompose_grid_pairs(
-        flatten_kernel(kernel), (l_u, l_t), (l_up, l_tp), policy
-    )
+    return decompose_grid_pairs(flatten_kernel(kernel), (l_u, l_t), (l_up, l_tp))
 
 
 def reconstruct(decomp: EigenDecomposition) -> Kernel4D:
@@ -338,17 +262,6 @@ def apply_kernel(kernel: Kernel4D, x):
     if hasattr(x, "grid"):
         return type(x)(grid=out, role="received")
     return out
-
-
-def frobenius_inner(a, b) -> complex:
-    """<a, b> = sum_ij a[i,j] * conj(b[i,j]) (conjugation on the second arg)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"grids must have equal shapes, got {a.shape} and {b.shape}"
-        )
-    return complex(np.sum(a * np.conj(b)))
 
 
 def duality_residual(kernel: Kernel4D, decomp: EigenDecomposition) -> float:

@@ -24,6 +24,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .channel import (
+    _SEED_BER_BITS,
+    _SEED_BER_CHANNEL,
+    _SEED_BER_NOISE,
     ScenarioConfig,
     SpaceTimeSignal,
     _substream,
@@ -31,7 +34,7 @@ from .channel import (
     to_kernel,
 )
 from .errors import DegenerateChannelError, ValidationError
-from .kernels import TruncationPolicy, flatten_kernel, hogmt_decompose
+from .kernels import flatten_kernel, hogmt_decompose
 from .precoding import hogmt_map, zf_map, zfdpc_map
 
 __all__ = [
@@ -47,10 +50,6 @@ __all__ = [
     "BerReport",
     "run_ber",
 ]
-
-_SEED_CHANNEL = 10
-_SEED_BITS = 11
-_SEED_NOISE = 12
 
 MIN_BITS_FLOOR = 10_000
 
@@ -207,6 +206,17 @@ def demodulate(r, scheme) -> np.ndarray:
     return ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
 
 
+def _noise_variance(snr_db: float) -> float:
+    """Noise variance 10**(-snr_db/10) at unit symbol energy, which must be finite."""
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ValidationError(f"snr_db {snr_db} gives no finite noise variance")
+    return sigma2
+
+
 def _axis_bit_errors(levels: np.ndarray, sigma: float) -> float:
     """Expected bit errors per axis use for Gray PAM in Gaussian noise.
 
@@ -239,10 +249,16 @@ def theoretical_awgn_ber(scheme, snr_per_bit_db: float) -> float:
     """
     scheme = get_scheme(scheme)
     k = scheme.bits_per_symbol
-    gamma_b = 10.0 ** (snr_per_bit_db / 10.0)
+    if math.isnan(snr_per_bit_db) or snr_per_bit_db == -math.inf:
+        raise ValidationError(f"snr_per_bit_db is {snr_per_bit_db}, not finite or +inf")
+    try:
+        gamma_b = 10.0 ** (snr_per_bit_db / 10.0)
+    except OverflowError:
+        return 0.0
     if gamma_b == math.inf:
         return 0.0
-    sigma = math.sqrt(1.0 / (2.0 * k * gamma_b))
+    # a linear SNR that underflows to 0 is the infinite-noise limit
+    sigma = math.sqrt(1.0 / (2.0 * k * gamma_b)) if gamma_b > 0.0 else math.inf
     total = _axis_bit_errors(scheme.i_levels, sigma)
     if scheme.q_bits:
         total += _axis_bit_errors(scheme.q_levels, sigma)
@@ -376,7 +392,7 @@ def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
     for spec in specs:
         try:
             if spec.kind == "hogmt":
-                pmap = hogmt_map(decomp, TruncationPolicy.fraction(spec.fraction))
+                pmap = hogmt_map(decomp, spec.fraction)
             else:
                 build = {"zf": zf_map, "zfdpc": zfdpc_map}.get(spec.kind)
                 pmap = build(h) if build else None
@@ -395,11 +411,11 @@ def _trial_draws(seed, si, mi, trials, k, dims, sigma2):
     bits = np.empty((len(trials), k * dims[0] * dims[1]), dtype=np.uint8)
     normals = np.empty((len(trials), 2) + dims)
     for j, trial in enumerate(trials):
-        bits[j] = _substream(seed, _SEED_BITS, si, trial, mi).integers(
+        bits[j] = _substream(seed, _SEED_BER_BITS, si, trial, mi).integers(
             0, 2, size=bits.shape[1], dtype=np.uint8
         )
         if sigma2 != 0.0:
-            rng = _substream(seed, _SEED_NOISE, si, trial, mi)
+            rng = _substream(seed, _SEED_BER_NOISE, si, trial, mi)
             rng.standard_normal(out=normals[j, 0])
             rng.standard_normal(out=normals[j, 1])
     if sigma2 == 0.0:
@@ -433,7 +449,7 @@ def _point_counts(scenario, specs, schemes, n_trials, n_channels, seed, si, sigm
     chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
     channels = []
     for c in range(min(n_channels, max(n_trials))):
-        ch_seed = int(_substream(seed, _SEED_CHANNEL, si, c).integers(0, 2**63))
+        ch_seed = int(_substream(seed, _SEED_BER_CHANNEL, si, c).integers(0, 2**63))
         channels.append(_links(scenario, ch_seed, specs))
     acc = {key: [0, 0.0] for key in np.ndindex(len(specs), len(schemes))}
     for mi, scheme in enumerate(schemes):
@@ -464,7 +480,6 @@ def run_ber(
     seed: int,
     modulations=("qam16",),
     n_channels: int = 2,
-    n_workers: int = 1,
 ) -> BerReport:
     """Monte-Carlo BER sweep over SNR points, precoders, and modulations.
 
@@ -476,8 +491,7 @@ def run_ber(
     each precoder is built once as a linear map and applied to chunks of
     trials; the received grids still pass through the channel's kernel.
     Bit and error counts are sums over per-trial draws from dedicated
-    substreams, so they do not depend on the chunking.  ``n_workers`` is
-    validated but has no effect: the batched algebra runs on BLAS threads.
+    substreams, so they do not depend on the chunking.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -492,23 +506,19 @@ def run_ber(
     snr_list = [float(v) for v in np.atleast_1d(np.asarray(snr_db, dtype=float))]
     if not snr_list:
         raise ValidationError("need at least one SNR point")
-    if any(math.isnan(v) or v == -math.inf for v in snr_list):
-        raise ValidationError(f"snr_db must be finite or +inf, got {snr_list}")
+    sigma2s = [_noise_variance(v) for v in snr_list]
     if min_bits < MIN_BITS_FLOOR:
         raise ValidationError(
             f"min_bits must be >= {MIN_BITS_FLOOR}, got {min_bits}"
         )
     if n_channels < 1:
         raise ValidationError(f"n_channels must be >= 1, got {n_channels}")
-    if n_workers < 1:
-        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
     seed = int(seed)
     n_sym = scenario.users * scenario.time_symbols
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
 
     points: list[BerPoint] = []
-    for si, snr in enumerate(snr_list):
-        sigma2 = 10.0 ** (-snr / 10.0)
+    for si, (snr, sigma2) in enumerate(zip(snr_list, sigma2s)):
         acc = _point_counts(
             scenario, specs, schemes, n_trials, n_channels, seed, si, sigma2
         )

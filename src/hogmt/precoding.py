@@ -20,24 +20,27 @@ to any stack of grids; the ``*_precode`` functions apply it to one grid.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ImpulseResponse4D, SpaceTimeSignal
+from .channel import ImpulseResponse4D, SpaceTimeSignal, _instant_matrices
 from .errors import (
     DegenerateChannelError,
     DimensionMismatchError,
     NumericalError,
+    ValidationError,
 )
-from .kernels import EigenDecomposition, TruncationPolicy, _freeze, ensure_grid
+from .kernels import EigenDecomposition, _floor_count, _freeze, ensure_grid
 
 __all__ = [
     "CoefficientSet",
     "EnergyReport",
     "ModeMap",
     "InstantMap",
+    "retained_count",
     "hogmt_map",
     "zf_map",
     "zfdpc_map",
@@ -137,19 +140,21 @@ class ModeMap:
         return x.reshape(grids.shape[:-2] + self.out_dims)
 
 
-def hogmt_map(
-    decomp: EigenDecomposition,
-    policy: TruncationPolicy | None = None,
-    sigma_floor_rel: float = DEFAULT_SIGMA_FLOOR_REL,
-) -> ModeMap:
-    """The hogmt precoder of one channel decomposition.
+def retained_count(sigmas: np.ndarray, fraction: float) -> int:
+    """Modes hogmt(fraction) keeps: min(#{sigma >= floor sigma_1}, ceil(fraction n))."""
+    if not (0.0 < fraction <= 1.0):
+        raise ValidationError(
+            f"retained-mode fraction must be in (0, 1], got {fraction}"
+        )
+    sigmas = np.asarray(sigmas, dtype=float)
+    return min(
+        _floor_count(sigmas, DEFAULT_SIGMA_FLOOR_REL), math.ceil(fraction * sigmas.size)
+    )
 
-    Retention follows ``policy`` (default: keep everything) intersected with
-    the relative sigma floor; no surviving mode means a degenerate channel.
-    """
-    if policy is None:
-        policy = TruncationPolicy.full()
-    n_keep = policy.retained_count(decomp.sigmas, floor_rel=sigma_floor_rel)
+
+def hogmt_map(decomp: EigenDecomposition, fraction: float = 1.0) -> ModeMap:
+    """hogmt(fraction) of one channel; no retained mode means a degenerate channel."""
+    n_keep = retained_count(decomp.sigmas, fraction)
     if n_keep == 0:
         raise DegenerateChannelError(
             "every mode falls below the singular-value floor "
@@ -166,8 +171,7 @@ def hogmt_map(
 def hogmt_precode(
     decomp: EigenDecomposition,
     s: SpaceTimeSignal | np.ndarray,
-    policy: TruncationPolicy | None = None,
-    sigma_floor_rel: float = DEFAULT_SIGMA_FLOOR_REL,
+    fraction: float = 1.0,
 ) -> tuple[SpaceTimeSignal, CoefficientSet]:
     """Precode a data grid through a channel decomposition.
 
@@ -181,7 +185,7 @@ def hogmt_precode(
             f"data shape {grid.shape} does not match receive-side grid "
             f"{decomp.source_dims[:2]}"
         )
-    pmap = hogmt_map(decomp, policy, sigma_floor_rel)
+    pmap = hogmt_map(decomp, fraction)
     n_keep = pmap.sigmas.size
     # projections on all modes; the tail beyond n_keep is only reported
     proj = np.conj(decomp.psis.reshape(decomp.n_modes, -1) @ np.conj(grid.ravel()))
@@ -229,11 +233,6 @@ class InstantMap:
         cols = grids.reshape(-1, l_u, l_t).transpose(2, 1, 0)  # (L_t, L_u, batch)
         x = (self.mats @ cols).transpose(2, 1, 0)
         return x.reshape(lead + x.shape[1:])
-
-
-def _instant_matrices(h: ImpulseResponse4D) -> np.ndarray:
-    """Narrowband per-instant matrices H(t) = sum over taps, shape (L_t, L_u, L_u')."""
-    return np.moveaxis(h.values.sum(axis=3), 2, 0)
 
 
 def _check_signal(h: ImpulseResponse4D, s) -> np.ndarray:

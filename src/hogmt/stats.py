@@ -19,14 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel import ImpulseResponse4D
+from .channel import ImpulseResponse4D, _instant_matrices
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import (
-    EigenDecomposition,
-    TruncationPolicy,
-    _freeze,
-    decompose_grid_pairs,
-)
+from .kernels import EigenDecomposition, _freeze, decompose_grid_pairs
 
 __all__ = [
     "TFTransfer",
@@ -227,13 +222,11 @@ def atomic_kernel(transfer: TFTransfer, prototype) -> AtomicKernel:
     return AtomicKernel(values=out, prototype=proto)
 
 
-def decompose_atomic(
-    ak: AtomicKernel, policy: TruncationPolicy | None = None
-) -> EigenDecomposition:
+def decompose_atomic(ak: AtomicKernel) -> EigenDecomposition:
     """SVD of the atomic kernel flattened as (t,f) rows against (tau,nu) columns."""
     n_t, n_f, n_tau, n_nu = ak.dims
     mat = ak.values.reshape(n_t * n_f, n_tau * n_nu)
-    return decompose_grid_pairs(mat, (n_t, n_f), (n_tau, n_nu), policy)
+    return decompose_grid_pairs(mat, (n_t, n_f), (n_tau, n_nu))
 
 
 @dataclass(frozen=True)
@@ -408,7 +401,7 @@ def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
         raise ValidationError(
             f"window ({window}) exceeds the time horizon ({l_t})"
         )
-    mats = np.moveaxis(h.values.sum(axis=3), 2, 0)  # (L_t, L_u, L_u')
+    mats = _instant_matrices(h)
     if side == "tx":
         inst = np.einsum("tua,tub->tab", mats, np.conj(mats), optimize=True)
     else:

@@ -158,7 +158,6 @@ def test_criterion_04_near_ideal_ber():
         min_bits=4_000_000,
         seed=BER_SEED,
         modulations=("qam16",),
-        n_workers=4,
     )
     elapsed = time.perf_counter() - t0
 
@@ -207,7 +206,6 @@ def test_criterion_05_baseline_separation():
         min_bits=1_000_000,
         seed=BER_SEED,
         modulations=("qpsk",),
-        n_workers=4,
     )
     at15 = [p for p in rep.points if p.snr_db == 15.0]
     (hp,) = [p for p in at15 if p.precoder == "hogmt"]
@@ -237,7 +235,6 @@ def test_criterion_06_modulation_ordering():
         min_bits=1_000_000,
         seed=BER_SEED,
         modulations=mods,
-        n_workers=4,
     )
     for snr in grid:
         bers = []

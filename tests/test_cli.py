@@ -448,6 +448,15 @@ class TestCliExitCodes:
         assert run_cli("generate", "--config", str(path), "--out", str(out), "--quiet") == 1
         assert not out.exists()
 
+    def test_overflowing_snr_is_1(self, tmp_path, capsys):
+        # -4000 dB is finite, but its noise variance 10**400 is not
+        path = write_config(tmp_path, {**FAST, "sim": {**FAST["sim"], "snr_db": [-4000.0]}})
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sim.snr_db") and "Traceback" not in err
+        assert not (out / "ber.csv").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_override_out_of_range_is_1(self, tmp_path, seed, capsys):
         path = write_config(tmp_path, FAST)

@@ -7,17 +7,15 @@ from hypothesis import given, settings, strategies as st
 from hogmt import (
     EigenDecomposition,
     Kernel4D,
-    TruncationPolicy,
     apply_kernel,
     decompose_grid_pairs,
     duality_residual,
     flatten_kernel,
-    frobenius_inner,
     hogmt_decompose,
     reconstruct,
-    unflatten_kernel,
 )
 from hogmt.errors import DimensionMismatchError, ValidationError
+from hogmt.precoding import retained_count
 
 
 def random_kernel(rng, dims):
@@ -39,12 +37,6 @@ class TestFlattenKernel:
                 for up in range(l_up):
                     for tp in range(l_t):
                         assert flat[u * l_t + t, up * l_t + tp] == kern.values[u, t, up, tp]
-
-    def test_unflatten_inverts(self):
-        rng = np.random.default_rng(8)
-        kern = random_kernel(rng, (3, 5, 2, 5))
-        back = unflatten_kernel(flatten_kernel(kern), kern.dims)
-        np.testing.assert_array_equal(back.values, kern.values)
 
 
 class TestKernel4DValidation:
@@ -145,7 +137,7 @@ class TestDecomposition:
         shape = rows + cols
         mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         flat = mat.reshape(rows[0] * rows[1], cols[0] * cols[1])
-        dec = decompose_grid_pairs(flat, rows, cols, TruncationPolicy.full())
+        dec = decompose_grid_pairs(flat, rows, cols)
         rec = np.einsum("n,nab,ncd->abcd", dec.sigmas, dec.psis, dec.phis)
         scale = max(np.linalg.norm(mat), 1e-30)
         assert np.linalg.norm(rec - mat) / scale <= 1e-10
@@ -177,44 +169,41 @@ class TestApplyKernel:
 
 
 class TestTruncationPolicy:
+    """The retention rules: precoding.retained_count and the decomposition floor."""
+
     def test_full_keeps_all(self):
         sigmas = np.array([4.0, 3.0, 2.0, 1.0])
-        assert TruncationPolicy.full().retained_count(sigmas) == 4
+        assert retained_count(sigmas, 1.0) == 4
 
     def test_fraction_uses_ceiling(self):
         sigmas = np.linspace(7, 1, 7)
-        assert TruncationPolicy.fraction(0.5).retained_count(sigmas) == 4
-        assert TruncationPolicy.fraction(1.0).retained_count(sigmas) == 7
+        assert retained_count(sigmas, 0.5) == 4
+        assert retained_count(sigmas, 1.0) == 7
         # 0.99 of 48 rounds up to all 48; of 128 it drops exactly one
-        assert TruncationPolicy.fraction(0.99).retained_count(np.linspace(48, 1, 48)) == 48
-        assert TruncationPolicy.fraction(0.99).retained_count(np.linspace(128, 1, 128)) == 127
-
-    def test_sigma_floor_drops_small_modes(self):
-        sigmas = np.array([1.0, 1e-2, 1e-7, 1e-13])
-        pol = TruncationPolicy.sigma_floor(1e-6)
-        assert pol.retained_count(sigmas) == 2
+        assert retained_count(np.linspace(48, 1, 48), 0.99) == 48
+        assert retained_count(np.linspace(128, 1, 128), 0.99) == 127
 
     def test_caller_floor_combines_with_policy(self):
-        sigmas = np.array([1.0, 1e-3, 1e-9])
-        pol = TruncationPolicy.full()
-        assert pol.retained_count(sigmas, floor_rel=1e-6) == 2
-        # the stricter of the two floors wins
-        pol2 = TruncationPolicy.sigma_floor(1e-2)
-        assert pol2.retained_count(sigmas, floor_rel=1e-6) == 1
+        # min(modes at or above 1e-10 * sigma_1, ceil(fraction * n))
+        sigmas = np.array([1.0, 1e-3, 1e-9, 1e-10, 1e-11])
+        assert retained_count(sigmas, 1.0) == 4  # the floor binds
+        assert retained_count(sigmas, 0.5) == 3  # the fraction binds
+        assert retained_count(sigmas, 0.1) == 1
+        assert retained_count(np.zeros(3), 1.0) == 0
+        assert retained_count(np.empty(0), 1.0) == 0
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValidationError):
-            TruncationPolicy(mode="bogus")
-        with pytest.raises(ValidationError):
-            TruncationPolicy.fraction(0.0)
-        with pytest.raises(ValidationError):
-            TruncationPolicy.fraction(1.5)
+        for bad in (0.0, -0.5, 1.5, 1.0000001, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="fraction"):
+                retained_count(np.ones(3), bad)
 
-    def test_truncated_decomposition_mode_count(self):
-        rng = np.random.default_rng(31)
-        kern = random_kernel(rng, (2, 5, 2, 5))
-        dec = hogmt_decompose(kern, policy=TruncationPolicy.fraction(0.5))
-        assert dec.n_modes == 5
+    def test_decomposition_floor(self):
+        # a mode at 1e-13 * sigma_1 is dropped, one at 1e-11 * sigma_1 kept
+        mat = np.diag([2.0, 2e-11, 2e-13]).astype(complex)
+        dec = decompose_grid_pairs(mat, (1, 3), (1, 3))
+        np.testing.assert_allclose(dec.sigmas, [2.0, 2e-11], rtol=1e-12)
+        assert decompose_grid_pairs(np.zeros((3, 3)), (1, 3), (1, 3)).n_modes == 0
+        assert hogmt_decompose(Kernel4D(np.zeros((2, 3, 2, 3)))).n_modes == 0
 
 
 class TestEigenDecompositionValidation:
@@ -250,13 +239,6 @@ class TestReconstructShapes:
         # the row time-axis cannot be packed back into a channel kernel
         rng = np.random.default_rng(41)
         mat = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        dec = decompose_grid_pairs(mat, (2, 3), (2, 4), TruncationPolicy.full())
+        dec = decompose_grid_pairs(mat, (2, 3), (2, 4))
         with pytest.raises(DimensionMismatchError):
             reconstruct(dec)
-
-
-def test_frobenius_inner_conjugates_second_argument():
-    a = np.array([[1.0 + 1j]])
-    b = np.array([[2.0 - 3j]])
-    # <a,b> = sum a * conj(b)
-    assert frobenius_inner(a, b) == pytest.approx((1 + 1j) * (2 + 3j))

@@ -9,7 +9,6 @@ from hogmt import (
     Kernel4D,
     ScenarioConfig,
     SpaceTimeSignal,
-    TruncationPolicy,
     apply_kernel,
     energy_report,
     flatten_kernel,
@@ -107,7 +106,7 @@ class TestHogmtPrecode:
         vals = rng.standard_normal((2, 4, 2, 4)) + 1j * rng.standard_normal((2, 4, 2, 4))
         dec = hogmt_decompose(Kernel4D(vals))
         s = random_signal(rng, (2, 4))
-        x, coeffs = hogmt_precode(dec, s, policy=TruncationPolicy.fraction(0.5))
+        x, coeffs = hogmt_precode(dec, s, fraction=0.5)
         assert coeffs.retained == 4
         proj = np.einsum("ut,nut->n", s.grid, np.conj(dec.psis))
         tail = float(np.sum(np.abs(proj[4:]) ** 2))

@@ -8,7 +8,6 @@ from hogmt import (
     ImpulseResponse4D,
     ScenarioConfig,
     TFTransfer,
-    TruncationPolicy,
     acf,
     atomic_kernel,
     cmd,
@@ -165,7 +164,7 @@ class TestAtomicKernel:
         h = chan(11, time_symbols=6)
         transfer = tf_transfer(h, 0, 0)
         ak = atomic_kernel(transfer, GaussianPrototype())
-        dec = decompose_atomic(ak, TruncationPolicy.full())
+        dec = decompose_atomic(ak)
         n_t, n_f, n_tau, n_nu = ak.dims
         assert dec.psis.shape[1:] == (n_t, n_f)
         assert dec.phis.shape[1:] == (n_tau, n_nu)
