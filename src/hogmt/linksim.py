@@ -6,17 +6,18 @@ own against the midpoints of adjacent levels, which for these separable
 constellations is exactly the minimum-distance decision.
 
 The BER engine compares precoders on identical footing: per (SNR point,
-trial, modulation) the data bits and the noise grid come from dedicated
-substreams shared by every precoder, so curves are paired sample-by-sample.
-Each precoder is one linear map per channel realization, applied to chunks
-of trials at once.  SNR is received-signal-referenced, E_s / sigma_v^2 with
-E_s = 1; per-bit SNR for reference curves is E_s / (k * sigma_v^2) for k
-bits per symbol.
+chunk of trials, modulation) the data bits and the noise grids come from
+dedicated substreams shared by every precoder, so curves are paired
+sample-by-sample.  Each precoder is one linear map per channel realization,
+applied to chunks of trials at once.  SNR is received-signal-referenced,
+E_s / sigma_v^2 with E_s = 1; per-bit SNR for reference curves is
+E_s / (k * sigma_v^2) for k bits per symbol.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -53,7 +54,8 @@ __all__ = [
 
 MIN_BITS_FLOOR = 10_000
 
-# symbols per batched apply in run_ber: bounds memory, changes no number
+# symbols per chunk of trials in run_ber: bounds memory and keys the bit and
+# noise substreams, so changing it changes every BER number
 _CHUNK_SYMBOLS = 1 << 14
 
 
@@ -182,8 +184,8 @@ def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
     grid is filled row-major (time index fastest), MSB of each symbol first.
     """
     scheme = get_scheme(scheme)
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if np.any(bits > 1):
+    bits = np.asarray(bits).ravel()
+    if bits.dtype.kind not in "biuf" or not np.all((bits == 0) | (bits == 1)):
         raise ValidationError("bits must be 0 or 1")
     k = scheme.bits_per_symbol
     n_sym = dims[0] * dims[1]
@@ -192,7 +194,7 @@ def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
             f"need exactly {k * n_sym} bits for a {dims} grid of "
             f"{scheme.name}, got {bits.size}"
         )
-    labels = _labels(bits, k)
+    labels = _labels(bits.astype(np.uint8), k)
     return SpaceTimeSignal(grid=scheme.points[labels].reshape(dims), role="data")
 
 
@@ -402,25 +404,20 @@ def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
     return links
 
 
-def _trial_draws(seed, si, mi, trials, k, dims, sigma2):
-    """Data bits and received noise of each trial, one row per trial.
+def _chunk_draws(seed, si, mi, first, n, k, dims, sigma2):
+    """Data bits and received noise of a chunk of n trials, one row per trial.
 
-    Every trial has its own bit and noise substream, so the draws do not
-    depend on how trials are grouped.  No noise is drawn when sigma2 is 0.
+    The chunk whose first trial is ``first`` has one bit and one noise
+    substream, each drawn in one call.  No noise is drawn when sigma2 is 0.
     """
-    bits = np.empty((len(trials), k * dims[0] * dims[1]), dtype=np.uint8)
-    normals = np.empty((len(trials), 2) + dims)
-    for j, trial in enumerate(trials):
-        bits[j] = _substream(seed, _SEED_BER_BITS, si, trial, mi).integers(
-            0, 2, size=bits.shape[1], dtype=np.uint8
-        )
-        if sigma2 != 0.0:
-            rng = _substream(seed, _SEED_BER_NOISE, si, trial, mi)
-            rng.standard_normal(out=normals[j, 0])
-            rng.standard_normal(out=normals[j, 1])
+    bits = _substream(seed, _SEED_BER_BITS, si, first, mi).integers(
+        0, 2, size=(n, k * dims[0] * dims[1]), dtype=np.uint8
+    )
     if sigma2 == 0.0:
         return bits, None
-    unit_noise = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+    rng = _substream(seed, _SEED_BER_NOISE, si, first, mi)
+    normals = rng.standard_normal((2, n) + dims)
+    unit_noise = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
     return bits, math.sqrt(sigma2) * unit_noise
 
 
@@ -442,8 +439,8 @@ def _point_counts(scenario, specs, schemes, n_trials, n_channels, seed, si, sigm
     """[bit errors, transmit-energy sum] per (precoder, modulation) at one SNR point.
 
     Trial t of a modulation runs on channel t mod n_channels, in chunks of
-    trials.  A precoder whose map fails on a channel the modulation uses
-    gets None.
+    a number of trials that only the scenario dims set.  A precoder whose
+    map fails on a channel the modulation uses gets None.
     """
     dims = (scenario.users, scenario.time_symbols)
     chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
@@ -458,9 +455,8 @@ def _point_counts(scenario, specs, schemes, n_trials, n_channels, seed, si, sigm
         for c in range(min(n_channels, n_trials[mi])):
             trials = range(c, n_trials[mi], n_channels)
             for lo in range(0, len(trials), chunk):
-                bits, noise = _trial_draws(
-                    seed, si, mi, trials[lo : lo + chunk], k, dims, sigma2
-                )
+                n = len(trials[lo : lo + chunk])
+                bits, noise = _chunk_draws(seed, si, mi, trials[lo], n, k, dims, sigma2)
                 sent = _labels(bits, k)
                 s = scheme.points[sent].reshape((len(bits),) + dims)
                 for pi, (flat, pmap) in enumerate(channels[c]):
@@ -490,8 +486,9 @@ def run_ber(
     the noise draw of each trial, so comparisons are paired.  Per channel,
     each precoder is built once as a linear map and applied to chunks of
     trials; the received grids still pass through the channel's kernel.
-    Bit and error counts are sums over per-trial draws from dedicated
-    substreams, so they do not depend on the chunking.
+    Each chunk draws its bits and noise from substreams keyed by its first
+    trial; the chunk size follows from the scenario dims alone, so counts do
+    not depend on which precoders run beside each other.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -507,10 +504,12 @@ def run_ber(
     if not snr_list:
         raise ValidationError("need at least one SNR point")
     sigma2s = [_noise_variance(v) for v in snr_list]
+    if not isinstance(min_bits, numbers.Real) or not math.isfinite(min_bits):
+        raise ValidationError(f"min_bits must be a finite number, got {min_bits!r}")
     if min_bits < MIN_BITS_FLOOR:
-        raise ValidationError(
-            f"min_bits must be >= {MIN_BITS_FLOOR}, got {min_bits}"
-        )
+        raise ValidationError(f"min_bits must be >= {MIN_BITS_FLOOR}, got {min_bits}")
+    if isinstance(n_channels, bool) or not isinstance(n_channels, numbers.Integral):
+        raise ValidationError(f"n_channels must be an integer, got {n_channels!r}")
     if n_channels < 1:
         raise ValidationError(f"n_channels must be >= 1, got {n_channels}")
     seed = int(seed)

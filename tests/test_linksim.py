@@ -118,6 +118,16 @@ class TestModulateDemodulate:
         with pytest.raises(ValidationError):
             modulate(np.zeros(7, dtype=np.uint8), sch, (1, 4))
 
+    def test_fractional_bits_rejected(self):
+        # a uint8 cast would have turned these into bits [0, 1]
+        with pytest.raises(ValidationError, match="bits"):
+            modulate([0.7, 1.2], "bpsk", (1, 2))
+
+    @pytest.mark.parametrize("bad", [[-1, 0], [2, 0], [1, math.nan]])
+    def test_out_of_range_bits_rejected(self, bad):
+        with pytest.raises(ValidationError, match="bits"):
+            modulate(bad, "bpsk", (1, 2))
+
     @settings(max_examples=300, deadline=None)
     @given(
         name=st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"]),
@@ -342,6 +352,22 @@ class TestRunBer:
                 snr_db=(0.0,), min_bits=20_000, seed=0, modulations=("pam8",),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_min_bits_rejected(self, bad):
+        with pytest.raises(ValidationError, match="min_bits"):
+            run_ber(
+                fast_scenario(), precoders=("ideal",), snr_db=(0.0,),
+                min_bits=bad, seed=0,
+            )
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_non_integer_n_channels_rejected(self, bad):
+        with pytest.raises(ValidationError, match="n_channels"):
+            run_ber(
+                fast_scenario(), precoders=("ideal",), snr_db=(0.0,),
+                min_bits=20_000, seed=0, n_channels=bad,
+            )
+
     def test_non_finite_snr_rejected(self):
         # -4000 dB is finite, but its noise variance 10**400 overflows
         for bad in (math.nan, -math.inf, -4000.0):
@@ -355,9 +381,11 @@ class TestRunBer:
 def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels):
     """Per-trial reference for run_ber: explicit solves, SVD and brute force.
 
-    Uses the documented substream keys (purpose 10 channel, 11 bits,
-    12 noise) and returns {(snr, precoder, fraction, modulation): (bits,
-    errors, tx_energy)}.
+    Uses the documented substream keys (purpose 10 channel per (SNR point,
+    channel); 11 bits and 12 noise per (SNR point, first trial of chunk,
+    modulation), where channel c's trials c, c + n_channels, ... are cut
+    into chunks of 2**14 // (users * time_symbols) trials) and returns
+    {(snr, precoder, fraction, modulation): (bits, errors, tx_energy)}.
     """
 
     def rng(*key):
@@ -365,6 +393,7 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
 
     l_u, l_t = cfg.users, cfg.time_symbols
     n_sym = l_u * l_t
+    chunk = max(1, (1 << 14) // n_sym)
     out = {}
     for si, snr in enumerate(snr_db):
         sigma2 = 10.0 ** (-snr / 10.0)
@@ -378,15 +407,23 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
             sch = get_scheme(name)
             k = sch.bits_per_symbol
             n_trials = max(1, math.ceil(min_bits / (k * n_sym)))
+            draws = {}
+            for c in range(n_channels):
+                trials = list(range(c, n_trials, n_channels))
+                for lo in range(0, len(trials), chunk):
+                    part = trials[lo : lo + chunk]
+                    first = part[0]
+                    bits = rng(11, si, first, mi).integers(
+                        0, 2, size=(len(part), k * n_sym), dtype=np.uint8
+                    )
+                    normals = rng(12, si, first, mi).standard_normal((2, len(part), l_u, l_t))
+                    for j, trial in enumerate(part):
+                        noise = (normals[0, j] + 1j * normals[1, j]) / math.sqrt(2.0)
+                        draws[trial] = (bits[j], noise)
             for spec in map(parse_precoder, precoders):
                 errors, tx = 0, 0.0
                 for trial in range(n_trials):
-                    bits = rng(11, si, trial, mi).integers(0, 2, size=k * n_sym, dtype=np.uint8)
-                    noise_rng = rng(12, si, trial, mi)
-                    noise = (
-                        noise_rng.standard_normal((l_u, l_t))
-                        + 1j * noise_rng.standard_normal((l_u, l_t))
-                    ) / math.sqrt(2.0)
+                    bits, noise = draws[trial]
                     labels = bits.reshape(n_sym, k) @ (1 << np.arange(k - 1, -1, -1))
                     s = sch.points[labels]
                     inst, flat, u, sig, vh = chans[trial % n_channels]
@@ -436,6 +473,36 @@ class TestRunBerOracle:
         inf_full = rep.select(precoder="hogmt", fraction=1.0)
         assert all(p.errors == 0 for p in inf_full if p.snr_db == math.inf)
         assert any(p.errors > 0 for p in rep.select(precoder="zf"))
+
+    def test_matches_oracle_across_chunks(self):
+        # 2x12 grids give chunks of 16384 // 24 = 682 trials; BPSK at 40k bits
+        # over 2 channels runs 834 trials on channel 0, so its second chunk
+        # starts at trial 1364, not at the channel index
+        cfg = fast_scenario()
+        kw = dict(
+            precoders=("hogmt(0.5)", "zf", "ideal"), snr_db=(6.0,), min_bits=40_000,
+            seed=17, modulations=("bpsk",), n_channels=2,
+        )
+        n_trials = math.ceil(40_000 / (cfg.users * cfg.time_symbols))
+        assert len(range(0, n_trials, 2)) > (1 << 14) // (cfg.users * cfg.time_symbols)
+        rep = run_ber(cfg, **kw)
+        want = _oracle_ber(cfg, **kw)
+        assert len(rep.points) == len(want)
+        for p in rep.points:
+            bits, errors, tx = want[(p.snr_db, p.precoder, p.fraction, p.modulation)]
+            assert (p.bits, p.errors) == (bits, errors), p
+            assert p.tx_energy == pytest.approx(tx, rel=1e-9), p
+
+    def test_draws_do_not_depend_on_other_precoders(self):
+        kw = dict(
+            snr_db=(3.0, 9.0), min_bits=MIN_BITS_FLOOR, seed=12,
+            modulations=("qpsk", "qam16"),
+        )
+        alone = run_ber(fast_scenario(), precoders=("ideal",), **kw)
+        beside = run_ber(
+            fast_scenario(), precoders=("hogmt(0.5)", "ideal", "zf", "zfdpc"), **kw
+        )
+        assert list(alone.points) == beside.select(precoder="ideal")
 
     def test_degenerate_precoder_fails_alone(self, monkeypatch):
         kw = dict(
