@@ -52,7 +52,7 @@ _SINUSOIDS_PER_TAP = 16
 _SEED_SPREAD = 1
 _SEED_TAP = 2
 _SEED_NOISE = 3
-_SEED_BER_CHANNEL = 10  # linksim: channel draw per (SNR point, channel)
+_SEED_BER_CHANNEL = 10  # linksim: channel draw per channel, shared by every SNR point
 _SEED_BER_BITS = 11  # linksim: bits per (SNR point, first trial of chunk, modulation)
 _SEED_BER_NOISE = 12  # linksim: noise per (SNR point, first trial of chunk, modulation)
 _SEED_CLI_BITS = 20  # cli precode: data bits

@@ -284,18 +284,18 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
 
 
 def _fmt(x) -> str:
-    """Stable scalar formatting: shortest roundtrip repr for floats."""
+    """Stable cell formatting: shortest roundtrip repr for floats, str as is."""
     if isinstance(x, (bool, np.bool_)):
         raise ValueError("no boolean columns in CSV outputs")
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return str(float(x))
+    return x if isinstance(x, str) else str(float(x))
 
 
 def _write_csv(path: Path, header: str, rows, footer: str | None = None) -> None:
     lines = [header]
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+        lines.append(row if isinstance(row, str) else ",".join(map(_fmt, row)))
     if footer is not None:
         lines.append(footer)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -496,11 +496,8 @@ def _cmd_stats(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
     for side in ("tx", "rx"):
         series = cmd(first_h, side=side, window=cfg.window)
         n = series.n_starts
-        rows = [
-            (i, j - i, float(series.distances[i, j]))
-            for i in range(n)
-            for j in range(n)
-        ]
+        dist = series.distances.tolist()  # Python floats: f"{d}" is _fmt(d)
+        rows = [f"{i},{j - i},{d}" for i, r in enumerate(dist) for j, d in enumerate(r)]
         _write_csv(out_dir / f"cmd_{side}.csv", "start,shift,d_corr", rows)
         outputs.append(f"cmd_{side}.csv")
         sr = stationarity_interval(series, cfg.d0)

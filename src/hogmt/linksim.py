@@ -5,11 +5,12 @@ per-axis Gray PAM (one axis for BPSK).  Demodulation slices each axis on its
 own against the midpoints of adjacent levels, which for these separable
 constellations is exactly the minimum-distance decision.
 
-The BER engine compares precoders on identical footing: per (SNR point,
-chunk of trials, modulation) the data bits and the noise grids come from
-dedicated substreams shared by every precoder, so curves are paired
-sample-by-sample.  Each precoder is one linear map per channel realization,
-applied to chunks of trials at once.  SNR is received-signal-referenced,
+The BER engine compares precoders on identical footing: a sweep draws its
+channels once for every SNR point, and per (SNR point, chunk of trials,
+modulation) the data bits and noise come from substreams shared by every
+precoder, so curves are paired sample-by-sample.  Each precoder is one
+linear map per channel, built once per sweep and applied to chunks of
+trials at once.  SNR is received-signal-referenced,
 E_s / sigma_v^2 with E_s = 1; per-bit SNR for reference curves is
 E_s / (k * sigma_v^2) for k bits per symbol.
 """
@@ -22,7 +23,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channel import (
     _SEED_BER_BITS,
@@ -225,6 +225,7 @@ def _axis_bit_errors(levels: np.ndarray, sigma: float) -> float:
     Exact: sums decision-band probabilities times Hamming distances over
     every (sent, decided) level pair.
     """
+    from scipy.special import ndtr  # here, so that importing hogmt skips SciPy
     order = np.argsort(levels)
     sorted_lv = levels[order]
     thresholds = 0.5 * (sorted_lv[:-1] + sorted_lv[1:])
@@ -435,20 +436,15 @@ def _count_chunk(s, sent, noise, flat, pmap, slicer) -> tuple[int, float]:
     return int(_POPCOUNT[got ^ sent].sum()), float(tx_energy.sum())
 
 
-def _point_counts(scenario, specs, schemes, n_trials, n_channels, seed, si, sigma2):
+def _point_counts(channels, schemes, n_trials, n_channels, dims, seed, si, sigma2):
     """[bit errors, transmit-energy sum] per (precoder, modulation) at one SNR point.
 
-    Trial t of a modulation runs on channel t mod n_channels, in chunks of
-    a number of trials that only the scenario dims set.  A precoder whose
-    map fails on a channel the modulation uses gets None.
+    Trial t of a modulation runs on the links ``channels[t % n_channels]``,
+    in chunks of a number of trials that only the scenario dims set.  A
+    precoder whose map fails on a channel the modulation uses gets None.
     """
-    dims = (scenario.users, scenario.time_symbols)
     chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
-    channels = []
-    for c in range(min(n_channels, max(n_trials))):
-        ch_seed = int(_substream(seed, _SEED_BER_CHANNEL, si, c).integers(0, 2**63))
-        channels.append(_links(scenario, ch_seed, specs))
-    acc = {key: [0, 0.0] for key in np.ndindex(len(specs), len(schemes))}
+    acc = {key: [0, 0.0] for key in np.ndindex(len(channels[0]), len(schemes))}
     for mi, scheme in enumerate(schemes):
         k = scheme.bits_per_symbol
         slicer = _slicer(scheme)
@@ -481,14 +477,16 @@ def run_ber(
 
     Noise variance per point is 10**(-snr_db/10), referencing the received
     signal (unit symbol energy).  Each trial spans one (users, time_symbols)
-    block; channel realizations rotate over ``n_channels`` per SNR point and
-    are shared by every precoder and modulation, as are the data bits and
-    the noise draw of each trial, so comparisons are paired.  Per channel,
-    each precoder is built once as a linear map and applied to chunks of
-    trials; the received grids still pass through the channel's kernel.
-    Each chunk draws its bits and noise from substreams keyed by its first
-    trial; the chunk size follows from the scenario dims alone, so counts do
-    not depend on which precoders run beside each other.
+    block; trials rotate over ``n_channels`` realizations, drawn once per
+    sweep (keyed by channel index) and shared by every SNR point, precoder
+    and modulation, as are the data bits and the noise of each trial, so
+    comparisons are paired.  Per channel, each precoder is built once as a
+    linear map and applied to chunks of trials; the received grids still
+    pass through the channel's kernel.  A map that raises
+    DegenerateChannelError thus fails its precoder at every SNR point.
+    Each chunk draws its bits and noise from substreams keyed by its SNR
+    point and first trial; the chunk size follows from the scenario dims
+    alone, so counts do not depend on which precoders run beside each other.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -513,13 +511,18 @@ def run_ber(
     if n_channels < 1:
         raise ValidationError(f"n_channels must be >= 1, got {n_channels}")
     seed = int(seed)
-    n_sym = scenario.users * scenario.time_symbols
+    dims = (scenario.users, scenario.time_symbols)
+    n_sym = dims[0] * dims[1]
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
+    channels = []
+    for c in range(min(n_channels, max(n_trials))):
+        ch_seed = int(_substream(seed, _SEED_BER_CHANNEL, c).integers(0, 2**63))
+        channels.append(_links(scenario, ch_seed, specs))
 
     points: list[BerPoint] = []
     for si, (snr, sigma2) in enumerate(zip(snr_list, sigma2s)):
         acc = _point_counts(
-            scenario, specs, schemes, n_trials, n_channels, seed, si, sigma2
+            channels, schemes, n_trials, n_channels, dims, seed, si, sigma2
         )
         for pi, spec in enumerate(specs):
             for mi, scheme in enumerate(schemes):

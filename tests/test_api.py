@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import hogmt
@@ -26,3 +28,15 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"hogmt.{module}"), name, None))
     ]
     assert tracing.TRACED and not missing
+
+
+def test_import_does_not_load_scipy():
+    # only theoretical_awgn_ber needs SciPy; every CLI process pays for an import
+    code = (
+        "import sys, hogmt, hogmt.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

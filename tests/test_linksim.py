@@ -381,10 +381,11 @@ class TestRunBer:
 def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels):
     """Per-trial reference for run_ber: explicit solves, SVD and brute force.
 
-    Uses the documented substream keys (purpose 10 channel per (SNR point,
-    channel); 11 bits and 12 noise per (SNR point, first trial of chunk,
-    modulation), where channel c's trials c, c + n_channels, ... are cut
-    into chunks of 2**14 // (users * time_symbols) trials) and returns
+    Uses the documented substream keys (purpose 10 channel per channel,
+    drawn once for the whole sweep; 11 bits and 12 noise per (SNR point,
+    first trial of chunk, modulation), where channel c's trials c,
+    c + n_channels, ... are cut into chunks of 2**14 // (users *
+    time_symbols) trials) and returns
     {(snr, precoder, fraction, modulation): (bits, errors, tx_energy)}.
     """
 
@@ -394,15 +395,15 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
     l_u, l_t = cfg.users, cfg.time_symbols
     n_sym = l_u * l_t
     chunk = max(1, (1 << 14) // n_sym)
+    chans = []
+    for c in range(n_channels):
+        h = generate_channel(cfg, int(rng(10, c).integers(0, 2**63)))
+        flat = flatten_kernel(to_kernel(h))
+        u, sig, vh = np.linalg.svd(flat)
+        chans.append((h.values.sum(axis=3), flat, u, sig, vh))
     out = {}
     for si, snr in enumerate(snr_db):
         sigma2 = 10.0 ** (-snr / 10.0)
-        chans = []
-        for c in range(n_channels):
-            h = generate_channel(cfg, int(rng(10, si, c).integers(0, 2**63)))
-            flat = flatten_kernel(to_kernel(h))
-            u, sig, vh = np.linalg.svd(flat)
-            chans.append((h.values.sum(axis=3), flat, u, sig, vh))
         for mi, name in enumerate(modulations):
             sch = get_scheme(name)
             k = sch.bits_per_symbol
@@ -504,9 +505,41 @@ class TestRunBerOracle:
         )
         assert list(alone.points) == beside.select(precoder="ideal")
 
-    def test_degenerate_precoder_fails_alone(self, monkeypatch):
+    def test_channels_drawn_once_per_sweep(self, monkeypatch):
+        calls = {"generate_channel": 0, "hogmt_decompose": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(hogmt.linksim, name, wrapper)
+
+        counted("generate_channel", generate_channel)
+        counted("hogmt_decompose", hogmt_decompose)
+        rep = run_ber(
+            fast_scenario(), precoders=("hogmt(0.5)", "hogmt(1.0)", "zf"),
+            snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), min_bits=MIN_BITS_FLOOR, seed=4,
+            modulations=("qpsk", "qam16"), n_channels=2,
+        )
+        assert len(rep.points) == 5 * 3 * 2
+        assert calls == {"generate_channel": 2, "hogmt_decompose": 2}
+
+    def test_sweep_prefix_matches_shorter_sweep(self):
         kw = dict(
-            precoders=("hogmt(1.0)", "zf", "ideal"), snr_db=(6.0,),
+            precoders=("hogmt(0.5)", "zf", "ideal"), min_bits=MIN_BITS_FLOOR,
+            seed=23, modulations=("bpsk", "qam16"), n_channels=3,
+        )
+        snrs = (0.0, 8.0, 16.0, math.inf)
+        full = run_ber(fast_scenario(), snr_db=snrs, **kw)
+        for k in (1, 2, 3):
+            part = run_ber(fast_scenario(), snr_db=snrs[:k], **kw)
+            assert [p for p in full.points if p.snr_db in snrs[:k]] == list(part.points)
+
+    def test_degenerate_precoder_fails_alone(self, monkeypatch):
+        # the map is built once per sweep, so it fails at every SNR point
+        kw = dict(
+            precoders=("hogmt(1.0)", "zf", "ideal"), snr_db=(6.0, 12.0),
             min_bits=MIN_BITS_FLOOR, seed=8, modulations=("qpsk",),
         )
         before = run_ber(fast_scenario(), **kw)
@@ -520,10 +553,12 @@ class TestRunBerOracle:
 
         monkeypatch.setattr(hogmt.linksim, "hogmt_decompose", all_zero_sigmas)
         after = run_ber(fast_scenario(), **kw)
-        (failed,) = after.select(precoder="hogmt")
-        assert failed.failed and failed.bits == 0
-        assert math.isnan(failed.ber) and math.isnan(failed.tx_energy)
+        failed = after.select(precoder="hogmt")
+        assert [p.snr_db for p in failed] == [6.0, 12.0]
+        for p in failed:
+            assert p.failed and p.bits == 0
+            assert math.isnan(p.ber) and math.isnan(p.tx_energy)
         for kind in ("zf", "ideal"):
-            (pb,) = before.select(precoder=kind)
-            (pa,) = after.select(precoder=kind)
-            assert pa == pb and pa.bits > 0
+            pb = before.select(precoder=kind)
+            pa = after.select(precoder=kind)
+            assert pa == pb and len(pa) == 2 and all(p.bits > 0 for p in pa)
