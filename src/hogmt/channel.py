@@ -26,7 +26,7 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .kernels import Kernel4D, _freeze, apply_kernel, ensure_grid
+from .kernels import Kernel4D, apply_kernel, checked_array, ensure_grid
 
 __all__ = [
     "ScenarioConfig",
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 MODES = ("wssus", "block", "drift")
-ROLES = ("data", "precoded", "received")
 
 _SINUSOIDS_PER_TAP = 16
 
@@ -160,11 +159,7 @@ class ImpulseResponse4D:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 4:
-            raise ValidationError(
-                f"impulse response must be 4-D, got shape {arr.shape}"
-            )
+        arr = checked_array(self.values, 4, "ImpulseResponse4D.values")
         if min(arr.shape) < 1:
             raise ValidationError(
                 f"impulse response dims must be >= 1, got {arr.shape}"
@@ -174,9 +169,7 @@ class ImpulseResponse4D:
                 f"delay taps ({arr.shape[3]}) must not exceed time symbols "
                 f"({arr.shape[2]})"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("impulse response contains non-finite entries")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", arr)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -191,15 +184,12 @@ def _instant_matrices(h: ImpulseResponse4D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceTimeSignal:
-    """2-D complex grid over (user/antenna stream, time symbol) with a role tag."""
+    """Checked 2-D complex grid over (user/antenna stream, time symbol)."""
 
     grid: np.ndarray
-    role: str = "data"
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValidationError(f"role must be one of {ROLES}, got {self.role!r}")
-        object.__setattr__(self, "grid", _freeze(ensure_grid(self.grid, "signal grid")))
+        object.__setattr__(self, "grid", ensure_grid(self.grid, "SpaceTimeSignal.grid"))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -358,7 +348,7 @@ def transmit(
     v = scale * (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
-    return SpaceTimeSignal(grid=clean.grid + v, role="received")
+    return SpaceTimeSignal(grid=clean.grid + v)
 
 
 def interference_split(h: ImpulseResponse4D, s: SpaceTimeSignal) -> InterferenceSplit:
@@ -378,11 +368,7 @@ def interference_split(h: ImpulseResponse4D, s: SpaceTimeSignal) -> Interference
             "interference split needs matching user/antenna counts, got "
             f"L_u={l_u} and L_u'={l_up}"
         )
-    grid = ensure_grid(s.grid, "data signal")
-    if grid.shape != (l_up, l_t):
-        raise DimensionMismatchError(
-            f"signal shape {grid.shape} does not match channel dims ({l_up}, {l_t})"
-        )
+    grid = ensure_grid(s, "data signal", (l_up, l_t))
     # delayed copies of the signal, zero before t = 0
     delayed = np.zeros((l_up, l_t, l_tau), dtype=np.complex128)
     for tau in range(l_tau):
@@ -398,9 +384,8 @@ def interference_split(h: ImpulseResponse4D, s: SpaceTimeSignal) -> Interference
     spatial = full_t0 - own_t0
     temporal = own - own_t0
     joint = full - own - full_t0 + own_t0
-    mk = lambda g: SpaceTimeSignal(grid=g, role="received")
     return InterferenceSplit(
-        signal=mk(signal), spatial=mk(spatial), temporal=mk(temporal), joint=mk(joint)
+        *(SpaceTimeSignal(g) for g in (signal, spatial, temporal, joint))
     )
 
 
@@ -465,7 +450,7 @@ def load_ctf(path) -> ImpulseResponse4D:
             offset=_CTF_HEADER.size,
         )
     flat = np.frombuffer(blob, dtype="<c16", offset=_CTF_HEADER.size)
-    values = flat.reshape(dims).astype(np.complex128)
+    values = flat.reshape(dims)  # ImpulseResponse4D makes the native copy
     if not np.all(np.isfinite(values)):
         raise FormatError(
             "payload contains non-finite values", offset=_CTF_HEADER.size

@@ -119,6 +119,11 @@ class RunConfig:
                 check(getattr(self, name))
             except ValidationError as exc:
                 raise ConfigError(f"sim.{name}: {exc}") from exc
+        if self.fraction != 1.0 and self.precoder.strip().lower() != "hogmt":
+            raise ConfigError(
+                "sim.fraction applies only to the bare 'hogmt' precoder, got "
+                f"sim.fraction={self.fraction} with sim.precoder={self.precoder!r}"
+            )
         if self.min_bits < MIN_BITS_FLOOR:
             raise ConfigError(
                 f"sim.min_bits must be >= {MIN_BITS_FLOOR}, got {self.min_bits}"

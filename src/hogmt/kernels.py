@@ -25,6 +25,7 @@ from .errors import (
 __all__ = [
     "Kernel4D",
     "EigenDecomposition",
+    "checked_array",
     "ensure_grid",
     "flatten_kernel",
     "decompose_grid_pairs",
@@ -38,29 +39,39 @@ __all__ = [
 DECOMPOSITION_FLOOR_REL = 1e-12
 
 
-def ensure_grid(data, name: str = "grid") -> np.ndarray:
-    """Validate and return a 2-D complex grid (finite, both dims >= 1).
+def checked_array(data, ndim: int, name: str, dtype=np.complex128) -> np.ndarray:
+    """Read-only C-contiguous copy of ``data`` as ``dtype``, ``ndim``-D and finite.
 
-    Grids are plain complex128 ndarrays throughout the package; this is the
-    single entry point that enforces their invariants.
+    The single boundary every public array of the package passes: errors
+    raise ValidationError naming ``name``, and later changes to the
+    caller's array do not reach the copy.
     """
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValidationError(f"{name} must have both dims >= 1, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    try:
+        with np.errstate(invalid="raise"):  # NaN or inf cast to an integer dtype
+            arr = np.array(data, dtype=dtype, order="C")
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"{name} is not a {np.dtype(dtype)} array: {exc}") from exc
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
+    arr.flags.writeable = False
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous read-only view-owning copy of ``arr``."""
-    out = np.ascontiguousarray(arr)
-    if out is arr or out.base is not None:
-        out = out.copy()
-    out.flags.writeable = False
-    return out
+def ensure_grid(data, name: str = "grid", shape=None) -> np.ndarray:
+    """Checked 2-D complex grid of ``data``, or of its ``grid`` attribute.
+
+    Both dims must be >= 1 and, when ``shape`` is given, equal to it.
+    """
+    arr = checked_array(getattr(data, "grid", data), 2, name)
+    if min(arr.shape) < 1:
+        raise ValidationError(f"{name} must have both dims >= 1, got {arr.shape}")
+    if shape is not None and arr.shape != tuple(shape):
+        raise DimensionMismatchError(
+            f"{name} shape {arr.shape} does not match {tuple(shape)}"
+        )
+    return arr
 
 
 @dataclass(frozen=True)
@@ -75,9 +86,7 @@ class Kernel4D:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 4:
-            raise ValidationError(f"kernel must be 4-D, got shape {arr.shape}")
+        arr = checked_array(self.values, 4, "Kernel4D.values")
         if min(arr.shape) < 1:
             raise ValidationError(f"kernel dims must all be >= 1, got {arr.shape}")
         if arr.shape[1] != arr.shape[3]:
@@ -85,9 +94,7 @@ class Kernel4D:
                 "kernel input/output time lengths must match, got "
                 f"L_t={arr.shape[1]} and L_t'={arr.shape[3]}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("kernel contains non-finite entries")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", arr)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -115,11 +122,9 @@ class EigenDecomposition:
     source_dims: tuple[int, int, int, int]
 
     def __post_init__(self):
-        sig = np.asarray(self.sigmas, dtype=float)
-        psis = np.asarray(self.psis, dtype=np.complex128)
-        phis = np.asarray(self.phis, dtype=np.complex128)
-        if sig.ndim != 1 or psis.ndim != 3 or phis.ndim != 3:
-            raise ValidationError("decomposition arrays have wrong ranks")
+        sig = checked_array(self.sigmas, 1, "EigenDecomposition.sigmas", float)
+        psis = checked_array(self.psis, 3, "EigenDecomposition.psis")
+        phis = checked_array(self.phis, 3, "EigenDecomposition.phis")
         n = sig.size
         if psis.shape[0] != n or phis.shape[0] != n:
             raise DimensionMismatchError(
@@ -134,13 +139,13 @@ class EigenDecomposition:
                 f"eigenfunction grids {psis.shape[1:]}/{phis.shape[1:]} do not "
                 f"match source dims {d}"
             )
-        if not np.all(np.isfinite(sig)) or np.any(sig < 0):
-            raise ValidationError("sigmas must be finite and nonnegative")
+        if np.any(sig < 0):
+            raise ValidationError("sigmas must be nonnegative")
         if n > 1 and np.any(np.diff(sig) > 0):
             raise ValidationError("sigmas must be sorted descending")
-        object.__setattr__(self, "sigmas", _freeze(sig))
-        object.__setattr__(self, "psis", _freeze(psis))
-        object.__setattr__(self, "phis", _freeze(phis))
+        object.__setattr__(self, "sigmas", sig)
+        object.__setattr__(self, "psis", psis)
+        object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "source_dims", d)
 
     @property
@@ -249,18 +254,12 @@ def apply_kernel(kernel: Kernel4D, x):
     ``x`` may be a plain 2-D grid or any object carrying one in a ``grid``
     attribute (a space-time signal); the result mirrors the input kind.
     """
-    grid = getattr(x, "grid", x)
-    grid = ensure_grid(grid, "input signal")
     l_u, l_t, l_up, l_tp = kernel.dims
-    if grid.shape != (l_up, l_tp):
-        raise DimensionMismatchError(
-            f"signal shape {grid.shape} does not match kernel input dims "
-            f"({l_up}, {l_tp})"
-        )
+    grid = ensure_grid(x, "kernel input signal", (l_up, l_tp))
     flat = flatten_kernel(kernel) @ grid.reshape(-1)
     out = flat.reshape(l_u, l_t)
     if hasattr(x, "grid"):
-        return type(x)(grid=out, role="received")
+        return type(x)(grid=out)
     return out
 
 

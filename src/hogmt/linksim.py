@@ -35,7 +35,7 @@ from .channel import (
     to_kernel,
 )
 from .errors import DegenerateChannelError, ValidationError
-from .kernels import flatten_kernel, hogmt_decompose
+from .kernels import checked_array, flatten_kernel, hogmt_decompose
 from .precoding import hogmt_map, zf_map, zfdpc_map
 
 __all__ = [
@@ -195,13 +195,13 @@ def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
             f"{scheme.name}, got {bits.size}"
         )
     labels = _labels(bits.astype(np.uint8), k)
-    return SpaceTimeSignal(grid=scheme.points[labels].reshape(dims), role="data")
+    return SpaceTimeSignal(grid=scheme.points[labels].reshape(dims))
 
 
 def demodulate(r, scheme) -> np.ndarray:
     """Minimum-distance demodulation back to a flat bit array (MSB first)."""
     scheme = get_scheme(scheme)
-    grid = np.asarray(getattr(r, "grid", r), dtype=np.complex128).ravel()
+    grid = checked_array(np.ravel(getattr(r, "grid", r)), 1, "received values")
     labels = _slicer(scheme)(grid)
     k = scheme.bits_per_symbol
     shifts = np.arange(k - 1, -1, -1)

@@ -33,7 +33,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .kernels import EigenDecomposition, _floor_count, _freeze, ensure_grid
+from .kernels import EigenDecomposition, _floor_count, checked_array, ensure_grid
 
 __all__ = [
     "CoefficientSet",
@@ -72,22 +72,24 @@ class CoefficientSet:
     dropped_energy: float
 
     def __post_init__(self):
-        x = np.asarray(self.x_coeffs, dtype=np.complex128)
-        s = np.asarray(self.s_coeffs, dtype=np.complex128)
-        if x.ndim != 1 or s.ndim != 1 or x.size != s.size:
+        x = checked_array(self.x_coeffs, 1, "CoefficientSet.x_coeffs")
+        s = checked_array(self.s_coeffs, 1, "CoefficientSet.s_coeffs")
+        if x.size != s.size:
             raise DimensionMismatchError(
-                f"coefficient arrays must be 1-D of equal length, got "
-                f"{x.shape} and {s.shape}"
+                f"coefficient arrays must have equal length, got {x.size} and {s.size}"
             )
         if x.size != self.retained:
             raise DimensionMismatchError(
                 f"retained count {self.retained} does not match coefficient "
                 f"length {x.size}"
             )
-        if self.dropped_energy < 0:
-            raise ValueError("dropped_energy cannot be negative")
-        object.__setattr__(self, "x_coeffs", _freeze(x))
-        object.__setattr__(self, "s_coeffs", _freeze(s))
+        if not 0.0 <= self.dropped_energy < math.inf:
+            raise ValidationError(
+                f"CoefficientSet.dropped_energy must be finite and >= 0, got "
+                f"{self.dropped_energy}"
+            )
+        object.__setattr__(self, "x_coeffs", x)
+        object.__setattr__(self, "s_coeffs", s)
 
 
 @dataclass(frozen=True)
@@ -179,12 +181,7 @@ def hogmt_precode(
     with <a, b> conjugating the second argument.  Retention is that of
     :func:`hogmt_map`.
     """
-    grid = ensure_grid(getattr(s, "grid", s), "data signal")
-    if grid.shape != decomp.source_dims[:2]:
-        raise DimensionMismatchError(
-            f"data shape {grid.shape} does not match receive-side grid "
-            f"{decomp.source_dims[:2]}"
-        )
+    grid = ensure_grid(s, "data signal", decomp.source_dims[:2])
     pmap = hogmt_map(decomp, fraction)
     n_keep = pmap.sigmas.size
     # projections on all modes; the tail beyond n_keep is only reported
@@ -195,7 +192,7 @@ def hogmt_precode(
         retained=n_keep,
         dropped_energy=float(np.sum(np.abs(proj[n_keep:]) ** 2)),
     )
-    return SpaceTimeSignal(grid=pmap.apply(grid), role="precoded"), coeffs
+    return SpaceTimeSignal(grid=pmap.apply(grid)), coeffs
 
 
 def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyReport:
@@ -233,17 +230,6 @@ class InstantMap:
         cols = grids.reshape(-1, l_u, l_t).transpose(2, 1, 0)  # (L_t, L_u, batch)
         x = (self.mats @ cols).transpose(2, 1, 0)
         return x.reshape(lead + x.shape[1:])
-
-
-def _check_signal(h: ImpulseResponse4D, s) -> np.ndarray:
-    grid = ensure_grid(getattr(s, "grid", s), "data signal")
-    l_u, l_up, l_t, _ = h.dims
-    if grid.shape != (l_u, l_t):
-        raise DimensionMismatchError(
-            f"data shape {grid.shape} does not match channel output dims "
-            f"({l_u}, {l_t})"
-        )
-    return grid
 
 
 def zf_map(h: ImpulseResponse4D) -> InstantMap:
@@ -297,13 +283,13 @@ def zf_precode_instant(
     h: ImpulseResponse4D, s: SpaceTimeSignal | np.ndarray
 ) -> SpaceTimeSignal:
     """Per-instant spatial zero-forcing baseline (see :func:`zf_map`) on one grid."""
-    grid = _check_signal(h, s)
-    return SpaceTimeSignal(grid=zf_map(h).apply(grid), role="precoded")
+    grid = ensure_grid(s, "data signal", (h.dims[0], h.dims[2]))
+    return SpaceTimeSignal(grid=zf_map(h).apply(grid))
 
 
 def zfdpc_precode(
     h: ImpulseResponse4D, s: SpaceTimeSignal | np.ndarray
 ) -> SpaceTimeSignal:
     """Per-instant dirty-paper baseline (see :func:`zfdpc_map`) on one grid."""
-    grid = _check_signal(h, s)
-    return SpaceTimeSignal(grid=zfdpc_map(h).apply(grid), role="precoded")
+    grid = ensure_grid(s, "data signal", (h.dims[0], h.dims[2]))
+    return SpaceTimeSignal(grid=zfdpc_map(h).apply(grid))

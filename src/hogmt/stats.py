@@ -14,6 +14,7 @@ normalized units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .channel import ImpulseResponse4D, _instant_matrices
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import EigenDecomposition, _freeze, decompose_grid_pairs
+from .kernels import EigenDecomposition, checked_array, decompose_grid_pairs, ensure_grid
 
 __all__ = [
     "TFTransfer",
@@ -61,12 +62,8 @@ class TFTransfer:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValidationError(f"transfer grid must be 2-D, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("transfer grid contains non-finite entries")
-        object.__setattr__(self, "values", _freeze(arr))
+        values = ensure_grid(self.values, "TFTransfer.values")
+        object.__setattr__(self, "values", values)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -84,12 +81,8 @@ class SpreadingFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValidationError(f"spreading grid must be 2-D, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("spreading grid contains non-finite entries")
-        object.__setattr__(self, "values", _freeze(arr))
+        values = ensure_grid(self.values, "SpreadingFunction.values")
+        object.__setattr__(self, "values", values)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -122,10 +115,10 @@ class GaussianPrototype:
     spread_f: float = 1.0
 
     def __post_init__(self):
-        if not (self.spread_t > 0.0):
-            raise ValidationError(f"spread_t must be > 0, got {self.spread_t}")
-        if not (self.spread_f > 0.0):
-            raise ValidationError(f"spread_f must be > 0, got {self.spread_f}")
+        for name in ("spread_t", "spread_f"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {v}")
 
     def on_lattice(self, n_t: int, n_f: int) -> np.ndarray:
         if n_t < 1 or n_f < 1:
@@ -143,6 +136,28 @@ class GaussianPrototype:
         return win / np.linalg.norm(win)
 
 
+def _prototype_window(prototype, n_t: int, n_f: int) -> np.ndarray:
+    """Checked unit-norm window on the (n_t, n_f) lattice.
+
+    ``prototype`` is a GaussianPrototype, evaluated on the lattice, or a grid
+    that must already have that shape and unit Frobenius norm.
+    """
+    if isinstance(prototype, GaussianPrototype):
+        prototype = prototype.on_lattice(n_t, n_f)
+    proto = checked_array(prototype, 2, "prototype")
+    if proto.shape != (n_t, n_f):
+        raise DimensionMismatchError(
+            f"prototype shape {proto.shape} does not match lattice ({n_t}, {n_f})"
+        )
+    # written so that a NaN norm fails too
+    if not abs(np.linalg.norm(proto) - 1.0) <= 1e-9:
+        raise ValidationError(
+            "prototype window must have unit norm (pass a GaussianPrototype "
+            "to normalize automatically)"
+        )
+    return proto
+
+
 @dataclass(frozen=True)
 class AtomicKernel:
     """Windowed 4-D kernel A[t, f, tau, nu] on the TF x delay-Doppler lattice."""
@@ -151,47 +166,20 @@ class AtomicKernel:
     prototype: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        proto = np.asarray(self.prototype, dtype=np.complex128)
-        if arr.ndim != 4:
-            raise ValidationError(f"atomic kernel must be 4-D, got {arr.shape}")
-        if proto.shape != (arr.shape[0], arr.shape[1]):
-            raise DimensionMismatchError(
-                f"prototype shape {proto.shape} does not match kernel lattice "
-                f"({arr.shape[0]}, {arr.shape[1]})"
-            )
+        arr = checked_array(self.values, 4, "AtomicKernel.values")
         if arr.shape[2] != arr.shape[1] or arr.shape[3] != arr.shape[0]:
             raise DimensionMismatchError(
                 "delay/Doppler grid sizes must mirror the TF lattice, got "
                 f"{arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("atomic kernel contains non-finite entries")
-        if abs(np.linalg.norm(proto) - 1.0) > 1e-9:
-            raise ValidationError("prototype window must have unit norm")
-        object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "prototype", _freeze(proto))
+        proto = _prototype_window(self.prototype, arr.shape[0], arr.shape[1])
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "prototype", proto)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
         """(L_t, L_f, L_tau, L_nu)."""
         return self.values.shape
-
-
-def _resolve_prototype(prototype, n_t: int, n_f: int) -> np.ndarray:
-    if isinstance(prototype, GaussianPrototype):
-        return prototype.on_lattice(n_t, n_f)
-    proto = np.asarray(prototype, dtype=np.complex128)
-    if proto.shape != (n_t, n_f):
-        raise DimensionMismatchError(
-            f"prototype shape {proto.shape} does not match lattice ({n_t}, {n_f})"
-        )
-    if abs(np.linalg.norm(proto) - 1.0) > 1e-9:
-        raise ValidationError(
-            "prototype window must have unit norm (pass a GaussianPrototype "
-            "to normalize automatically)"
-        )
-    return proto
 
 
 def atomic_kernel(transfer: TFTransfer, prototype) -> AtomicKernel:
@@ -203,7 +191,7 @@ def atomic_kernel(transfer: TFTransfer, prototype) -> AtomicKernel:
     """
     lv = transfer.values
     n_t, n_f = lv.shape
-    proto = _resolve_prototype(prototype, n_t, n_f)
+    proto = _prototype_window(prototype, n_t, n_f)
 
     # windowed grids for every lattice shift, batched over the t axis to
     # bound peak memory at n_f * (lattice size) per batch
@@ -353,12 +341,12 @@ class CmdSeries:
     side: str
 
     def __post_init__(self):
-        arr = np.asarray(self.distances, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = checked_array(self.distances, 2, "CmdSeries.distances", float)
+        if arr.shape[0] != arr.shape[1]:
             raise ValidationError(
                 f"distance matrix must be square, got {arr.shape}"
             )
-        object.__setattr__(self, "distances", _freeze(arr))
+        object.__setattr__(self, "distances", arr)
 
     @property
     def n_starts(self) -> int:
@@ -379,10 +367,8 @@ class StationarityReport:
     side: str
 
     def __post_init__(self):
-        arr = np.asarray(self.intervals, dtype=int)
-        if arr.ndim != 1:
-            raise ValidationError("intervals must be 1-D")
-        object.__setattr__(self, "intervals", _freeze(arr))
+        arr = checked_array(self.intervals, 1, "StationarityReport.intervals", int)
+        object.__setattr__(self, "intervals", arr)
 
 
 def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:

@@ -1,7 +1,9 @@
 """The public API contract: exported names and the names the benchmark traces."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import hogmt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve():
@@ -40,3 +43,13 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    # the README's python block is the documented API; it must run as written
+    text = README.read_text(encoding="utf-8")
+    (block,) = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(block, str(README), "exec"), {})
+    residual = float(out.getvalue().splitlines()[0])
+    assert residual < 1e-9

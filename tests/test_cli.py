@@ -124,6 +124,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
             config_from_mapping({section: {key: value}})
 
+    @pytest.mark.parametrize("precoder,fraction", [("hogmt(0.5)", 0.9), ("zf", 0.3)])
+    def test_fraction_needs_bare_hogmt(self, tmp_path, capsys, precoder, fraction):
+        mapping = {**FAST, "sim": {**FAST["sim"], "precoder": precoder, "fraction": fraction}}
+        with pytest.raises(ConfigError, match=re.escape("sim.fraction")):
+            config_from_mapping(mapping)
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--config", str(write_config(tmp_path, mapping)),
+             "--out", str(out), "--quiet"]
+        )
+        assert code == 1 and "sim.fraction" in capsys.readouterr().err
+        assert not out.exists()
+        # the same fraction with the bare precoder, and 1.0 with any precoder, are valid
+        config_from_mapping({"sim": {"precoder": "hogmt", "fraction": fraction}})
+        config_from_mapping({"sim": {"precoder": precoder, "fraction": 1.0}})
+
     def test_noiseless_snr_kept(self):
         cfg = config_from_mapping({"sim": {"snr_db": [10.0, math.inf]}})
         assert cfg.snr_db == (10.0, math.inf)
@@ -165,12 +181,14 @@ def valid_mappings(draw):
         "spatial_corr": draw(st.floats(0.0, 0.99)),
         "delay_decay": draw(st.floats(0.0, 10.0)),
     }
+    precoder = draw(
+        st.sampled_from(["hogmt", "hogmt(0.5)", "zf", "zfdpc", "none", "ideal"])
+    )
     rest = {
         "sim": {
-            "precoder": draw(
-                st.sampled_from(["hogmt", "hogmt(0.5)", "zf", "zfdpc", "none", "ideal"])
-            ),
-            "fraction": draw(st.floats(1e-6, 1.0)),
+            "precoder": precoder,
+            # sim.fraction other than 1.0 is valid only with the bare "hogmt"
+            "fraction": draw(st.floats(1e-6, 1.0)) if precoder == "hogmt" else 1.0,
             "modulation": draw(st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"])),
             "snr_db": draw(
                 st.lists(st.floats(-50.0, 50.0) | st.just(math.inf), min_size=1, max_size=4)

@@ -50,7 +50,6 @@ class TestHogmtPrecode:
         dec = hogmt_decompose(identity_kernel(2, 3))
         s = random_signal(rng, (2, 3))
         x, coeffs = hogmt_precode(dec, s)
-        assert x.role == "precoded"
         np.testing.assert_allclose(x.grid, s.grid, rtol=0, atol=1e-12)
         assert coeffs.retained == 6
         assert coeffs.dropped_energy <= 1e-24
