@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +26,14 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .kernels import Kernel4D, apply_kernel, checked_array, ensure_grid
+from .kernels import (
+    Kernel4D,
+    apply_kernel,
+    checked_array,
+    checked_int,
+    checked_real,
+    ensure_grid,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -74,36 +81,28 @@ class ScenarioConfig:
     """Channel scenario: dimensions, nonstationarity mode, and statistics.
 
     All values are validated on construction; error messages name the
-    offending field and its constraint.
+    offending field and its constraint.  A number field's metadata holds
+    its interval as bounds of :func:`checked_real`.
     """
 
-    users: int = 4
-    tx_antennas: int = 4
-    time_symbols: int = 256
-    min_delay_taps: int = 1
-    max_delay_taps: int = 4
+    users: int = field(default=4, metadata={"ge": 1})
+    tx_antennas: int = field(default=4, metadata={"ge": 1})
+    time_symbols: int = field(default=256, metadata={"ge": 1})
+    min_delay_taps: int = field(default=1, metadata={"ge": 1})
+    max_delay_taps: int = 4  # in [min_delay_taps, time_symbols]
     mode: str = "wssus"
-    block_len: int = 64
-    doppler_max: float = 0.05
-    doppler_drift: float = 0.0
-    spatial_corr: float = 0.0
-    delay_decay: float = 0.5
+    block_len: int = field(default=64, metadata={"ge": 1})
+    doppler_max: float = field(default=0.05, metadata={"ge": 0, "lt": 0.5})
+    doppler_drift: float = field(default=0.0, metadata={"ge": 0})
+    spatial_corr: float = field(default=0.0, metadata={"ge": 0, "lt": 1})
+    delay_decay: float = field(default=0.5, metadata={"ge": 0})
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(f.default, int) and (
-                isinstance(v, bool) or not isinstance(v, (int, np.integer))
-            ):
-                raise ValidationError(f"{f.name} must be an integer, got {v!r}")
-            if isinstance(f.default, float) and not math.isfinite(v):
-                raise ValidationError(f"{f.name} must be finite, got {v}")
-        for name in (
-            "users", "tx_antennas", "time_symbols", "block_len", "min_delay_taps"
-        ):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValidationError(f"{name} must be >= 1, got {v}")
+            if not isinstance(f.default, str):
+                check = checked_int if isinstance(f.default, int) else checked_real
+                value = check(getattr(self, f.name), f.name, **f.metadata)
+                object.__setattr__(self, f.name, value)
         if self.max_delay_taps < self.min_delay_taps:
             raise ValidationError(
                 "max_delay_taps must be >= min_delay_taps, got "
@@ -118,15 +117,6 @@ class ScenarioConfig:
             raise ValidationError(
                 f"mode must be one of {MODES}, got {self.mode!r}"
             )
-        if not (0.0 <= self.doppler_max < 0.5):
-            raise ValidationError(
-                f"doppler_max must be >= 0 and < 0.5 cycles/symbol, got "
-                f"{self.doppler_max}"
-            )
-        if self.doppler_drift < 0.0:
-            raise ValidationError(
-                f"doppler_drift must be >= 0, got {self.doppler_drift}"
-            )
         if self.mode == "drift":
             peak = self.doppler_max * (
                 1.0 + self.doppler_drift * (self.time_symbols - 1)
@@ -138,14 +128,6 @@ class ScenarioConfig:
                     f"(doppler_max={self.doppler_max}, "
                     f"doppler_drift={self.doppler_drift})"
                 )
-        if not (0.0 <= self.spatial_corr < 1.0):
-            raise ValidationError(
-                f"spatial_corr must be in [0, 1), got {self.spatial_corr}"
-            )
-        if self.delay_decay < 0.0:
-            raise ValidationError(
-                f"delay_decay must be >= 0, got {self.delay_decay}"
-            )
 
 
 @dataclass(frozen=True)
@@ -229,7 +211,7 @@ def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     exponential profile exp(-delay_decay * tau); antenna columns are mixed
     by the Cholesky factor of the spatial_corr^|du'| correlation matrix.
     """
-    seed = int(seed)
+    seed = checked_int(seed, "seed", ge=0, lt=2**64)
     l_u, l_up = cfg.users, cfg.tx_antennas
     l_t, l_tau = cfg.time_symbols, cfg.max_delay_taps
     m = _SINUSOIDS_PER_TAP
@@ -335,14 +317,15 @@ def transmit(
     """Noisy channel output r = K x + v.
 
     v is i.i.d. circularly-symmetric complex Gaussian with the given variance
-    per complex sample, drawn from a dedicated substream of ``seed``.
+    per complex sample, drawn from a dedicated substream of ``seed``; a
+    ``seed`` of None means master seed 0.
     """
-    if noise_var < 0.0:
-        raise ValidationError(f"noise_var must be >= 0, got {noise_var}")
+    noise_var = checked_real(noise_var, "noise_var", ge=0)
+    seed = 0 if seed is None else checked_int(seed, "seed", ge=0, lt=2**64)
     clean = apply_kernel(kernel, x)
     if noise_var == 0.0:
         return clean
-    rng = _substream(0 if seed is None else int(seed), _SEED_NOISE)
+    rng = _substream(seed, _SEED_NOISE)
     shape = clean.grid.shape
     scale = math.sqrt(noise_var / 2.0)
     v = scale * (
@@ -399,8 +382,7 @@ def save_ctf(h: ImpulseResponse4D, path) -> None:
     """
     l_u, l_up, l_t, l_tau = h.dims
     for d in h.dims:
-        if d >= 2**32:
-            raise ValidationError(f"dimension {d} does not fit the u32 header")
+        checked_int(d, "CTF header dimension", ge=0, lt=2**32)
     header = _CTF_HEADER.pack(_CTF_MAGIC, _CTF_VERSION, l_u, l_up, l_t, l_tau)
     payload = np.ascontiguousarray(h.values).astype("<c16", copy=False)
     with open(path, "wb") as fh:

@@ -36,7 +36,7 @@ from .channel import (
     to_kernel,
 )
 from .errors import ConfigError, HogmtError, NumericalError, ValidationError, FormatError
-from .kernels import hogmt_decompose
+from .kernels import checked_int, checked_real, hogmt_decompose
 from .linksim import (
     MIN_BITS_FLOOR,
     PrecoderSpec,
@@ -105,47 +105,37 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(v):
-                raise ConfigError(f"{_YAML_KEY[f.name]} must be finite, got {v}")
         for name, check in (
             ("precoder", parse_precoder),
             ("fraction", lambda f: PrecoderSpec("hogmt", f)),
             ("modulation", get_scheme),
             ("snr_db", lambda snrs: [_noise_variance(v) for v in snrs]),
+            ("min_bits", lambda v: checked_int(v, "min_bits", ge=MIN_BITS_FLOOR)),
+            ("seed", lambda v: checked_int(v, "seed", ge=0, lt=2**64)),
+            ("d0", lambda v: checked_real(v, "d0", gt=0, le=1)),
+            ("window", lambda v: checked_int(v, "window", ge=2)),
+            ("ensemble", lambda v: checked_int(v, "ensemble", ge=1)),
+            ("proto_spread_t", lambda v: GaussianPrototype(spread_t=v)),
+            ("proto_spread_f", lambda v: GaussianPrototype(spread_f=v)),
         ):
             try:
                 check(getattr(self, name))
             except ValidationError as exc:
-                raise ConfigError(f"sim.{name}: {exc}") from exc
+                raise ConfigError(f"{_YAML_KEY[name]}: {exc}") from exc
         if self.fraction != 1.0 and self.precoder.strip().lower() != "hogmt":
             raise ConfigError(
                 "sim.fraction applies only to the bare 'hogmt' precoder, got "
                 f"sim.fraction={self.fraction} with sim.precoder={self.precoder!r}"
             )
-        if self.min_bits < MIN_BITS_FLOOR:
-            raise ConfigError(
-                f"sim.min_bits must be >= {MIN_BITS_FLOOR}, got {self.min_bits}"
-            )
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"sim.seed must fit in 64 bits, got {self.seed}")
-        if not (0.0 < self.d0 <= 1.0):
-            raise ConfigError(f"stats.d0 must be in (0, 1], got {self.d0}")
-        if self.window < 2:
-            raise ConfigError(f"stats.window must be >= 2, got {self.window}")
         if self.window > self.scenario.time_symbols:
             raise ConfigError(
                 f"stats.window must be <= scenario.time_symbols, got {self.window} > "
                 f"{self.scenario.time_symbols}"
             )
-        if self.ensemble < 1:
-            raise ConfigError(f"stats.ensemble must be >= 1, got {self.ensemble}")
-        for name in ("proto_spread_t", "proto_spread_f"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(
-                    f"stats.{name} must be > 0, got {getattr(self, name)}"
-                )
+        # number keys keep their default's type, so run records do not change
+        for name in ("fraction", "d0", "proto_spread_t", "proto_spread_f"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "snr_db", tuple(map(float, self.snr_db)))
 
     def to_mapping(self) -> dict:
         """Schema-shaped mapping that reparses to an identical RunConfig."""
@@ -157,17 +147,11 @@ class RunConfig:
         return mapping
 
 
-_KINDS = {
-    int: ((int, np.integer), "an integer"),
-    float: ((int, float, np.floating), "a number"),
-    str: (str, "a string"),
-}
-
-
 def _coerce(name: str, value, default):
-    """``value`` checked against the type of ``default``; ``name`` is section.key.
+    """``value`` read for a key with this ``default``; ``name`` is section.key.
 
-    A tuple default is list-valued: a single number or a non-empty list.
+    The config dataclasses check every number.  A string key needs a string,
+    and a tuple default is list-valued: a single number or a non-empty list.
     """
     if isinstance(default, tuple):
         items = value if isinstance(value, list) else [value]
@@ -175,11 +159,10 @@ def _coerce(name: str, value, default):
             raise ConfigError(
                 f"{name} must be a number or non-empty list of numbers, got {value!r}"
             )
-        return tuple(_coerce(name, v, default[0]) for v in items)
-    types, label = _KINDS[type(default)]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{name} must be {label}, got {value!r}")
-    return type(default)(value)
+        return tuple(items)
+    if isinstance(default, str) and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _read_section(raw: dict, section: str, keys: dict, defaults: dict) -> dict:
@@ -262,9 +245,9 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
     count.  Assumes at least as many users as transmit antennas; if not, a
     warning is emitted and the counts are still computed.
     """
-    for name, v in (("users", l_u), ("tx_antennas", l_up), ("time_symbols", l_t)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-            raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
+    l_u = checked_int(l_u, "users", ge=1)
+    l_up = checked_int(l_up, "tx_antennas", ge=1)
+    l_t = checked_int(l_t, "time_symbols", ge=1)
     if l_u < l_up:
         warnings.warn(
             f"complexity formulas assume users >= tx_antennas, got {l_u} < {l_up}; "
@@ -279,9 +262,9 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
         * float(math.factorial(l_up))
     )
     return ComplexityEstimate(
-        users=int(l_u),
-        tx_antennas=int(l_up),
-        time_symbols=int(l_t),
+        users=l_u,
+        tx_antennas=l_up,
+        time_symbols=l_t,
         hogmt_flatten=flatten,
         hogmt_hosvd=hosvd,
         dpc=dpc,

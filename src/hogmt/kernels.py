@@ -12,6 +12,8 @@ the precoder).
 
 from __future__ import annotations
 
+import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,8 @@ __all__ = [
     "Kernel4D",
     "EigenDecomposition",
     "checked_array",
+    "checked_int",
+    "checked_real",
     "ensure_grid",
     "flatten_kernel",
     "decompose_grid_pairs",
@@ -48,7 +52,10 @@ def checked_array(data, ndim: int, name: str, dtype=np.complex128) -> np.ndarray
     """
     try:
         with np.errstate(invalid="raise"):  # NaN or inf cast to an integer dtype
-            arr = np.array(data, dtype=dtype, order="C")
+            raw = np.asarray(data)
+            if raw.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+                raise TypeError("complex entries would lose their imaginary part")
+            arr = np.array(raw, dtype=dtype, order="C")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"{name} is not a {np.dtype(dtype)} array: {exc}") from exc
     if arr.ndim != ndim:
@@ -57,6 +64,32 @@ def checked_array(data, ndim: int, name: str, dtype=np.complex128) -> np.ndarray
         raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def checked_real(value, name: str, *, ge=None, gt=-np.inf, le=None, lt=np.inf) -> float:
+    """``value`` as a float in the interval from ``[ge`` or ``(gt`` to ``le]`` or ``lt)``.
+
+    The scalar counterpart of :func:`checked_array`: a bool, a non-number, NaN,
+    or a value outside the interval (+-inf too, unless a closed bound admits
+    it) raises ValidationError naming ``name`` and stating the interval.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    # compared as given, so a large int is not rounded first; NaN fails both
+    lower, above = (f"[{ge}", value >= ge) if ge is not None else (f"({gt}", value > gt)
+    upper, below = (f"{le}]", value <= le) if le is not None else (f"{lt})", value < lt)
+    if not (above and below):
+        raise ValidationError(f"{name} must be in {lower}, {upper}, got {value!r}")
+    return float(value)
+
+
+def checked_int(value, name: str, *, ge=None, le=None, lt=np.inf) -> int:
+    """``value`` as an int in the bounds of :func:`checked_real`; no bool, no float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    with suppress(OverflowError):  # only the float conversion fails past 2**1024
+        checked_real(value, name, ge=ge, le=le, lt=lt)
+    return int(value)
 
 
 def ensure_grid(data, name: str = "grid", shape=None) -> np.ndarray:
@@ -131,7 +164,8 @@ class EigenDecomposition:
                 f"mode counts disagree: {n} sigmas, {psis.shape[0]} psis, "
                 f"{phis.shape[0]} phis"
             )
-        d = tuple(int(x) for x in self.source_dims)
+        name = "EigenDecomposition.source_dims"
+        d = tuple(checked_int(x, name, ge=1) for x in self.source_dims)
         if len(d) != 4:
             raise ValidationError("source_dims must be a 4-tuple")
         if psis.shape[1:] != d[:2] or phis.shape[1:] != d[2:]:

@@ -18,7 +18,6 @@ E_s / (k * sigma_v^2) for k bits per symbol.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass
 
@@ -35,8 +34,14 @@ from .channel import (
     to_kernel,
 )
 from .errors import DegenerateChannelError, ValidationError
-from .kernels import checked_array, flatten_kernel, hogmt_decompose
-from .precoding import hogmt_map, zf_map, zfdpc_map
+from .kernels import (
+    checked_array,
+    checked_int,
+    checked_real,
+    flatten_kernel,
+    hogmt_decompose,
+)
+from .precoding import _FRACTION_RANGE, hogmt_map, zf_map, zfdpc_map
 
 __all__ = [
     "ModulationScheme",
@@ -188,6 +193,7 @@ def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
     if bits.dtype.kind not in "biuf" or not np.all((bits == 0) | (bits == 1)):
         raise ValidationError("bits must be 0 or 1")
     k = scheme.bits_per_symbol
+    dims = tuple(checked_int(d, "dims", ge=1) for d in dims)
     n_sym = dims[0] * dims[1]
     if bits.size != k * n_sym:
         raise ValidationError(
@@ -210,6 +216,7 @@ def demodulate(r, scheme) -> np.ndarray:
 
 def _noise_variance(snr_db: float) -> float:
     """Noise variance 10**(-snr_db/10) at unit symbol energy, which must be finite."""
+    snr_db = checked_real(snr_db, "snr_db", le=math.inf)  # +inf is the noiseless point
     try:
         sigma2 = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
@@ -252,8 +259,7 @@ def theoretical_awgn_ber(scheme, snr_per_bit_db: float) -> float:
     """
     scheme = get_scheme(scheme)
     k = scheme.bits_per_symbol
-    if math.isnan(snr_per_bit_db) or snr_per_bit_db == -math.inf:
-        raise ValidationError(f"snr_per_bit_db is {snr_per_bit_db}, not finite or +inf")
+    snr_per_bit_db = checked_real(snr_per_bit_db, "snr_per_bit_db", le=math.inf)
     try:
         gamma_b = 10.0 ** (snr_per_bit_db / 10.0)
     except OverflowError:
@@ -282,10 +288,8 @@ class PrecoderSpec:
     def __post_init__(self):
         if self.kind not in ("hogmt",) + _PLAIN_KINDS:
             raise ValidationError(f"unknown precoder kind {self.kind!r}")
-        if not (0.0 < self.fraction <= 1.0):
-            raise ValidationError(
-                f"retained-mode fraction must be in (0, 1], got {self.fraction}"
-            )
+        fraction = checked_real(self.fraction, "fraction", **_FRACTION_RANGE)
+        object.__setattr__(self, "fraction", fraction)
 
     @property
     def label(self) -> str:
@@ -296,7 +300,7 @@ def parse_precoder(text) -> PrecoderSpec:
     """Parse "hogmt", "hogmt(0.99)", "zf", "zfdpc", "none" or "ideal"."""
     if isinstance(text, PrecoderSpec):
         return text
-    s = str(text).strip().lower()
+    s = text.strip().lower() if isinstance(text, str) else ""  # None is not "none"
     if s == "hogmt":
         return PrecoderSpec("hogmt", 1.0)
     m = _PRECODER_RE.match(s)
@@ -498,19 +502,13 @@ def run_ber(
     schemes = [get_scheme(m) for m in modulations]
     if not schemes:
         raise ValidationError("need at least one modulation")
-    snr_list = [float(v) for v in np.atleast_1d(np.asarray(snr_db, dtype=float))]
+    snr_list = list(snr_db) if np.ndim(snr_db) else [snr_db]
     if not snr_list:
         raise ValidationError("need at least one SNR point")
     sigma2s = [_noise_variance(v) for v in snr_list]
-    if not isinstance(min_bits, numbers.Real) or not math.isfinite(min_bits):
-        raise ValidationError(f"min_bits must be a finite number, got {min_bits!r}")
-    if min_bits < MIN_BITS_FLOOR:
-        raise ValidationError(f"min_bits must be >= {MIN_BITS_FLOOR}, got {min_bits}")
-    if isinstance(n_channels, bool) or not isinstance(n_channels, numbers.Integral):
-        raise ValidationError(f"n_channels must be an integer, got {n_channels!r}")
-    if n_channels < 1:
-        raise ValidationError(f"n_channels must be >= 1, got {n_channels}")
-    seed = int(seed)
+    min_bits = checked_real(min_bits, "min_bits", ge=MIN_BITS_FLOOR)
+    n_channels = checked_int(n_channels, "n_channels", ge=1)
+    seed = checked_int(seed, "seed", ge=0, lt=2**64)
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
@@ -531,7 +529,7 @@ def run_ber(
                 errors, tx_sum = acc[pi, mi] or (0, math.nan)
                 points.append(
                     BerPoint(
-                        snr_db=snr,
+                        snr_db=float(snr),
                         precoder=spec.label,
                         modulation=scheme.name,
                         fraction=spec.fraction,

@@ -31,9 +31,15 @@ from .errors import (
     DegenerateChannelError,
     DimensionMismatchError,
     NumericalError,
-    ValidationError,
 )
-from .kernels import EigenDecomposition, _floor_count, checked_array, ensure_grid
+from .kernels import (
+    EigenDecomposition,
+    _floor_count,
+    checked_array,
+    checked_int,
+    checked_real,
+    ensure_grid,
+)
 
 __all__ = [
     "CoefficientSet",
@@ -54,6 +60,9 @@ __all__ = [
 # Modes with sigma_n below this fraction of sigma_1 are never inverted;
 # their projected energy is reported instead of being amplified.
 DEFAULT_SIGMA_FLOOR_REL = 1e-10
+
+# hogmt(f) retains a fraction f in (0, 1] of the modes
+_FRACTION_RANGE = {"gt": 0, "le": 1}
 
 
 @dataclass(frozen=True)
@@ -78,18 +87,17 @@ class CoefficientSet:
             raise DimensionMismatchError(
                 f"coefficient arrays must have equal length, got {x.size} and {s.size}"
             )
-        if x.size != self.retained:
+        retained = checked_int(self.retained, "CoefficientSet.retained", ge=0)
+        if x.size != retained:
             raise DimensionMismatchError(
-                f"retained count {self.retained} does not match coefficient "
+                f"retained count {retained} does not match coefficient "
                 f"length {x.size}"
             )
-        if not 0.0 <= self.dropped_energy < math.inf:
-            raise ValidationError(
-                f"CoefficientSet.dropped_energy must be finite and >= 0, got "
-                f"{self.dropped_energy}"
-            )
+        dropped = checked_real(self.dropped_energy, "CoefficientSet.dropped_energy", ge=0)
         object.__setattr__(self, "x_coeffs", x)
         object.__setattr__(self, "s_coeffs", s)
+        object.__setattr__(self, "retained", retained)
+        object.__setattr__(self, "dropped_energy", dropped)
 
 
 @dataclass(frozen=True)
@@ -144,10 +152,7 @@ class ModeMap:
 
 def retained_count(sigmas: np.ndarray, fraction: float) -> int:
     """Modes hogmt(fraction) keeps: min(#{sigma >= floor sigma_1}, ceil(fraction n))."""
-    if not (0.0 < fraction <= 1.0):
-        raise ValidationError(
-            f"retained-mode fraction must be in (0, 1], got {fraction}"
-        )
+    fraction = checked_real(fraction, "fraction", **_FRACTION_RANGE)
     sigmas = np.asarray(sigmas, dtype=float)
     return min(
         _floor_count(sigmas, DEFAULT_SIGMA_FLOOR_REL), math.ceil(fraction * sigmas.size)

@@ -14,7 +14,6 @@ normalized units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,7 +21,14 @@ import numpy as np
 
 from .channel import ImpulseResponse4D, _instant_matrices
 from .errors import DimensionMismatchError, ValidationError
-from .kernels import EigenDecomposition, checked_array, decompose_grid_pairs, ensure_grid
+from .kernels import (
+    EigenDecomposition,
+    checked_array,
+    checked_int,
+    checked_real,
+    decompose_grid_pairs,
+    ensure_grid,
+)
 
 __all__ = [
     "TFTransfer",
@@ -42,13 +48,12 @@ __all__ = [
     "stationarity_interval",
 ]
 
+_SIDES = ("tx", "rx")
+
 
 def _check_pair(h: ImpulseResponse4D, u: int, up: int) -> np.ndarray:
-    l_u, l_up = h.dims[0], h.dims[1]
-    if not (0 <= u < l_u):
-        raise ValidationError(f"user index {u} out of range [0, {l_u})")
-    if not (0 <= up < l_up):
-        raise ValidationError(f"antenna index {up} out of range [0, {l_up})")
+    u = checked_int(u, "u", ge=0, lt=h.dims[0])
+    up = checked_int(up, "up", ge=0, lt=h.dims[1])
     return h.values[u, up]  # (L_t, L_tau)
 
 
@@ -116,15 +121,11 @@ class GaussianPrototype:
 
     def __post_init__(self):
         for name in ("spread_t", "spread_f"):
-            v = getattr(self, name)
-            if not 0.0 < v < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {v}")
+            object.__setattr__(self, name, checked_real(getattr(self, name), name, gt=0))
 
     def on_lattice(self, n_t: int, n_f: int) -> np.ndarray:
-        if n_t < 1 or n_f < 1:
-            raise ValidationError(
-                f"lattice dims must be >= 1, got ({n_t}, {n_f})"
-            )
+        n_t = checked_int(n_t, "n_t", ge=1)
+        n_f = checked_int(n_f, "n_f", ge=1)
         dt = np.arange(n_t, dtype=float)
         dt = np.minimum(dt, n_t - dt)  # circular distance to the origin
         df = np.arange(n_f, dtype=float)
@@ -313,10 +314,7 @@ def acf(h: ImpulseResponse4D, u: int, up: int, max_lag: int) -> np.ndarray:
     """
     g = _check_pair(h, u, up)
     l_t = g.shape[0]
-    if not (0 <= max_lag < l_t):
-        raise ValidationError(
-            f"max_lag must be in [0, {l_t}), got {max_lag}"
-        )
+    max_lag = checked_int(max_lag, "max_lag", ge=0, lt=l_t)
     energy = np.sum(np.abs(g) ** 2, axis=1)
     n_starts = l_t - max_lag
     out = np.empty((n_starts, max_lag + 1), dtype=float)
@@ -346,7 +344,13 @@ class CmdSeries:
             raise ValidationError(
                 f"distance matrix must be square, got {arr.shape}"
             )
+        if self.side not in _SIDES:
+            raise ValidationError(
+                f"CmdSeries.side must be 'tx' or 'rx', got {self.side!r}"
+            )
+        window = checked_int(self.window, "CmdSeries.window", ge=2)
         object.__setattr__(self, "distances", arr)
+        object.__setattr__(self, "window", window)
 
     @property
     def n_starts(self) -> int:
@@ -368,7 +372,16 @@ class StationarityReport:
 
     def __post_init__(self):
         arr = checked_array(self.intervals, 1, "StationarityReport.intervals", int)
+        name = "StationarityReport.threshold"
+        threshold = checked_real(self.threshold, name, gt=0, le=1)
+        window = checked_int(self.window, "StationarityReport.window", ge=2)
+        if self.side not in _SIDES:
+            raise ValidationError(
+                f"StationarityReport.side must be 'tx' or 'rx', got {self.side!r}"
+            )
         object.__setattr__(self, "intervals", arr)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "window", window)
 
 
 def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
@@ -378,15 +391,10 @@ def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
     side "rx" receive-side mean(H H^H), where H(t) sums the delay taps.
     d[i,j] = 1 - Re<R_i, R_j> / (||R_i|| ||R_j||), clipped into [0, 1].
     """
-    if side not in ("tx", "rx"):
+    if side not in _SIDES:
         raise ValidationError(f"side must be 'tx' or 'rx', got {side!r}")
     l_u, l_up, l_t, _ = h.dims
-    if window < 2:
-        raise ValidationError(f"window must be >= 2 symbols, got {window}")
-    if window > l_t:
-        raise ValidationError(
-            f"window ({window}) exceeds the time horizon ({l_t})"
-        )
+    window = checked_int(window, "window", ge=2, le=l_t)
     mats = _instant_matrices(h)
     if side == "tx":
         inst = np.einsum("tua,tub->tab", mats, np.conj(mats), optimize=True)
@@ -414,25 +422,14 @@ def stationarity_interval(series: CmdSeries, d0: float) -> StationarityReport:
     and backward while d[i, i-k] < d0; the interval length in symbols counts
     the start itself plus both runs.
     """
-    if not (0.0 < d0 <= 1.0):
-        raise ValidationError(f"threshold d0 must be in (0, 1], got {d0}")
-    d = series.distances
+    d0 = checked_real(d0, "d0", gt=0, le=1)
     n = series.n_starts
-    intervals = np.empty(n, dtype=int)
+    intervals = np.ones(n, dtype=int)
     for i in range(n):
-        fwd = 0
-        for j in range(i + 1, n):
-            if d[i, j] < d0:
-                fwd += 1
-            else:
-                break
-        bwd = 0
-        for j in range(i - 1, -1, -1):
-            if d[i, j] < d0:
-                bwd += 1
-            else:
-                break
-        intervals[i] = fwd + bwd + 1
+        crossed = series.distances[i] >= d0
+        # each run ends at its first crossing, or at the end of the row
+        for run in (crossed[i + 1 :], crossed[:i][::-1]):
+            intervals[i] += run.argmax() if run.any() else run.size
     return StationarityReport(
         intervals=intervals, threshold=d0, window=series.window, side=series.side
     )

@@ -1,10 +1,16 @@
-"""The array boundary: every public array field is checked, copied and frozen."""
+"""The input boundary: every public array field is checked, copied and frozen,
+and every public scalar argument is checked for type, finiteness and range."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import hogmt as H
+from hogmt.cli import complexity_estimate
 from hogmt.errors import DimensionMismatchError, ValidationError
+from hogmt.kernels import checked_int, checked_real
+from hogmt.precoding import hogmt_map, retained_count
 
 
 def valid_kwargs(cls):
@@ -82,6 +88,16 @@ class TestArrayFields:
         kw[field][...] = 7  # the caller's array changes afterwards
         np.testing.assert_array_equal(stored, before)
 
+    def test_complex_entries_need_a_complex_field(self, cls, field):
+        kw = valid_kwargs(cls)
+        real_field = np.asarray(kw[field]).dtype.kind != "c"
+        kw[field] = 1j * np.asarray(kw[field])  # unit modulus keeps a prototype's norm
+        if real_field:  # the imaginary part is never dropped
+            with pytest.raises(ValidationError, match=rf"\b{field}\b.*imaginary"):
+                cls(**kw)
+        else:
+            np.testing.assert_array_equal(getattr(cls(**kw), field), kw[field])
+
 
 @pytest.mark.parametrize("cls", [H.TFTransfer, H.SpreadingFunction, H.SpaceTimeSignal])
 def test_empty_grid_rejected(cls):
@@ -156,3 +172,166 @@ def _mismatch_calls():
 def test_signal_shape_mismatch_rejected(name):
     with pytest.raises(DimensionMismatchError, match=r"\(2, 5\) does not match \(2, 4\)"):
         _mismatch_calls()[name]()
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """A 2x2x4 channel and what the scalar arguments below are passed with."""
+    cfg = H.ScenarioConfig(users=2, tx_antennas=2, time_symbols=4, max_delay_taps=2)
+    h = H.generate_channel(cfg, 5)
+    kernel = H.to_kernel(h)
+    return SimpleNamespace(
+        cfg=cfg, h=h, kernel=kernel, decomp=H.hogmt_decompose(kernel),
+        x=H.SpaceTimeSignal(np.ones((2, 4), dtype=complex)),
+        series=H.CmdSeries(distances=np.zeros((3, 3)), window=2, side="tx"),
+    )
+
+
+def _scenario(field):
+    return lambda c, v: H.ScenarioConfig(**{field: v})
+
+
+# (id, name the error must carry, kind, one out-of-range value or None, call).
+# kind "int" or "real"; "real+inf" admits +inf, the noiseless SNR.
+SCALARS = [
+    *[
+        (f"ScenarioConfig.{f}", f, "int", 0, _scenario(f))
+        for f in (
+            "users", "tx_antennas", "time_symbols", "min_delay_taps", "max_delay_taps",
+            "block_len",
+        )
+    ],
+    ("ScenarioConfig.doppler_max", "doppler_max", "real", 0.5, _scenario("doppler_max")),
+    ("ScenarioConfig.doppler_drift", "doppler_drift", "real", -0.1,
+     _scenario("doppler_drift")),
+    ("ScenarioConfig.spatial_corr", "spatial_corr", "real", 1.0, _scenario("spatial_corr")),
+    ("ScenarioConfig.delay_decay", "delay_decay", "real", -0.1, _scenario("delay_decay")),
+    ("EigenDecomposition.source_dims", "source_dims", "int", 0,
+     lambda c, v: H.EigenDecomposition(
+         sigmas=[2.0, 1.0], psis=np.ones((2, 1, 2)), phis=np.ones((2, 1, 2)),
+         source_dims=(1, v, 1, 2),
+     )),
+    ("generate_channel.seed", "seed", "int", -1, lambda c, v: H.generate_channel(c.cfg, v)),
+    ("transmit.noise_var", "noise_var", "real", -1.0,
+     lambda c, v: H.transmit(c.kernel, c.x, v)),
+    ("transmit.seed", "seed", "int", 2**64, lambda c, v: H.transmit(c.kernel, c.x, 0.1, v)),
+    ("modulate.dims", "dims", "int", 0,
+     lambda c, v: H.modulate(np.zeros(4), "bpsk", (v, 2))),
+    ("theoretical_awgn_ber.snr_per_bit_db", "snr_per_bit_db", "real+inf", None,
+     lambda c, v: H.theoretical_awgn_ber("qpsk", v)),
+    ("PrecoderSpec.fraction", "fraction", "real", 1.5, lambda c, v: H.PrecoderSpec("hogmt", v)),
+    ("retained_count.fraction", "fraction", "real", 0.0,
+     lambda c, v: retained_count(c.decomp.sigmas, v)),
+    ("hogmt_map.fraction", "fraction", "real", 1.5, lambda c, v: hogmt_map(c.decomp, v)),
+    ("hogmt_precode.fraction", "fraction", "real", -0.5,
+     lambda c, v: H.hogmt_precode(c.decomp, c.x, v)),
+    ("run_ber.snr_db", "snr_db", "real+inf", -4000.0,
+     lambda c, v: H.run_ber(c.cfg, "ideal", [0.0, v], 10_000, seed=1)),
+    ("run_ber.min_bits", "min_bits", "real", 9_999,
+     lambda c, v: H.run_ber(c.cfg, "ideal", [0.0], v, seed=1)),
+    ("run_ber.seed", "seed", "int", -1,
+     lambda c, v: H.run_ber(c.cfg, "ideal", [0.0], 10_000, seed=v)),
+    ("run_ber.n_channels", "n_channels", "int", 0,
+     lambda c, v: H.run_ber(c.cfg, "ideal", [0.0], 10_000, seed=1, n_channels=v)),
+    ("CoefficientSet.retained", "retained", "int", -1,
+     lambda c, v: H.CoefficientSet(x_coeffs=[1j], s_coeffs=[1j], retained=v, dropped_energy=0)),
+    ("CoefficientSet.dropped_energy", "dropped_energy", "real", -1.0,
+     lambda c, v: H.CoefficientSet(x_coeffs=[1j], s_coeffs=[1j], retained=1, dropped_energy=v)),
+    ("tf_transfer.u", "u", "int", 2, lambda c, v: H.tf_transfer(c.h, v, 0)),
+    ("tf_transfer.up", "up", "int", -1, lambda c, v: H.tf_transfer(c.h, 0, v)),
+    ("spreading_function.u", "u", "int", -1, lambda c, v: H.spreading_function(c.h, v, 0)),
+    ("spreading_function.up", "up", "int", 2, lambda c, v: H.spreading_function(c.h, 0, v)),
+    ("acf.u", "u", "int", 2, lambda c, v: H.acf(c.h, v, 0, 1)),
+    ("acf.up", "up", "int", 2, lambda c, v: H.acf(c.h, 0, v, 1)),
+    ("acf.max_lag", "max_lag", "int", 4, lambda c, v: H.acf(c.h, 0, 0, v)),
+    ("GaussianPrototype.spread_t", "spread_t", "real", 0.0,
+     lambda c, v: H.GaussianPrototype(spread_t=v)),
+    ("GaussianPrototype.spread_f", "spread_f", "real", -1.0,
+     lambda c, v: H.GaussianPrototype(spread_f=v)),
+    ("GaussianPrototype.on_lattice.n_t", "n_t", "int", 0,
+     lambda c, v: H.GaussianPrototype().on_lattice(v, 4)),
+    ("GaussianPrototype.on_lattice.n_f", "n_f", "int", -1,
+     lambda c, v: H.GaussianPrototype().on_lattice(4, v)),
+    ("cmd.window", "window", "int", 5, lambda c, v: H.cmd(c.h, window=v)),
+    ("CmdSeries.window", "window", "int", 1,
+     lambda c, v: H.CmdSeries(distances=np.zeros((2, 2)), window=v, side="tx")),
+    ("StationarityReport.threshold", "threshold", "real", 0.0,
+     lambda c, v: H.StationarityReport(intervals=[1], threshold=v, window=2, side="tx")),
+    ("StationarityReport.window", "window", "int", -3,
+     lambda c, v: H.StationarityReport(intervals=[1], threshold=0.2, window=v, side="tx")),
+    ("stationarity_interval.d0", "d0", "real", 1.5,
+     lambda c, v: H.stationarity_interval(c.series, v)),
+    ("complexity_estimate.users", "users", "int", 0, lambda c, v: complexity_estimate(v, 1, 2)),
+    ("complexity_estimate.tx_antennas", "tx_antennas", "int", 0,
+     lambda c, v: complexity_estimate(2, v, 2)),
+    ("complexity_estimate.time_symbols", "time_symbols", "int", 0,
+     lambda c, v: complexity_estimate(2, 1, v)),
+]
+
+
+def _bad_values(kind, outside):
+    values = [np.nan, -np.inf, True, "1"]
+    values += [np.inf] if kind != "real+inf" else []
+    values += [2.5] if kind == "int" else []
+    return values + ([outside] if outside is not None else [])
+
+
+SCALAR_CASES = [
+    pytest.param(name, call, bad, id=f"{sid}-{bad!r}")
+    for sid, name, kind, outside, call in SCALARS
+    for bad in _bad_values(kind, outside)
+]
+
+
+class TestScalarArguments:
+    @pytest.mark.parametrize("name,call,bad", SCALAR_CASES)
+    def test_rejected_naming_the_argument(self, ctx, name, call, bad):
+        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+            call(ctx, bad)
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda: H.CmdSeries(distances=np.zeros((2, 2)), window=2, side="up"), "side"),
+            (lambda: H.StationarityReport(intervals=[1], threshold=0.2, window=2, side="up"),
+             "side"),
+        ],
+    )
+    def test_side_is_tx_or_rx(self, call, name):
+        with pytest.raises(ValidationError, match=name):
+            call()
+
+    def test_interval_is_stated(self):
+        with pytest.raises(ValidationError, match=r"^d0 must be in \(0, 1\], got nan$"):
+            checked_real(np.nan, "d0", gt=0, le=1)
+        with pytest.raises(ValidationError, match=r"^x must be in \(-inf, inf\), got inf$"):
+            checked_real(np.inf, "x")
+        assert checked_real(np.inf, "snr_db", le=np.inf) == np.inf
+        with pytest.raises(ValidationError, match=r"^n must be an integer, got 2\.0$"):
+            checked_int(2.0, "n")
+
+    def test_integers_are_compared_exactly(self):
+        assert checked_int(2**64 - 1, "seed", ge=0, lt=2**64) == 2**64 - 1
+        assert checked_int(np.uint64(2**64 - 1), "seed", ge=0, lt=2**64) == 2**64 - 1
+        assert checked_int(10**400, "n", ge=1) == 10**400  # beyond the float range
+        with pytest.raises(ValidationError, match="seed"):
+            checked_int(2**64, "seed", ge=0, lt=2**64)
+
+    def test_checked_numbers_are_stored_as_their_field_type(self):
+        cfg = H.ScenarioConfig(users=np.int64(2), doppler_max=0, delay_decay=np.float32(1.5))
+        assert type(cfg.users) is int and cfg.users == 2
+        assert type(cfg.doppler_max) is float and type(cfg.delay_decay) is float
+        assert type(H.PrecoderSpec("hogmt", 1).fraction) is float
+        assert type(H.GaussianPrototype(spread_t=2).spread_t) is float
+
+    def test_transmit_seed_none_is_master_seed_0(self, ctx):
+        a = H.transmit(ctx.kernel, ctx.x, 0.1)
+        np.testing.assert_array_equal(a.grid, H.transmit(ctx.kernel, ctx.x, 0.1, 0).grid)
+
+
+def test_ctf_dimension_must_fit_the_u32_header(tmp_path):
+    # only the header dims are read before the check, so nothing is allocated
+    too_big = SimpleNamespace(dims=(2**32, 1, 1, 1))
+    with pytest.raises(ValidationError, match=r"CTF header dimension must be in \[0, 4294967296\)"):
+        H.save_ctf(too_big, tmp_path / "x.ctf")
+    assert not (tmp_path / "x.ctf").exists()

@@ -77,7 +77,7 @@ class TestScenarioConfigValidation:
     )
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        with pytest.raises(ValidationError, match=rf"{field} must be in .*, got {value}$"):
             small_cfg(**{field: value})
 
 

@@ -101,6 +101,18 @@ class TestConfigParsing:
         }
         assert config_from_mapping(block) == RunConfig()
 
+    def test_integer_values_of_float_keys_stay_floats(self):
+        # the effective config and the intervals CSV footer print these keys
+        cfg = config_from_mapping({
+            "scenario": {"doppler_drift": 0, "delay_decay": 4},
+            "sim": {"snr_db": [0, 5], "fraction": 1},
+            "stats": {"d0": 1, "proto_spread_t": 4, "proto_spread_f": 1},
+        })
+        values = [cfg.scenario.doppler_drift, cfg.scenario.delay_decay, *cfg.snr_db,
+                  cfg.fraction, cfg.d0, cfg.proto_spread_t, cfg.proto_spread_f]
+        assert all(type(v) is float for v in values)
+        assert "d0: 1.0" in yaml.safe_dump(cfg.to_mapping())
+
     def test_delay_decay_key(self):
         cfg = config_from_mapping({"scenario": {"delay_decay": 4}})
         assert cfg.scenario.delay_decay == 4.0
@@ -269,6 +281,63 @@ class TestConfigProperties:
             assert code == 1
             assert name in err.getvalue() and "Traceback" not in err.getvalue()
             assert not out.exists()
+
+
+TINY = 5e-324  # the smallest positive float
+
+# section.key -> (values just outside its interval, values on its bounds), the
+# other keys at their defaults; the README config block states each interval
+RANGES = {
+    "scenario.users": ([0], [1]),
+    "scenario.tx_antennas": ([0], [1]),
+    "scenario.time_symbols": ([7], [8]),  # at least the default stats.window
+    "scenario.min_delay_taps": ([0], [1]),
+    "scenario.max_delay_taps": ([0, 257], [1, 256]),
+    "scenario.block_len": ([0], [1]),
+    "scenario.doppler_max": ([-TINY, 0.5], [0.0, math.nextafter(0.5, 0.0)]),
+    "scenario.doppler_drift": ([-TINY], [0.0]),
+    "scenario.spatial_corr": ([-TINY, 1.0], [0.0, math.nextafter(1.0, 0.0)]),
+    "scenario.delay_decay": ([-TINY], [0.0]),
+    "sim.fraction": ([0.0, math.nextafter(1.0, 2.0)], [TINY, 1.0]),
+    "sim.min_bits": ([MIN_BITS_FLOOR - 1], [MIN_BITS_FLOOR]),
+    "sim.seed": ([-1, 2**64], [0, 2**64 - 1]),
+    "stats.d0": ([0.0, math.nextafter(1.0, 2.0)], [TINY, 1.0]),
+    "stats.window": ([1, 257], [2, 256]),
+    "stats.ensemble": ([0], [1]),
+    "stats.proto_spread_t": ([0.0], [TINY]),
+    "stats.proto_spread_f": ([0.0], [TINY]),
+}
+
+
+class TestConfigRanges:
+    def test_readme_states_every_range(self):
+        text = README.read_text(encoding="utf-8")
+        block = text[text.index("### Configuration file"):].split("```yaml\n", 1)[1]
+        ranged, section = set(), None
+        for line in block.split("```", 1)[0].splitlines():
+            if not line.startswith(" "):
+                section = line.rstrip(":")
+            elif re.search(r"#.*\bin [\[(]", line):
+                ranged.add(f"{section}.{line.split(':')[0].strip()}")
+        assert ranged == set(RANGES)
+
+    @pytest.mark.parametrize("key", sorted(RANGES))
+    def test_just_outside_exits_1_and_bound_parses(self, tmp_path, capsys, key):
+        section, name = key.split(".")
+        outside, bounds = RANGES[key]
+        for i, value in enumerate(outside):
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                config_from_mapping({section: {name: value}})
+            path = write_config(tmp_path, {section: {name: value}}, f"bad{i}.yaml")
+            out = tmp_path / f"out{i}"
+            code = main(["generate", "--config", str(path), "--out", str(out), "--quiet"])
+            err = capsys.readouterr().err
+            assert code == 1 and key in err and "Traceback" not in err
+            assert not out.exists()
+        for value in bounds:
+            cfg = config_from_mapping(yaml.safe_load(yaml.safe_dump({section: {name: value}})))
+            got = getattr(cfg.scenario if section == "scenario" else cfg, name)
+            assert got == value and type(got) is type(value)
 
 
 class TestComplexity:
@@ -480,7 +549,7 @@ class TestCliExitCodes:
         path = write_config(tmp_path, FAST)
         out = tmp_path / "o"
         assert run_cli("generate", "--config", str(path), "--out", str(out), "--seed", seed) == 1
-        assert "sim.seed must fit in 64 bits" in capsys.readouterr().err
+        assert "sim.seed: seed must be in [0, 18446744073709551616)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_is_1(self, tmp_path, capsys):

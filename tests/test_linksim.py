@@ -253,7 +253,7 @@ class TestParsePrecoder:
     def test_bare_hogmt_defaults_to_full(self):
         assert parse_precoder("hogmt").fraction == 1.0
 
-    @pytest.mark.parametrize("bad", ["hogmt()", "hogmt(0)", "hogmt(1.2)", "svd", "zf(0.5)"])
+    @pytest.mark.parametrize("bad", ["hogmt()", "hogmt(0)", "hogmt(1.2)", "svd", "zf(0.5)", None])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_precoder(bad)

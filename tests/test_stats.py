@@ -324,3 +324,49 @@ class TestStationarityInterval:
         # windows push the distance over the threshold
         assert rep.intervals[0] < series.n_starts
         assert rep.intervals.min() >= 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop_oracle_on_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        d0 = float(rng.choice([0.2, 0.5, 1.0]))
+        d = rng.uniform(0.0, 1.0, size=(n, n))
+        d[rng.uniform(size=(n, n)) < 0.3] = d0  # an entry at d0 ends a run
+        d[rng.uniform(size=n) < 0.2] = 0.5 * d0  # rows wholly below d0
+        d[rng.uniform(size=n) < 0.2] = d0  # rows wholly at d0
+        d[rng.uniform(size=n) < 0.2] = 1.0  # rows wholly at or above d0
+        series = CmdSeries(distances=d, window=2, side="tx")
+        got = stationarity_interval(series, d0).intervals
+        np.testing.assert_array_equal(got, loop_intervals(d, d0))
+
+    def test_matches_loop_oracle_on_block_switching_channel(self):
+        # the benchmark's stats_ensemble switch channel: 4x4x2048, blocks of 256
+        cfg = ScenarioConfig(
+            users=4, tx_antennas=4, time_symbols=2048, min_delay_taps=2,
+            max_delay_taps=2, mode="block", block_len=256, doppler_max=0.0,
+        )
+        series = cmd(generate_channel(cfg, 4242), side="tx", window=8)
+        got = stationarity_interval(series, 0.2).intervals
+        np.testing.assert_array_equal(got, loop_intervals(series.distances, 0.2))
+        assert got.min() < got.max()  # the blocks do break the runs
+
+
+def loop_intervals(d, d0):
+    """Reference: per start, walk forward and backward while d < d0."""
+    n = d.shape[0]
+    intervals = np.empty(n, dtype=int)
+    for i in range(n):
+        fwd = 0
+        for j in range(i + 1, n):
+            if d[i, j] < d0:
+                fwd += 1
+            else:
+                break
+        bwd = 0
+        for j in range(i - 1, -1, -1):
+            if d[i, j] < d0:
+                bwd += 1
+            else:
+                break
+        intervals[i] = fwd + bwd + 1
+    return intervals
