@@ -76,6 +76,11 @@ def _substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _child_seed(master_seed: int, *key: int) -> int:
+    """Seed in [0, 2**63) of one nested draw (a channel), keyed like a substream."""
+    return int(_substream(master_seed, *key).integers(0, 2**63))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Channel scenario: dimensions, nonstationarity mode, and statistics.

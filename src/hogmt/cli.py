@@ -4,9 +4,10 @@ Subcommands wire the library into a file pipeline: generate writes a channel
 realization (CTF), decompose turns one into an eigenvalue summary, precode
 emits a precoded grid plus energy accounting, simulate runs BER sweeps,
 stats emits second-order statistics and stationarity metrics, complexity
-prints operation-count estimates.  Every run re-emits its effective
-configuration and a manifest naming the seed and output files, so any result
-can be reproduced byte-for-byte from those two files.
+prints operation-count estimates and writes nothing.  Every other run
+re-emits its effective configuration and a manifest naming the seed and
+output files, so any result can be reproduced byte-for-byte from those two
+files.
 
 Exit codes: 0 success, 1 configuration/validation problem, 2 file or I/O
 problem, 3 numerical failure.
@@ -18,7 +19,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .channel import (
     _SEED_CLI_BITS,
     _SEED_STATS_MEMBER,
     ScenarioConfig,
+    _child_seed,
     _substream,
     generate_channel,
     load_ctf,
@@ -39,6 +41,7 @@ from .errors import ConfigError, HogmtError, NumericalError, ValidationError, Fo
 from .kernels import checked_int, checked_real, hogmt_decompose
 from .linksim import (
     MIN_BITS_FLOOR,
+    BerPoint,
     PrecoderSpec,
     _noise_variance,
     get_scheme,
@@ -122,20 +125,23 @@ class RunConfig:
                 check(getattr(self, name))
             except ValidationError as exc:
                 raise ConfigError(f"{_YAML_KEY[name]}: {exc}") from exc
-        if self.fraction != 1.0 and self.precoder.strip().lower() != "hogmt":
-            raise ConfigError(
-                "sim.fraction applies only to the bare 'hogmt' precoder, got "
-                f"sim.fraction={self.fraction} with sim.precoder={self.precoder!r}"
-            )
-        if self.window > self.scenario.time_symbols:
-            raise ConfigError(
-                f"stats.window must be <= scenario.time_symbols, got {self.window} > "
-                f"{self.scenario.time_symbols}"
-            )
+        self.precoder_spec  # raises unless sim.fraction applies to sim.precoder
         # number keys keep their default's type, so run records do not change
         for name in ("fraction", "d0", "proto_spread_t", "proto_spread_f"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "snr_db", tuple(map(float, self.snr_db)))
+
+    @property
+    def precoder_spec(self) -> PrecoderSpec:
+        """sim.precoder with sim.fraction folded into a bare "hogmt"."""
+        if self.precoder.strip().lower() == "hogmt":
+            return PrecoderSpec("hogmt", self.fraction)
+        if self.fraction != 1.0:
+            raise ConfigError(
+                "sim.fraction applies only to the bare 'hogmt' precoder, got "
+                f"sim.fraction={self.fraction} with sim.precoder={self.precoder!r}"
+            )
+        return parse_precoder(self.precoder)
 
     def to_mapping(self) -> dict:
         """Schema-shaped mapping that reparses to an identical RunConfig."""
@@ -280,229 +286,137 @@ def _fmt(x) -> str:
     return x if isinstance(x, str) else str(float(x))
 
 
-def _write_csv(path: Path, header: str, rows, footer: str | None = None) -> None:
+def _csv(header: str, rows, footer: str | None = None) -> str:
     lines = [header]
     for row in rows:
         lines.append(row if isinstance(row, str) else ",".join(map(_fmt, row)))
     if footer is not None:
         lines.append(footer)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _emit_run_records(
-    out_dir: Path, cfg: RunConfig, subcommand: str, outputs: list[str]
-) -> None:
-    eff = out_dir / "effective_config.yaml"
-    eff.write_text(
-        yaml.safe_dump(cfg.to_mapping(), sort_keys=True), encoding="utf-8"
-    )
-    manifest = {
-        "subcommand": subcommand,
-        "seed": cfg.seed,
-        "outputs": sorted(outputs),
-        "version": __version__,
-    }
-    (out_dir / "manifest.yaml").write_text(
-        yaml.safe_dump(manifest, sort_keys=True), encoding="utf-8"
-    )
+# Every subcommand is a function (cfg, src) -> outputs, src being the CTF file
+# it may read.  ``outputs`` maps each output file name, in the order the run
+# reports them, to its CSV text or to a function that writes it to a path.
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
-def _cmd_generate(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
+def _cmd_generate(cfg: RunConfig, src: Path) -> dict:
     h = generate_channel(cfg.scenario, cfg.seed)
-    target = out_dir / "channel.ctf"
-    save_ctf(h, target)
-    _say(quiet, f"wrote {target}")
-    return ["channel.ctf"]
+    return {"channel.ctf": lambda path: save_ctf(h, path)}
 
 
-def _resolve_input(arg: str | None, out_dir: Path) -> Path:
-    return Path(arg) if arg else out_dir / "channel.ctf"
+def _decompose_ctf(src: Path):
+    """Kernel of the channel stored at ``src`` and its decomposition."""
+    kernel = to_kernel(load_ctf(src))
+    return kernel, hogmt_decompose(kernel)
 
 
-def _resolve_precoder(cfg: RunConfig):
-    """sim.precoder with sim.fraction folded in for a bare "hogmt"."""
-    if cfg.precoder.strip().lower() == "hogmt":
-        return PrecoderSpec("hogmt", cfg.fraction)
-    return parse_precoder(cfg.precoder)
-
-
-def _cmd_decompose(
-    cfg: RunConfig, out_dir: Path, quiet: bool, input_path: str | None
-) -> list[str]:
-    src = _resolve_input(input_path, out_dir)
-    h = load_ctf(src)
-    kernel = to_kernel(h)
-    decomp = hogmt_decompose(kernel)
+def _cmd_decompose(cfg: RunConfig, src: Path) -> dict:
+    kernel, decomp = _decompose_ctf(src)
     sig_sq = decomp.sigmas**2
     total = float(sig_sq.sum())
     cum = np.cumsum(sig_sq) / total if total > 0 else np.zeros_like(sig_sq)
-    rows = [
-        (n, float(decomp.sigmas[n]), float(cum[n])) for n in range(decomp.n_modes)
-    ]
+    rows = [(n, *pair) for n, pair in enumerate(zip(decomp.sigmas, cum))]
     footer = (
         f"# sum_sigma_sq={_fmt(total)} kernel_frob_sq={_fmt(kernel.frob_norm ** 2)}"
     )
-    target = out_dir / "eigen.csv"
-    _write_csv(target, "n,sigma,cumulative_fraction", rows, footer)
-    _say(quiet, f"wrote {target}")
-    return ["eigen.csv"]
+    return {"eigen.csv": _csv("n,sigma,cumulative_fraction", rows, footer)}
 
 
-def _cmd_precode(
-    cfg: RunConfig, out_dir: Path, quiet: bool, input_path: str | None
-) -> list[str]:
-    src = _resolve_input(input_path, out_dir)
-    h = load_ctf(src)
-    kernel = to_kernel(h)
-    decomp = hogmt_decompose(kernel)
-    scheme = get_scheme(cfg.modulation)
-    l_u = h.dims[0]
-    l_t = h.dims[2]
-    bits = _substream(cfg.seed, _SEED_CLI_BITS).integers(
-        0, 2, size=scheme.bits_per_symbol * l_u * l_t, dtype=np.uint8
-    )
-    s = modulate(bits, scheme, (l_u, l_t))
-    spec = _resolve_precoder(cfg)
+def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
+    spec = cfg.precoder_spec
     if spec.kind != "hogmt":
         raise ConfigError(
             "the precode subcommand emits eigen-domain coefficients and "
             f"requires an hogmt precoder, got sim.precoder={cfg.precoder!r}"
         )
+    kernel, decomp = _decompose_ctf(src)
+    scheme = get_scheme(cfg.modulation)
+    l_u, l_t = kernel.dims[:2]
+    bits = _substream(cfg.seed, _SEED_CLI_BITS).integers(
+        0, 2, size=scheme.bits_per_symbol * l_u * l_t, dtype=np.uint8
+    )
+    s = modulate(bits, scheme, (l_u, l_t))
     x, coeffs = hogmt_precode(decomp, s, spec.fraction)
-    report = energy_report(decomp, coeffs)
-    xt = out_dir / "precoded.npy"
-    np.save(xt, x.grid)
-    rows = [
-        (
-            n,
-            float(report.gains[n]),
-            float(report.cost_energy[n]),
-            float(report.cancelled_energy[n]),
-            float(report.cum_gain[n]),
-            float(report.cum_cost[n]),
-            float(report.cum_cancelled[n]),
-        )
-        for n in range(coeffs.retained)
-    ]
+    r = energy_report(decomp, coeffs)
+    columns = (
+        r.gains, r.cost_energy, r.cancelled_energy, r.cum_gain, r.cum_cost, r.cum_cancelled
+    )
     footer = (
-        f"# total_tx_energy={_fmt(report.total_tx_energy)} "
-        f"dropped_energy={_fmt(report.dropped_energy)}"
+        f"# total_tx_energy={_fmt(r.total_tx_energy)} "
+        f"dropped_energy={_fmt(r.dropped_energy)}"
     )
-    et = out_dir / "energy.csv"
-    _write_csv(
-        et,
-        "n,gain,cost_energy,cancelled_energy,cum_gain,cum_cost,cum_cancelled",
-        rows,
-        footer,
-    )
-    _say(quiet, f"wrote {xt}")
-    _say(quiet, f"wrote {et}")
-    return ["precoded.npy", "energy.csv"]
+    return {
+        "precoded.npy": lambda path: np.save(path, x.grid),
+        "energy.csv": _csv(
+            "n,gain,cost_energy,cancelled_energy,cum_gain,cum_cost,cum_cancelled",
+            [(n, *row) for n, row in enumerate(zip(*columns))],
+            footer,
+        ),
+    }
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
-    spec = _resolve_precoder(cfg)
+def _cmd_simulate(cfg: RunConfig, src: Path) -> dict:
     report = run_ber(
         cfg.scenario,
-        [spec],
+        [cfg.precoder_spec],
         list(cfg.snr_db),
         cfg.min_bits,
         cfg.seed,
         modulations=[cfg.modulation],
     )
-    rows = [
-        (
-            float(p.snr_db),
-            p.precoder,
-            p.modulation,
-            float(p.fraction),
-            p.bits,
-            p.errors,
-            float(p.ber),
-            float(p.tx_energy),
+    header = ",".join(f.name for f in fields(BerPoint))
+    return {"ber.csv": _csv(header, map(astuple, report.points))}
+
+
+def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
+    if cfg.window > cfg.scenario.time_symbols:
+        raise ConfigError(
+            f"stats.window must be <= scenario.time_symbols, got {cfg.window} > "
+            f"{cfg.scenario.time_symbols}"
         )
-        for p in report.points
-    ]
-    target = out_dir / "ber.csv"
-    _write_csv(
-        target, "snr_db,precoder,modulation,fraction,bits,errors,ber,tx_energy", rows
-    )
-    _say(quiet, f"wrote {target}")
-    return ["ber.csv"]
-
-
-def _cmd_stats(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
     proto = GaussianPrototype(cfg.proto_spread_t, cfg.proto_spread_f)
     decomps = []
-    first_h = None
     for member in range(cfg.ensemble):
-        rng = _substream(cfg.seed, _SEED_STATS_MEMBER, member)
-        h = generate_channel(cfg.scenario, int(rng.integers(0, 2**63)))
-        if first_h is None:
+        seed = _child_seed(cfg.seed, _SEED_STATS_MEMBER, member)
+        h = generate_channel(cfg.scenario, seed)
+        if member == 0:
             first_h = h
-        transfer = tf_transfer(h, 0, 0)
-        decomps.append(decompose_atomic(atomic_kernel(transfer, proto)))
+        decomps.append(decompose_atomic(atomic_kernel(tf_transfer(h, 0, 0), proto)))
     report = stats_from_decomp(None, ensemble=decomps)
-
-    outputs = []
-    n_tau, n_nu = report.scattering.shape
-    rows = [
-        (tau, nu, float(report.scattering[tau, nu]))
-        for tau in range(n_tau)
-        for nu in range(n_nu)
-    ]
-    _write_csv(out_dir / "stats_scattering.csv", "tau,nu,value", rows)
-    outputs.append("stats_scattering.csv")
-
-    n_t, n_f = report.path_gain.shape
-    rows = [
-        (t, f, float(report.path_gain[t, f]))
-        for t in range(n_t)
-        for f in range(n_f)
-    ]
-    _write_csv(out_dir / "stats_path_gain.csv", "t,f,value", rows)
-    outputs.append("stats_path_gain.csv")
-
-    _write_csv(
-        out_dir / "stats_summary.csv",
-        "quantity,value",
-        [
-            ("total_gain", report.total_gain),
-            ("ensemble_size", report.ensemble_size),
-            ("scattering_sum", float(report.scattering.sum())),
-            ("path_gain_sum", float(report.path_gain.sum())),
-            ("lsf_min", float(report.lsf.min())),
-        ],
-    )
-    outputs.append("stats_summary.csv")
-
+    outputs = {
+        "stats_scattering.csv": _csv(
+            "tau,nu,value", [(*i, v) for i, v in np.ndenumerate(report.scattering)]
+        ),
+        "stats_path_gain.csv": _csv(
+            "t,f,value", [(*i, v) for i, v in np.ndenumerate(report.path_gain)]
+        ),
+        "stats_summary.csv": _csv(
+            "quantity,value",
+            [
+                ("total_gain", report.total_gain),
+                ("ensemble_size", report.ensemble_size),
+                ("scattering_sum", float(report.scattering.sum())),
+                ("path_gain_sum", float(report.path_gain.sum())),
+                ("lsf_min", float(report.lsf.min())),
+            ],
+        ),
+    }
     for side in ("tx", "rx"):
         series = cmd(first_h, side=side, window=cfg.window)
-        n = series.n_starts
         dist = series.distances.tolist()  # Python floats: f"{d}" is _fmt(d)
         rows = [f"{i},{j - i},{d}" for i, r in enumerate(dist) for j, d in enumerate(r)]
-        _write_csv(out_dir / f"cmd_{side}.csv", "start,shift,d_corr", rows)
-        outputs.append(f"cmd_{side}.csv")
+        outputs[f"cmd_{side}.csv"] = _csv("start,shift,d_corr", rows)
         sr = stationarity_interval(series, cfg.d0)
-        rows = [(i, int(sr.intervals[i])) for i in range(n)]
-        _write_csv(
-            out_dir / f"intervals_{side}.csv",
+        outputs[f"intervals_{side}.csv"] = _csv(
             "start,interval_symbols",
-            rows,
+            enumerate(sr.intervals),
             f"# d0={_fmt(cfg.d0)} window={sr.window}",
         )
-        outputs.append(f"intervals_{side}.csv")
-    for name in outputs:
-        _say(quiet, f"wrote {out_dir / name}")
     return outputs
 
 
-def _cmd_complexity(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
+def _cmd_complexity(cfg: RunConfig, src: Path) -> dict:
     est = complexity_estimate(
         cfg.scenario.users, cfg.scenario.tx_antennas, cfg.scenario.time_symbols
     )
@@ -512,7 +426,18 @@ def _cmd_complexity(cfg: RunConfig, out_dir: Path, quiet: bool) -> list[str]:
     )
     for name, count in est.rows():
         print(f"  {name:<14} {_fmt(count)}")
-    return []
+    return {}
+
+
+# subcommand -> (command, whether it takes the positional CTF input)
+_COMMANDS = {
+    "generate": (_cmd_generate, False),
+    "decompose": (_cmd_decompose, True),
+    "precode": (_cmd_precode, True),
+    "simulate": (_cmd_simulate, False),
+    "stats": (_cmd_stats, False),
+    "complexity": (_cmd_complexity, False),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -552,20 +477,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, needs_input in (
-        ("generate", False),
-        ("decompose", True),
-        ("precode", True),
-        ("simulate", False),
-        ("stats", False),
-        ("complexity", False),
-    ):
+    for name, (_, takes_input) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML configuration file")
         p.add_argument("--out", help="output directory (overrides out.dir)")
         p.add_argument("--seed", type=int, help="master seed (overrides sim.seed)")
         p.add_argument("--quiet", action="store_true", help="suppress log lines")
-        if needs_input:
+        if takes_input:
             p.add_argument(
                 "input",
                 nargs="?",
@@ -581,22 +499,32 @@ def _dispatch(args) -> int:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     out_dir = Path(cfg.out_dir)
+    command, _ = _COMMANDS[args.subcommand]
+    src = getattr(args, "input", None) or out_dir / "channel.ctf"
+    outputs = command(cfg, Path(src))
+    if not outputs:  # a stdout-only run leaves the output directory as it was
+        return 0
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    name = args.subcommand
-    if name == "generate":
-        outputs = _cmd_generate(cfg, out_dir, args.quiet)
-    elif name == "decompose":
-        outputs = _cmd_decompose(cfg, out_dir, args.quiet, args.input)
-    elif name == "precode":
-        outputs = _cmd_precode(cfg, out_dir, args.quiet, args.input)
-    elif name == "simulate":
-        outputs = _cmd_simulate(cfg, out_dir, args.quiet)
-    elif name == "stats":
-        outputs = _cmd_stats(cfg, out_dir, args.quiet)
-    else:
-        outputs = _cmd_complexity(cfg, out_dir, args.quiet)
-    _emit_run_records(out_dir, cfg, name, outputs)
+    for name, data in outputs.items():
+        target = out_dir / name
+        if isinstance(data, str):
+            target.write_text(data, encoding="utf-8")
+        else:
+            data(target)
+        if not args.quiet:
+            print(f"wrote {target}")
+    manifest = {
+        "subcommand": args.subcommand,
+        "seed": cfg.seed,
+        "outputs": sorted(outputs),
+        "version": __version__,
+    }
+    for name, record in (
+        ("effective_config.yaml", cfg.to_mapping()),
+        ("manifest.yaml", manifest),
+    ):
+        text = yaml.safe_dump(record, sort_keys=True)
+        (out_dir / name).write_text(text, encoding="utf-8")
     return 0
 
 

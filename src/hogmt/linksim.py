@@ -29,6 +29,7 @@ from .channel import (
     _SEED_BER_NOISE,
     ScenarioConfig,
     SpaceTimeSignal,
+    _child_seed,
     _substream,
     generate_channel,
     to_kernel,
@@ -514,7 +515,7 @@ def run_ber(
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
     channels = []
     for c in range(min(n_channels, max(n_trials))):
-        ch_seed = int(_substream(seed, _SEED_BER_CHANNEL, c).integers(0, 2**63))
+        ch_seed = _child_seed(seed, _SEED_BER_CHANNEL, c)
         channels.append(_links(scenario, ch_seed, specs))
 
     points: list[BerPoint] = []

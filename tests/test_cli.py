@@ -177,7 +177,7 @@ class TestConfigParsing:
 @st.composite
 def valid_mappings(draw):
     """A valid config: the whole scenario section and any subset of the rest."""
-    t = draw(st.integers(8, 64))  # the default stats.window is 8
+    t = draw(st.integers(1, 64))
     lo = draw(st.integers(1, t))
     scenario = {
         "users": draw(st.integers(1, 4)),
@@ -210,7 +210,8 @@ def valid_mappings(draw):
         },
         "stats": {
             "d0": draw(st.floats(1e-6, 1.0)),
-            "window": draw(st.integers(2, t)),
+            # only the stats subcommand needs stats.window <= scenario.time_symbols
+            "window": draw(st.integers(2, 300)),
             "ensemble": draw(st.integers(1, 8)),
             "proto_spread_t": draw(st.floats(1e-3, 100.0)),
             "proto_spread_f": draw(st.floats(1e-3, 100.0)),
@@ -290,7 +291,8 @@ TINY = 5e-324  # the smallest positive float
 RANGES = {
     "scenario.users": ([0], [1]),
     "scenario.tx_antennas": ([0], [1]),
-    "scenario.time_symbols": ([7], [8]),  # at least the default stats.window
+    # at least the default max_delay_taps 4; 3 is reported as scenario.max_delay_taps
+    "scenario.time_symbols": ([0], [4]),
     "scenario.min_delay_taps": ([0], [1]),
     "scenario.max_delay_taps": ([0, 257], [1, 256]),
     "scenario.block_len": ([0], [1]),
@@ -302,7 +304,7 @@ RANGES = {
     "sim.min_bits": ([MIN_BITS_FLOOR - 1], [MIN_BITS_FLOOR]),
     "sim.seed": ([-1, 2**64], [0, 2**64 - 1]),
     "stats.d0": ([0.0, math.nextafter(1.0, 2.0)], [TINY, 1.0]),
-    "stats.window": ([1, 257], [2, 256]),
+    "stats.window": ([1], [2]),  # the stats subcommand checks <= time_symbols
     "stats.ensemble": ([0], [1]),
     "stats.proto_spread_t": ([0.0], [TINY]),
     "stats.proto_spread_f": ([0.0], [TINY]),
@@ -475,11 +477,82 @@ class TestCliPipeline:
 
     def test_complexity_subcommand(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, FAST)
-        out = tmp_path / "o"
-        code = run_cli("complexity", "--config", str(cfg_path), "--out", str(out), "--quiet")
+        fresh = tmp_path / "fresh"
+        code = run_cli("complexity", "--config", str(cfg_path), "--out", str(fresh), "--quiet")
         assert code == 0
         shown = capsys.readouterr().out
         assert "hogmt_flatten" in shown and "dpc" in shown
+        assert not fresh.exists()
+        # it writes nothing, so an earlier run's records stay in place
+        out = tmp_path / "o"
+        for sub in ("generate", "simulate"):
+            assert run_cli(sub, "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+        records = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run_cli("complexity", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == records
+        assert yaml.safe_load(records["manifest.yaml"])["subcommand"] == "simulate"
+
+
+# outputs of each file-writing subcommand, in the order it reports them
+OUTPUT_ORDER = {
+    "generate": ["channel.ctf"],
+    "decompose": ["eigen.csv"],
+    "precode": ["precoded.npy", "energy.csv"],
+    "simulate": ["ber.csv"],
+    "stats": [
+        "stats_scattering.csv", "stats_path_gain.csv", "stats_summary.csv",
+        "cmd_tx.csv", "intervals_tx.csv", "cmd_rx.csv", "intervals_rx.csv",
+    ],
+}
+
+
+class TestCliContract:
+    def test_stdout_names_each_manifest_output(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, FAST)
+        out = tmp_path / "o"
+        for sub, names in OUTPUT_ORDER.items():
+            assert run_cli(sub, "--config", str(cfg_path), "--out", str(out)) == 0
+            lines = capsys.readouterr().out.splitlines()
+            manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+            assert manifest["subcommand"] == sub
+            assert sorted(names) == manifest["outputs"]
+            assert lines == [f"wrote {out / name}" for name in names]
+            assert run_cli(sub, "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+            assert capsys.readouterr().out == ""
+
+    def test_help_lists_subcommands_and_keys(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        shown = capsys.readouterr().out
+        for sub in (*OUTPUT_ORDER, "complexity"):
+            assert re.search(rf"\b{sub}\b", shown), sub
+        for section, values in RunConfig().to_mapping().items():
+            for key in values:
+                assert f"  {section}.{key} (" in shown, f"{section}.{key}"
+
+
+class TestWindowRule:
+    """stats.window <= scenario.time_symbols binds the stats subcommand only."""
+
+    def test_short_block_runs_everything_but_stats(self, tmp_path, capsys):
+        mapping = {**FAST, "scenario": {**FAST["scenario"], "time_symbols": 4}}
+        cfg_path = write_config(tmp_path, mapping)
+        out = tmp_path / "o"
+        for sub in ("generate", "decompose", "precode", "simulate"):
+            code = run_cli(sub, "--config", str(cfg_path), "--out", str(out), "--quiet")
+            assert code == 0, f"{sub} exited {code}"
+        assert load_ctf(out / "channel.ctf").dims == (2, 2, 4, 2)
+        capsys.readouterr()
+        for target in (out, tmp_path / "fresh"):
+            existed = target.exists()
+            assert run_cli("stats", "--config", str(cfg_path), "--out", str(target)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: stats.window")
+            assert target.exists() == existed
+        assert not any(out.glob("stats_*.csv"))
+        assert yaml.safe_load((out / "manifest.yaml").read_text())["subcommand"] == "simulate"
 
 
 class TestCliExitCodes:
