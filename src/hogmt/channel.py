@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .kernels import (
     Kernel4D,
     apply_kernel,
     checked_array,
+    checked_fields,
     checked_int,
     checked_real,
     ensure_grid,
@@ -86,8 +87,8 @@ class ScenarioConfig:
     """Channel scenario: dimensions, nonstationarity mode, and statistics.
 
     All values are validated on construction; error messages name the
-    offending field and its constraint.  A number field's metadata holds
-    its interval as bounds of :func:`checked_real`.
+    offending field and its constraint; :func:`checked_fields` checks the
+    number fields against the intervals in their metadata.
     """
 
     users: int = field(default=4, metadata={"ge": 1})
@@ -103,11 +104,7 @@ class ScenarioConfig:
     delay_decay: float = field(default=0.5, metadata={"ge": 0})
 
     def __post_init__(self):
-        for f in fields(self):
-            if not isinstance(f.default, str):
-                check = checked_int if isinstance(f.default, int) else checked_real
-                value = check(getattr(self, f.name), f.name, **f.metadata)
-                object.__setattr__(self, f.name, value)
+        checked_fields(self)
         if self.max_delay_taps < self.min_delay_taps:
             raise ValidationError(
                 "max_delay_taps must be >= min_delay_taps, got "

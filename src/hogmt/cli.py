@@ -19,7 +19,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,10 @@ from .channel import (
     to_kernel,
 )
 from .errors import ConfigError, HogmtError, NumericalError, ValidationError, FormatError
-from .kernels import checked_int, checked_real, hogmt_decompose
+from .kernels import checked_fields, checked_int, hogmt_decompose
 from .linksim import (
     MIN_BITS_FLOOR,
     BerPoint,
-    PrecoderSpec,
     _noise_variance,
     get_scheme,
     modulate,
@@ -62,94 +61,76 @@ from .stats import (
 
 __all__ = [
     "RunConfig",
+    "SimConfig",
+    "StatsConfig",
+    "OutConfig",
     "ComplexityEstimate",
     "parse_config",
     "complexity_estimate",
     "main",
 ]
 
-# YAML key -> RunConfig field for every section but "scenario", whose keys
-# are the ScenarioConfig fields under their own names.
-_SECTIONS = {
-    "sim": {
-        k: k for k in ("precoder", "fraction", "modulation", "snr_db", "min_bits", "seed")
-    },
-    "stats": {
-        k: k for k in ("d0", "window", "ensemble", "proto_spread_t", "proto_spread_f")
-    },
-    "out": {"dir": "out_dir"},
-}
-_YAML_KEY = {
-    field: f"{section}.{key}"
-    for section, keys in _SECTIONS.items()
-    for key, field in keys.items()
-}
+
+@dataclass(frozen=True)
+class SimConfig:
+    """The ``sim`` section: BER sweep settings and the master seed."""
+
+    precoder: str = "hogmt"
+    modulation: str = "qam16"
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    min_bits: int = field(default=100_000, metadata={"ge": MIN_BITS_FLOOR})
+    seed: int = field(default=12345, metadata={"ge": 0, "lt": 2**64})
+
+    def __post_init__(self):
+        checked_fields(self)
+        for name, owner in (("precoder", parse_precoder), ("modulation", get_scheme)):
+            try:
+                owner(getattr(self, name))
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from exc
+        for snr in self.snr_db:
+            _noise_variance(snr)
+        object.__setattr__(self, "snr_db", tuple(map(float, self.snr_db)))
+
+
+@dataclass(frozen=True)
+class StatsConfig:
+    """The ``stats`` section: stationarity metric and statistics ensemble."""
+
+    d0: float = field(default=0.2, metadata={"gt": 0, "le": 1})
+    window: int = field(default=8, metadata={"ge": 2})
+    ensemble: int = field(default=1, metadata={"ge": 1})
+    proto_spread_t: float = field(default=4.0, metadata={"gt": 0})
+    proto_spread_f: float = field(default=1.0, metadata={"gt": 0})
+
+    def __post_init__(self):
+        checked_fields(self)
+
+
+@dataclass(frozen=True)
+class OutConfig:
+    """The ``out`` section."""
+
+    dir: str = "out"
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run configuration; field defaults are the YAML defaults.
+    """Fully validated run configuration, one field per YAML section.
 
-    Range errors raise ``ConfigError`` naming the YAML ``section.key``.
+    Each section's field names are its YAML keys and its defaults the YAML
+    defaults.
     """
 
     scenario: ScenarioConfig = ScenarioConfig()
-    precoder: str = "hogmt"
-    fraction: float = 1.0
-    modulation: str = "qam16"
-    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
-    min_bits: int = 100_000
-    seed: int = 12345
-    d0: float = 0.2
-    window: int = 8
-    ensemble: int = 1
-    proto_spread_t: float = 4.0
-    proto_spread_f: float = 1.0
-    out_dir: str = "out"
-
-    def __post_init__(self):
-        for name, check in (
-            ("precoder", parse_precoder),
-            ("fraction", lambda f: PrecoderSpec("hogmt", f)),
-            ("modulation", get_scheme),
-            ("snr_db", lambda snrs: [_noise_variance(v) for v in snrs]),
-            ("min_bits", lambda v: checked_int(v, "min_bits", ge=MIN_BITS_FLOOR)),
-            ("seed", lambda v: checked_int(v, "seed", ge=0, lt=2**64)),
-            ("d0", lambda v: checked_real(v, "d0", gt=0, le=1)),
-            ("window", lambda v: checked_int(v, "window", ge=2)),
-            ("ensemble", lambda v: checked_int(v, "ensemble", ge=1)),
-            ("proto_spread_t", lambda v: GaussianPrototype(spread_t=v)),
-            ("proto_spread_f", lambda v: GaussianPrototype(spread_f=v)),
-        ):
-            try:
-                check(getattr(self, name))
-            except ValidationError as exc:
-                raise ConfigError(f"{_YAML_KEY[name]}: {exc}") from exc
-        self.precoder_spec  # raises unless sim.fraction applies to sim.precoder
-        # number keys keep their default's type, so run records do not change
-        for name in ("fraction", "d0", "proto_spread_t", "proto_spread_f"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "snr_db", tuple(map(float, self.snr_db)))
-
-    @property
-    def precoder_spec(self) -> PrecoderSpec:
-        """sim.precoder with sim.fraction folded into a bare "hogmt"."""
-        if self.precoder.strip().lower() == "hogmt":
-            return PrecoderSpec("hogmt", self.fraction)
-        if self.fraction != 1.0:
-            raise ConfigError(
-                "sim.fraction applies only to the bare 'hogmt' precoder, got "
-                f"sim.fraction={self.fraction} with sim.precoder={self.precoder!r}"
-            )
-        return parse_precoder(self.precoder)
+    sim: SimConfig = SimConfig()
+    stats: StatsConfig = StatsConfig()
+    out: OutConfig = OutConfig()
 
     def to_mapping(self) -> dict:
         """Schema-shaped mapping that reparses to an identical RunConfig."""
-        flat = asdict(self)
-        flat["snr_db"] = list(self.snr_db)
-        mapping = {"scenario": flat.pop("scenario")}
-        for section, keys in _SECTIONS.items():
-            mapping[section] = {key: flat[field] for key, field in keys.items()}
+        mapping = asdict(self)
+        mapping["sim"]["snr_db"] = list(self.sim.snr_db)
         return mapping
 
 
@@ -171,43 +152,42 @@ def _coerce(name: str, value, default):
     return value
 
 
-def _read_section(raw: dict, section: str, keys: dict, defaults: dict) -> dict:
-    """Coerced values of one YAML section, keyed by field name."""
-    sec = raw.get(section)
-    if sec is None:
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {section!r} must be a mapping")
-    unknown = sorted(set(sec) - set(keys), key=str)
+def _read_section(name: str, values, base):
+    """Section ``base`` with the keys in the YAML mapping ``values`` set."""
+    if values is None:
+        return base
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    unknown = sorted(set(values) - {f.name for f in fields(base)}, key=str)
     if unknown:
-        raise ConfigError(f"unknown config key {section}.{unknown[0]}")
-    return {
-        keys[k]: _coerce(f"{section}.{k}", v, defaults[keys[k]]) for k, v in sec.items()
+        raise ConfigError(f"unknown config key {name}.{unknown[0]}")
+    changes = {
+        k: _coerce(f"{name}.{k}", v, getattr(base, k)) for k, v in values.items()
     }
+    try:
+        return replace(base, **changes)
+    except ValidationError as exc:  # its message starts with the key
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def config_from_mapping(raw) -> RunConfig:
-    """Validate a parsed configuration mapping and apply defaults."""
+    """Validate a parsed configuration mapping and apply defaults.
+
+    Errors raise ``ConfigError`` naming the YAML ``section.key``.
+    """
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a mapping of sections")
-    unknown = sorted(set(raw) - {"scenario", *_SECTIONS}, key=str)
+    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)}, key=str)
     if unknown:
         raise ConfigError(f"unknown config section {unknown[0]!r}")
-    scenario_fields = {f.name: f.default for f in fields(ScenarioConfig)}
-    scenario = _read_section(
-        raw, "scenario", {k: k for k in scenario_fields}, scenario_fields
+    return RunConfig(
+        **{
+            f.name: _read_section(f.name, raw.get(f.name), f.default)
+            for f in fields(RunConfig)
+        }
     )
-    try:
-        scenario = ScenarioConfig(**scenario)
-    except ValidationError as exc:
-        raise ConfigError(f"scenario.{exc}") from exc
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    run = {}
-    for section, keys in _SECTIONS.items():
-        run.update(_read_section(raw, section, keys, defaults))
-    return RunConfig(scenario=scenario, **run)
 
 
 def parse_config(path) -> RunConfig:
@@ -301,7 +281,7 @@ def _csv(header: str, rows, footer: str | None = None) -> str:
 
 
 def _cmd_generate(cfg: RunConfig, src: Path) -> dict:
-    h = generate_channel(cfg.scenario, cfg.seed)
+    h = generate_channel(cfg.scenario, cfg.sim.seed)
     return {"channel.ctf": lambda path: save_ctf(h, path)}
 
 
@@ -324,16 +304,16 @@ def _cmd_decompose(cfg: RunConfig, src: Path) -> dict:
 
 
 def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
-    spec = cfg.precoder_spec
+    spec = parse_precoder(cfg.sim.precoder)
     if spec.kind != "hogmt":
         raise ConfigError(
             "the precode subcommand emits eigen-domain coefficients and "
-            f"requires an hogmt precoder, got sim.precoder={cfg.precoder!r}"
+            f"requires an hogmt precoder, got sim.precoder={cfg.sim.precoder!r}"
         )
     kernel, decomp = _decompose_ctf(src)
-    scheme = get_scheme(cfg.modulation)
+    scheme = get_scheme(cfg.sim.modulation)
     l_u, l_t = kernel.dims[:2]
-    bits = _substream(cfg.seed, _SEED_CLI_BITS).integers(
+    bits = _substream(cfg.sim.seed, _SEED_CLI_BITS).integers(
         0, 2, size=scheme.bits_per_symbol * l_u * l_t, dtype=np.uint8
     )
     s = modulate(bits, scheme, (l_u, l_t))
@@ -359,26 +339,26 @@ def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
 def _cmd_simulate(cfg: RunConfig, src: Path) -> dict:
     report = run_ber(
         cfg.scenario,
-        [cfg.precoder_spec],
-        list(cfg.snr_db),
-        cfg.min_bits,
-        cfg.seed,
-        modulations=[cfg.modulation],
+        [cfg.sim.precoder],
+        list(cfg.sim.snr_db),
+        cfg.sim.min_bits,
+        cfg.sim.seed,
+        modulations=[cfg.sim.modulation],
     )
     header = ",".join(f.name for f in fields(BerPoint))
     return {"ber.csv": _csv(header, map(astuple, report.points))}
 
 
 def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
-    if cfg.window > cfg.scenario.time_symbols:
+    if cfg.stats.window > cfg.scenario.time_symbols:
         raise ConfigError(
-            f"stats.window must be <= scenario.time_symbols, got {cfg.window} > "
+            f"stats.window must be <= scenario.time_symbols, got {cfg.stats.window} > "
             f"{cfg.scenario.time_symbols}"
         )
-    proto = GaussianPrototype(cfg.proto_spread_t, cfg.proto_spread_f)
+    proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
     decomps = []
-    for member in range(cfg.ensemble):
-        seed = _child_seed(cfg.seed, _SEED_STATS_MEMBER, member)
+    for member in range(cfg.stats.ensemble):
+        seed = _child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, member)
         h = generate_channel(cfg.scenario, seed)
         if member == 0:
             first_h = h
@@ -403,15 +383,15 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
         ),
     }
     for side in ("tx", "rx"):
-        series = cmd(first_h, side=side, window=cfg.window)
+        series = cmd(first_h, side=side, window=cfg.stats.window)
         dist = series.distances.tolist()  # Python floats: f"{d}" is _fmt(d)
         rows = [f"{i},{j - i},{d}" for i, r in enumerate(dist) for j, d in enumerate(r)]
         outputs[f"cmd_{side}.csv"] = _csv("start,shift,d_corr", rows)
-        sr = stationarity_interval(series, cfg.d0)
+        sr = stationarity_interval(series, cfg.stats.d0)
         outputs[f"intervals_{side}.csv"] = _csv(
             "start,interval_symbols",
             enumerate(sr.intervals),
-            f"# d0={_fmt(cfg.d0)} window={sr.window}",
+            f"# d0={_fmt(cfg.stats.d0)} window={sr.window}",
         )
     return outputs
 
@@ -495,10 +475,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, sim=_read_section("sim", {"seed": args.seed}, cfg.sim))
     if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    out_dir = Path(cfg.out_dir)
+        cfg = replace(cfg, out=_read_section("out", {"dir": args.out}, cfg.out))
+    out_dir = Path(cfg.out.dir)
     command, _ = _COMMANDS[args.subcommand]
     src = getattr(args, "input", None) or out_dir / "channel.ctf"
     outputs = command(cfg, Path(src))
@@ -515,7 +495,7 @@ def _dispatch(args) -> int:
             print(f"wrote {target}")
     manifest = {
         "subcommand": args.subcommand,
-        "seed": cfg.seed,
+        "seed": cfg.sim.seed,
         "outputs": sorted(outputs),
         "version": __version__,
     }

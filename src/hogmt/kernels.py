@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numbers
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "Kernel4D",
     "EigenDecomposition",
     "checked_array",
+    "checked_fields",
     "checked_int",
     "checked_real",
     "ensure_grid",
@@ -90,6 +91,20 @@ def checked_int(value, name: str, *, ge=None, le=None, lt=np.inf) -> int:
     with suppress(OverflowError):  # only the float conversion fails past 2**1024
         checked_real(value, name, ge=ge, le=le, lt=lt)
     return int(value)
+
+
+def checked_fields(obj) -> None:
+    """Check and store the number fields of the frozen dataclass ``obj``.
+
+    A field with an int or float default is a number field; its metadata
+    holds its interval as bounds of :func:`checked_real`, and an int default
+    makes it an integer.  Errors raise ValidationError naming the field.
+    """
+    for f in fields(obj):
+        if isinstance(f.default, (int, float)):
+            check = checked_int if isinstance(f.default, int) else checked_real
+            value = check(getattr(obj, f.name), f.name, **f.metadata)
+            object.__setattr__(obj, f.name, value)
 
 
 def ensure_grid(data, name: str = "grid", shape=None) -> np.ndarray:
@@ -240,16 +255,13 @@ def decompose_grid_pairs(
 
     # Phase convention: rotate each (u_n, v_n) pair so that the
     # largest-magnitude entry of the receive-side vector is real positive.
-    for n in range(keep):
-        col = u_mat[:, n]
-        k = int(np.argmax(np.abs(col)))
-        a = col[k]
-        if np.abs(a) > 0.0:
-            rot = np.conj(a) / np.abs(a)
-            u_mat[:, n] = col * rot
-            # keeping u_n v_n^H invariant requires the conjugate rotation on
-            # the stored conj(v_n) row
-            vh_mat[n, :] = vh_mat[n, :] * np.conj(rot)
+    # Singular vectors have unit norm, so every peak is nonzero.
+    peaks = u_mat[np.argmax(np.abs(u_mat), axis=0), np.arange(keep)]
+    rot = np.conj(peaks) / np.abs(peaks)
+    u_mat = u_mat * rot
+    # keeping u_n v_n^H invariant requires the conjugate rotation on the
+    # stored conj(v_n) row
+    vh_mat = vh_mat * np.conj(rot)[:, np.newaxis]
 
     dims = (*row_shape, *col_shape)
     psis = np.ascontiguousarray(u_mat.T).reshape(keep, *row_shape)

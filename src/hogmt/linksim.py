@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .channel import (
 from .errors import DegenerateChannelError, ValidationError
 from .kernels import (
     checked_array,
+    checked_fields,
     checked_int,
     checked_real,
     flatten_kernel,
@@ -284,17 +285,12 @@ class PrecoderSpec:
     """Which precoder to run; ``fraction`` is the retained-mode fraction."""
 
     kind: str
-    fraction: float = 1.0
+    fraction: float = field(default=1.0, metadata=_FRACTION_RANGE)
 
     def __post_init__(self):
         if self.kind not in ("hogmt",) + _PLAIN_KINDS:
             raise ValidationError(f"unknown precoder kind {self.kind!r}")
-        fraction = checked_real(self.fraction, "fraction", **_FRACTION_RANGE)
-        object.__setattr__(self, "fraction", fraction)
-
-    @property
-    def label(self) -> str:
-        return self.kind
+        checked_fields(self)
 
 
 def parse_precoder(text) -> PrecoderSpec:
@@ -531,7 +527,7 @@ def run_ber(
                 points.append(
                     BerPoint(
                         snr_db=float(snr),
-                        precoder=spec.label,
+                        precoder=spec.kind,
                         modulation=scheme.name,
                         fraction=spec.fraction,
                         bits=0 if failed else nbits,

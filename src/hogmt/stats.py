@@ -14,7 +14,7 @@ normalized units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .kernels import (
     EigenDecomposition,
     checked_array,
+    checked_fields,
     checked_int,
     checked_real,
     decompose_grid_pairs,
@@ -116,12 +117,11 @@ class GaussianPrototype:
     wrap-around distances and normalizes it to unit Frobenius norm.
     """
 
-    spread_t: float = 4.0
-    spread_f: float = 1.0
+    spread_t: float = field(default=4.0, metadata={"gt": 0})
+    spread_f: float = field(default=1.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        for name in ("spread_t", "spread_f"):
-            object.__setattr__(self, name, checked_real(getattr(self, name), name, gt=0))
+        checked_fields(self)
 
     def on_lattice(self, n_t: int, n_f: int) -> np.ndarray:
         n_t = checked_int(n_t, "n_t", ge=1)

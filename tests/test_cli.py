@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hogmt import MIN_BITS_FLOOR, load_ctf
 from hogmt.cli import (
+    OutConfig,
     RunConfig,
     complexity_estimate,
     config_from_mapping,
@@ -57,14 +58,13 @@ class TestConfigParsing:
         assert cfg.scenario.users == 4
         assert cfg.scenario.time_symbols == 256
         assert cfg.scenario.mode == "wssus"
-        assert cfg.precoder == "hogmt"
-        assert cfg.fraction == 1.0
-        assert cfg.modulation == "qam16"
-        assert cfg.snr_db == (0.0, 5.0, 10.0, 15.0, 20.0)
-        assert cfg.min_bits == 100000
-        assert cfg.seed == 12345
-        assert cfg.d0 == 0.2 and cfg.window == 8 and cfg.ensemble == 1
-        assert cfg.out_dir == "out"
+        assert cfg.sim.precoder == "hogmt"
+        assert cfg.sim.modulation == "qam16"
+        assert cfg.sim.snr_db == (0.0, 5.0, 10.0, 15.0, 20.0)
+        assert cfg.sim.min_bits == 100000
+        assert cfg.sim.seed == 12345
+        assert cfg.stats.d0 == 0.2 and cfg.stats.window == 8 and cfg.stats.ensemble == 1
+        assert cfg.out.dir == "out"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key scenario.bogus"):
@@ -105,11 +105,11 @@ class TestConfigParsing:
         # the effective config and the intervals CSV footer print these keys
         cfg = config_from_mapping({
             "scenario": {"doppler_drift": 0, "delay_decay": 4},
-            "sim": {"snr_db": [0, 5], "fraction": 1},
+            "sim": {"snr_db": [0, 5]},
             "stats": {"d0": 1, "proto_spread_t": 4, "proto_spread_f": 1},
         })
-        values = [cfg.scenario.doppler_drift, cfg.scenario.delay_decay, *cfg.snr_db,
-                  cfg.fraction, cfg.d0, cfg.proto_spread_t, cfg.proto_spread_f]
+        values = [cfg.scenario.doppler_drift, cfg.scenario.delay_decay, *cfg.sim.snr_db,
+                  cfg.stats.d0, cfg.stats.proto_spread_t, cfg.stats.proto_spread_f]
         assert all(type(v) is float for v in values)
         assert "d0: 1.0" in yaml.safe_dump(cfg.to_mapping())
 
@@ -124,7 +124,6 @@ class TestConfigParsing:
             ("scenario", "doppler_drift", math.nan),
             ("scenario", "delay_decay", math.inf),
             ("scenario", "spatial_corr", -math.inf),
-            ("sim", "fraction", math.nan),
             ("sim", "snr_db", [5.0, math.nan]),
             ("sim", "snr_db", -math.inf),
             ("stats", "d0", math.inf),
@@ -136,25 +135,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
             config_from_mapping({section: {key: value}})
 
-    @pytest.mark.parametrize("precoder,fraction", [("hogmt(0.5)", 0.9), ("zf", 0.3)])
-    def test_fraction_needs_bare_hogmt(self, tmp_path, capsys, precoder, fraction):
-        mapping = {**FAST, "sim": {**FAST["sim"], "precoder": precoder, "fraction": fraction}}
-        with pytest.raises(ConfigError, match=re.escape("sim.fraction")):
-            config_from_mapping(mapping)
+    def test_fraction_key_is_unknown(self, tmp_path, capsys):
+        # hogmt(f) is the one way to set the retained fraction
+        mapping = {**FAST, "sim": {**FAST["sim"], "precoder": "hogmt", "fraction": 0.9}}
         out = tmp_path / "out"
         code = main(
             ["simulate", "--config", str(write_config(tmp_path, mapping)),
              "--out", str(out), "--quiet"]
         )
-        assert code == 1 and "sim.fraction" in capsys.readouterr().err
+        assert code == 1
+        assert "unknown config key sim.fraction" in capsys.readouterr().err
         assert not out.exists()
-        # the same fraction with the bare precoder, and 1.0 with any precoder, are valid
-        config_from_mapping({"sim": {"precoder": "hogmt", "fraction": fraction}})
-        config_from_mapping({"sim": {"precoder": precoder, "fraction": 1.0}})
 
     def test_noiseless_snr_kept(self):
         cfg = config_from_mapping({"sim": {"snr_db": [10.0, math.inf]}})
-        assert cfg.snr_db == (10.0, math.inf)
+        assert cfg.sim.snr_db == (10.0, math.inf)
         assert config_from_mapping(yaml.safe_load(yaml.safe_dump(cfg.to_mapping()))) == cfg
 
     def test_unknown_non_string_key_rejected(self):
@@ -165,7 +160,7 @@ class TestConfigParsing:
         path = write_config(tmp_path, FAST)
         cfg = parse_config(path)
         assert cfg.scenario.users == 2
-        assert cfg.snr_db == (5.0,)
+        assert cfg.sim.snr_db == (5.0,)
 
     def test_bad_yaml_is_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -193,14 +188,11 @@ def valid_mappings(draw):
         "spatial_corr": draw(st.floats(0.0, 0.99)),
         "delay_decay": draw(st.floats(0.0, 10.0)),
     }
-    precoder = draw(
-        st.sampled_from(["hogmt", "hogmt(0.5)", "zf", "zfdpc", "none", "ideal"])
-    )
     rest = {
         "sim": {
-            "precoder": precoder,
-            # sim.fraction other than 1.0 is valid only with the bare "hogmt"
-            "fraction": draw(st.floats(1e-6, 1.0)) if precoder == "hogmt" else 1.0,
+            "precoder": draw(
+                st.sampled_from(["hogmt", "hogmt(0.5)", "zf", "zfdpc", "none", "ideal"])
+            ),
             "modulation": draw(st.sampled_from(["bpsk", "qpsk", "qam16", "qam64"])),
             "snr_db": draw(
                 st.lists(st.floats(-50.0, 50.0) | st.just(math.inf), min_size=1, max_size=4)
@@ -300,7 +292,6 @@ RANGES = {
     "scenario.doppler_drift": ([-TINY], [0.0]),
     "scenario.spatial_corr": ([-TINY, 1.0], [0.0, math.nextafter(1.0, 0.0)]),
     "scenario.delay_decay": ([-TINY], [0.0]),
-    "sim.fraction": ([0.0, math.nextafter(1.0, 2.0)], [TINY, 1.0]),
     "sim.min_bits": ([MIN_BITS_FLOOR - 1], [MIN_BITS_FLOOR]),
     "sim.seed": ([-1, 2**64], [0, 2**64 - 1]),
     "stats.d0": ([0.0, math.nextafter(1.0, 2.0)], [TINY, 1.0]),
@@ -338,7 +329,7 @@ class TestConfigRanges:
             assert not out.exists()
         for value in bounds:
             cfg = config_from_mapping(yaml.safe_load(yaml.safe_dump({section: {name: value}})))
-            got = getattr(cfg.scenario if section == "scenario" else cfg, name)
+            got = getattr(getattr(cfg, section), name)
             assert got == value and type(got) is type(value)
 
 
@@ -425,7 +416,7 @@ class TestCliPipeline:
         eff = parse_config(out / "effective_config.yaml")
         # replaying the effective config must describe the same run, with the
         # command-line out-dir override baked in
-        want = dataclasses.replace(parse_config(cfg_path), out_dir=str(out))
+        want = dataclasses.replace(parse_config(cfg_path), out=OutConfig(str(out)))
         assert eff == want
 
     def test_manifest_records_outputs(self, tmp_path):
@@ -446,8 +437,8 @@ class TestCliPipeline:
         for name in ("channel.ctf", "ber.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
         # configs agree apart from the differing output directory itself
-        ca = dataclasses.replace(parse_config(out_a / "effective_config.yaml"), out_dir="x")
-        cb = dataclasses.replace(parse_config(out_b / "effective_config.yaml"), out_dir="x")
+        ca = dataclasses.replace(parse_config(out_a / "effective_config.yaml"), out=OutConfig())
+        cb = dataclasses.replace(parse_config(out_b / "effective_config.yaml"), out=OutConfig())
         assert ca == cb
 
     def test_seed_override_changes_channel(self, tmp_path):
@@ -622,7 +613,7 @@ class TestCliExitCodes:
         path = write_config(tmp_path, FAST)
         out = tmp_path / "o"
         assert run_cli("generate", "--config", str(path), "--out", str(out), "--seed", seed) == 1
-        assert "sim.seed: seed must be in [0, 18446744073709551616)" in capsys.readouterr().err
+        assert "sim.seed must be in [0, 18446744073709551616)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_is_1(self, tmp_path, capsys):

@@ -105,12 +105,24 @@ class TestDecomposition:
         # the largest-magnitude entry of each output-side function is rotated
         # onto the positive real axis, which pins the joint phase of the pair
         rng = np.random.default_rng(14)
-        dec = hogmt_decompose(random_kernel(rng, (2, 4, 2, 4)))
-        for n in range(dec.n_modes):
-            flat = dec.psis[n].ravel()
-            peak = flat[np.argmax(np.abs(flat))]
-            assert abs(peak.imag) <= 1e-12 * abs(peak)
-            assert peak.real > 0
+        for dims in [(2, 4, 2, 4), (4, 12, 4, 12)]:
+            kern = random_kernel(rng, dims)
+            dec = hogmt_decompose(kern)
+            for n in range(dec.n_modes):
+                flat = dec.psis[n].ravel()
+                peak = flat[np.argmax(np.abs(flat))]
+                assert abs(peak.imag) <= 1e-12 * abs(peak)
+                assert peak.real > 0
+            # oracle: the same rotation applied one mode at a time
+            u, _, vh = np.linalg.svd(flatten_kernel(kern), full_matrices=False)
+            for n in range(u.shape[1]):
+                col = u[:, n]
+                a = col[np.argmax(np.abs(col))]
+                rot = np.conj(a) / np.abs(a)
+                u[:, n] = col * rot
+                vh[n, :] = vh[n, :] * np.conj(rot)
+            np.testing.assert_array_equal(dec.psis, u.T.reshape(dec.psis.shape))
+            np.testing.assert_array_equal(dec.phis, vh.reshape(dec.phis.shape))
 
     def test_energy_sum_matches_frobenius(self):
         rng = np.random.default_rng(15)
