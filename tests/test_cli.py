@@ -13,7 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hogmt import MIN_BITS_FLOOR, load_ctf
+from hogmt import MIN_BITS_FLOOR, PrecoderSpec, load_ctf, parse_precoder
 from hogmt.cli import (
     OutConfig,
     RunConfig,
@@ -124,6 +124,7 @@ class TestConfigParsing:
             ("scenario", "doppler_drift", math.nan),
             ("scenario", "delay_decay", math.inf),
             ("scenario", "spatial_corr", -math.inf),
+            ("sim", "precoder", "hogmt(nan)"),
             ("sim", "snr_db", [5.0, math.nan]),
             ("sim", "snr_db", -math.inf),
             ("stats", "d0", math.inf),
@@ -331,6 +332,25 @@ class TestConfigRanges:
             cfg = config_from_mapping(yaml.safe_load(yaml.safe_dump({section: {name: value}})))
             got = getattr(getattr(cfg, section), name)
             assert got == value and type(got) is type(value)
+
+    # the retained fraction f of hogmt(f) lies in (0, 1], as the README states
+    @pytest.mark.parametrize("fraction", [0.0, math.nextafter(1.0, 2.0)])
+    def test_hogmt_fraction_just_outside_exits_1(self, tmp_path, capsys, fraction):
+        precoder = f"hogmt({fraction!r})"
+        with pytest.raises(ConfigError, match=re.escape("sim.precoder")):
+            config_from_mapping({"sim": {"precoder": precoder}})
+        path = write_config(tmp_path, {"sim": {"precoder": precoder}})
+        out = tmp_path / "out"
+        code = main(["generate", "--config", str(path), "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1 and "sim.precoder" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", [TINY, 1.0])
+    def test_hogmt_fraction_bound_parses(self, fraction):
+        mapping = {"sim": {"precoder": f"hogmt({fraction!r})"}}
+        cfg = config_from_mapping(yaml.safe_load(yaml.safe_dump(mapping)))
+        assert parse_precoder(cfg.sim.precoder) == PrecoderSpec("hogmt", fraction)
 
 
 class TestComplexity:
