@@ -60,8 +60,8 @@ _SEED_SPREAD = 1
 _SEED_TAP = 2
 _SEED_NOISE = 3
 _SEED_BER_CHANNEL = 10  # linksim: channel draw per channel, shared by every SNR point
-_SEED_BER_BITS = 11  # linksim: bits per (SNR point, first trial of chunk, modulation)
-_SEED_BER_NOISE = 12  # linksim: noise per (SNR point, first trial of chunk, modulation)
+_SEED_BER_BITS = 11  # linksim: bits per (first trial of chunk, modulation), every SNR point
+_SEED_BER_NOISE = 12  # linksim: unit noise per (first trial of chunk, modulation), every SNR point
 _SEED_CLI_BITS = 20  # cli precode: data bits
 _SEED_STATS_MEMBER = 21  # cli stats: channel seed per ensemble member
 
@@ -310,30 +310,27 @@ def to_kernel(h: ImpulseResponse4D) -> Kernel4D:
     return Kernel4D(kv)
 
 
-def transmit(
-    kernel: Kernel4D,
-    x: SpaceTimeSignal,
-    noise_var: float,
-    seed: int | None = None,
-) -> SpaceTimeSignal:
+def transmit(kernel: Kernel4D, x, noise_var: float, seed: int | None = None):
     """Noisy channel output r = K x + v.
 
     v is i.i.d. circularly-symmetric complex Gaussian with the given variance
     per complex sample, drawn from a dedicated substream of ``seed``; a
-    ``seed`` of None means master seed 0.
+    ``seed`` of None means master seed 0.  Like ``apply_kernel``, ``x`` may
+    be a plain 2-D grid or a space-time signal, and the result is the same
+    kind at every noise variance.
     """
     noise_var = checked_real(noise_var, "noise_var", ge=0)
     seed = 0 if seed is None else checked_int(seed, "seed", ge=0, lt=2**64)
     clean = apply_kernel(kernel, x)
     if noise_var == 0.0:
         return clean
+    grid = getattr(clean, "grid", clean)
     rng = _substream(seed, _SEED_NOISE)
-    shape = clean.grid.shape
     scale = math.sqrt(noise_var / 2.0)
     v = scale * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     )
-    return SpaceTimeSignal(grid=clean.grid + v)
+    return type(clean)(grid=grid + v) if hasattr(clean, "grid") else grid + v
 
 
 def interference_split(h: ImpulseResponse4D, s: SpaceTimeSignal) -> InterferenceSplit:

@@ -6,11 +6,12 @@ own against the midpoints of adjacent levels, which for these separable
 constellations is exactly the minimum-distance decision.
 
 The BER engine compares precoders on identical footing: a sweep draws its
-channels once for every SNR point, and per (SNR point, chunk of trials,
-modulation) the data bits and noise come from substreams shared by every
-precoder, so curves are paired sample-by-sample.  Each precoder is one
-linear map per channel, built once per sweep and applied to chunks of
-trials at once.  SNR is received-signal-referenced,
+channels once for every SNR point, and per (chunk of trials, modulation)
+the data bits and unit-variance noise come from substreams shared by every
+precoder and every SNR point, so curves are paired sample-by-sample and
+across SNR.  Each precoder is one linear map per channel, built once per
+sweep; a chunk passes through each link once, and each SNR point only
+scales the noise, adds it and slices.  SNR is received-signal-referenced,
 E_s / sigma_v^2 with E_s = 1; per-bit SNR for reference curves is
 E_s / (k * sigma_v^2) for k bits per symbol.
 """
@@ -172,7 +173,15 @@ def _axis_slicer(levels: np.ndarray):
     hi_part = total - lo
     mid = total / 2
     err = ((lo - (total - hi_part)) + (hi - hi_part)) / 2
-    return lambda v: order[np.count_nonzero(v[..., None] - mid > err, axis=-1)]
+    pairs = list(zip(mid.tolist(), err.tolist()))
+
+    def decide(v):
+        rank = np.zeros(v.shape, dtype=np.intp)  # midpoints below v
+        for m, e in pairs:
+            rank += v - m > e
+        return order[rank]
+
+    return decide
 
 
 def _slicer(scheme: ModulationScheme):
@@ -341,10 +350,7 @@ class BerPoint:
     @property
     def ci95(self) -> float:
         """95% binomial confidence half-width of the BER estimate."""
-        if self.bits == 0:
-            return math.nan
-        p = self.ber
-        return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / self.bits)
+        return 1.96 * self.mc_sigma
 
     @property
     def mc_sigma(self) -> float:
@@ -406,63 +412,20 @@ def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
     return links
 
 
-def _chunk_draws(seed, si, mi, first, n, k, dims, sigma2):
-    """Data bits and received noise of a chunk of n trials, one row per trial.
+def _chunk_draws(seed, mi, first, n, k, dims):
+    """Data bits and unit-variance noise of a chunk of n trials, one row per trial.
 
     The chunk whose first trial is ``first`` has one bit and one noise
-    substream, each drawn in one call.  No noise is drawn when sigma2 is 0.
+    substream, each drawn in one call and shared by every SNR point.
     """
-    bits = _substream(seed, _SEED_BER_BITS, si, first, mi).integers(
+    bits = _substream(seed, _SEED_BER_BITS, first, mi).integers(
         0, 2, size=(n, k * dims[0] * dims[1]), dtype=np.uint8
     )
-    if sigma2 == 0.0:
-        return bits, None
-    rng = _substream(seed, _SEED_BER_NOISE, si, first, mi)
-    normals = rng.standard_normal((2, n) + dims)
-    unit_noise = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
-    return bits, math.sqrt(sigma2) * unit_noise
+    normals = _substream(seed, _SEED_BER_NOISE, first, mi).standard_normal((2, n) + dims)
+    return bits, ((normals[0] + 1j * normals[1]) / math.sqrt(2.0)).reshape(n, -1)
 
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(64)])  # labels have <= 6 bits
-
-
-def _count_chunk(s, sent, noise, flat, pmap, slicer) -> tuple[int, float]:
-    """Bit errors and transmit-energy sum of one link over a chunk of trials."""
-    x = s if pmap is None else pmap.apply(s)
-    r = x if flat is None else (x.reshape(len(x), -1) @ flat.T).reshape(s.shape)
-    if noise is not None:
-        r = r + noise
-    got = slicer(r.reshape(len(r), -1))
-    tx_energy = np.mean(np.abs(x) ** 2, axis=(1, 2))
-    return int(_POPCOUNT[got ^ sent].sum()), float(tx_energy.sum())
-
-
-def _point_counts(channels, schemes, n_trials, n_channels, dims, seed, si, sigma2):
-    """[bit errors, transmit-energy sum] per (precoder, modulation) at one SNR point.
-
-    Trial t of a modulation runs on the links ``channels[t % n_channels]``,
-    in chunks of a number of trials that only the scenario dims set.  A
-    precoder whose map fails on a channel the modulation uses gets None.
-    """
-    chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
-    acc = {key: [0, 0.0] for key in np.ndindex(len(channels[0]), len(schemes))}
-    for mi, scheme in enumerate(schemes):
-        k = scheme.bits_per_symbol
-        slicer = _slicer(scheme)
-        for c in range(min(n_channels, n_trials[mi])):
-            trials = range(c, n_trials[mi], n_channels)
-            for lo in range(0, len(trials), chunk):
-                n = len(trials[lo : lo + chunk])
-                bits, noise = _chunk_draws(seed, si, mi, trials[lo], n, k, dims, sigma2)
-                sent = _labels(bits, k)
-                s = scheme.points[sent].reshape((len(bits),) + dims)
-                for pi, (flat, pmap) in enumerate(channels[c]):
-                    if isinstance(pmap, DegenerateChannelError):
-                        acc[pi, mi] = None
-                    if acc[pi, mi] is not None:
-                        counts = _count_chunk(s, sent, noise, flat, pmap, slicer)
-                        acc[pi, mi] = [a + b for a, b in zip(acc[pi, mi], counts)]
-    return acc
 
 
 def run_ber(
@@ -482,12 +445,14 @@ def run_ber(
     sweep (keyed by channel index) and shared by every SNR point, precoder
     and modulation, as are the data bits and the noise of each trial, so
     comparisons are paired.  Per channel, each precoder is built once as a
-    linear map and applied to chunks of trials; the received grids still
-    pass through the channel's kernel.  A map that raises
-    DegenerateChannelError thus fails its precoder at every SNR point.
-    Each chunk draws its bits and noise from substreams keyed by its SNR
-    point and first trial; the chunk size follows from the scenario dims
-    alone, so counts do not depend on which precoders run beside each other.
+    linear map; a map that raises DegenerateChannelError thus fails its
+    precoder at every SNR point.  Each chunk of trials draws its bits and
+    unit noise once, from substreams keyed by its first trial and
+    modulation, and passes through every link's map and kernel once; each
+    SNR point then only scales the noise, adds it and slices.  A point's
+    counts therefore do not depend on the other SNR values, and since the
+    chunk size follows from the scenario dims alone, not on which precoders
+    run beside each other either.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -502,7 +467,8 @@ def run_ber(
     snr_list = list(snr_db) if np.ndim(snr_db) else [snr_db]
     if not snr_list:
         raise ValidationError("need at least one SNR point")
-    sigma2s = [_noise_variance(v) for v in snr_list]
+    # noise scale per SNR point; 0 at +inf dB, where r + 0 * noise == r
+    scales = [math.sqrt(_noise_variance(v)) for v in snr_list]
     min_bits = checked_real(min_bits, "min_bits", ge=MIN_BITS_FLOOR)
     n_channels = checked_int(n_channels, "n_channels", ge=1)
     seed = checked_int(seed, "seed", ge=0, lt=2**64)
@@ -514,16 +480,45 @@ def run_ber(
         ch_seed = _child_seed(seed, _SEED_BER_CHANNEL, c)
         channels.append(_links(scenario, ch_seed, specs))
 
+    # trial t of a modulation runs on the links channels[t % n_channels], in
+    # chunks of a number of trials that only the scenario dims set; a
+    # precoder whose map fails on a channel the modulation uses gets a NaN
+    # transmit-energy sum, which marks it failed at every SNR point
+    chunk = max(1, _CHUNK_SYMBOLS // n_sym)
+    errors = np.zeros((len(specs), len(schemes), len(snr_list)), dtype=np.int64)
+    tx_sum = np.zeros((len(specs), len(schemes)))
+    for mi, scheme in enumerate(schemes):
+        k = scheme.bits_per_symbol
+        slicer = _slicer(scheme)
+        for c in range(min(n_channels, n_trials[mi])):
+            trials = range(c, n_trials[mi], n_channels)
+            for lo in range(0, len(trials), chunk):
+                n = len(trials[lo : lo + chunk])
+                bits, unit_noise = _chunk_draws(seed, mi, trials[lo], n, k, dims)
+                sent = _labels(bits, k)
+                s = scheme.points[sent].reshape((n,) + dims)
+                received = []
+                for pi, (flat, pmap) in enumerate(channels[c]):
+                    if isinstance(pmap, DegenerateChannelError):
+                        tx_sum[pi, mi] = math.nan
+                    if math.isnan(tx_sum[pi, mi]):
+                        continue
+                    x = (s if pmap is None else pmap.apply(s)).reshape(n, -1)
+                    received.append((pi, x if flat is None else x @ flat.T))
+                    tx_sum[pi, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
+                for si, scale in enumerate(scales):
+                    noise = scale * unit_noise
+                    for pi, r in received:
+                        got = slicer(r + noise)
+                        errors[pi, mi, si] += _POPCOUNT[got ^ sent].sum()
+
     points: list[BerPoint] = []
-    for si, (snr, sigma2) in enumerate(zip(snr_list, sigma2s)):
-        acc = _point_counts(
-            channels, schemes, n_trials, n_channels, dims, seed, si, sigma2
-        )
+    for si, snr in enumerate(snr_list):
         for pi, spec in enumerate(specs):
             for mi, scheme in enumerate(schemes):
                 nbits = n_trials[mi] * scheme.bits_per_symbol * n_sym
-                failed = acc[pi, mi] is None
-                errors, tx_sum = acc[pi, mi] or (0, math.nan)
+                failed = math.isnan(tx_sum[pi, mi])
+                n_err = 0 if failed else int(errors[pi, mi, si])
                 points.append(
                     BerPoint(
                         snr_db=float(snr),
@@ -531,9 +526,9 @@ def run_ber(
                         modulation=scheme.name,
                         fraction=spec.fraction,
                         bits=0 if failed else nbits,
-                        errors=errors,
-                        ber=math.nan if failed else errors / nbits,
-                        tx_energy=tx_sum / n_trials[mi],
+                        errors=n_err,
+                        ber=math.nan if failed else n_err / nbits,
+                        tx_energy=float(tx_sum[pi, mi]) / n_trials[mi],
                     )
                 )
     return BerReport(points=tuple(points))

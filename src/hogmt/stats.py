@@ -262,10 +262,12 @@ def stats_from_decomp(
 ) -> StatsReport:
     """Table-style statistics from one decomposition or an ensemble of them.
 
-    With ``ensemble`` given, ``decomp`` may be None and every member's
+    With ``ensemble`` given, ``decomp`` must be None and every member's
     statistics are averaged elementwise (eigenvalues enter through their
     per-member values, so the average estimates the ensemble quantities).
     """
+    if decomp is not None and ensemble is not None:
+        raise ValidationError("give a decomposition or an ensemble, not both")
     if ensemble is not None:
         members = list(ensemble)
     elif decomp is not None:

@@ -298,6 +298,18 @@ class TestTransmit:
         r2 = transmit(kern, x, noise_var=1.0, seed=77)
         np.testing.assert_array_equal(r1.grid, r2.grid)
 
+    @pytest.mark.parametrize("noise_var", [0.0, 0.1])
+    def test_output_kind_follows_input(self, noise_var):
+        kern = to_kernel(generate_channel(small_cfg(), 4))
+        grid = np.ones((2, 16), dtype=complex)
+        plain = transmit(kern, grid, noise_var, seed=3)
+        signal = transmit(kern, SpaceTimeSignal(grid=grid), noise_var, seed=3)
+        assert type(plain) is np.ndarray and plain.shape == (2, 16)
+        assert type(signal) is SpaceTimeSignal
+        np.testing.assert_array_equal(plain, signal.grid)
+        clean = apply_kernel(kern, grid)
+        assert np.array_equal(plain, clean) == (noise_var == 0.0)
+
     def test_negative_noise_rejected(self):
         h = generate_channel(small_cfg(), 4)
         x = SpaceTimeSignal(grid=np.ones((2, 16), dtype=complex))

@@ -382,10 +382,10 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
     """Per-trial reference for run_ber: explicit solves, SVD and brute force.
 
     Uses the documented substream keys (purpose 10 channel per channel,
-    drawn once for the whole sweep; 11 bits and 12 noise per (SNR point,
-    first trial of chunk, modulation), where channel c's trials c,
-    c + n_channels, ... are cut into chunks of 2**14 // (users *
-    time_symbols) trials) and returns
+    drawn once for the whole sweep; 11 bits and 12 unit noise per (first
+    trial of chunk, modulation), shared by every SNR point, where channel
+    c's trials c, c + n_channels, ... are cut into chunks of 2**14 //
+    (users * time_symbols) trials) and returns
     {(snr, precoder, fraction, modulation): (bits, errors, tx_energy)}.
     """
 
@@ -402,7 +402,7 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
         u, sig, vh = np.linalg.svd(flat)
         chans.append((h.values.sum(axis=3), flat, u, sig, vh))
     out = {}
-    for si, snr in enumerate(snr_db):
+    for snr in snr_db:
         sigma2 = 10.0 ** (-snr / 10.0)
         for mi, name in enumerate(modulations):
             sch = get_scheme(name)
@@ -414,10 +414,10 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
                 for lo in range(0, len(trials), chunk):
                     part = trials[lo : lo + chunk]
                     first = part[0]
-                    bits = rng(11, si, first, mi).integers(
+                    bits = rng(11, first, mi).integers(
                         0, 2, size=(len(part), k * n_sym), dtype=np.uint8
                     )
-                    normals = rng(12, si, first, mi).standard_normal((2, len(part), l_u, l_t))
+                    normals = rng(12, first, mi).standard_normal((2, len(part), l_u, l_t))
                     for j, trial in enumerate(part):
                         noise = (normals[0, j] + 1j * normals[1, j]) / math.sqrt(2.0)
                         draws[trial] = (bits[j], noise)
@@ -443,8 +443,7 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
                     else:
                         x = s
                     r = x if spec.kind == "ideal" else flat @ x
-                    if sigma2 != 0.0:
-                        r = r + math.sqrt(sigma2) * noise.ravel()
+                    r = r + math.sqrt(sigma2) * noise.ravel()
                     got = np.argmin(np.abs(r[:, None] - sch.points[None, :]), axis=1)
                     errors += sum(bin(int(v)).count("1") for v in got ^ labels)
                     tx += float(np.mean(np.abs(x) ** 2))
@@ -535,6 +534,33 @@ class TestRunBerOracle:
         for k in (1, 2, 3):
             part = run_ber(fast_scenario(), snr_db=snrs[:k], **kw)
             assert [p for p in full.points if p.snr_db in snrs[:k]] == list(part.points)
+
+    def test_point_does_not_depend_on_other_snr_values(self):
+        kw = dict(
+            precoders=("hogmt(0.5)", "zf", "ideal"), min_bits=MIN_BITS_FLOOR,
+            seed=23, modulations=("bpsk", "qam16"), n_channels=3,
+        )
+        full = run_ber(fast_scenario(), snr_db=(0.0, 8.0, 16.0, math.inf), **kw)
+        for snrs in ((math.inf, 16.0, 0.0, 8.0), (8.0,), (16.0, 0.0)):
+            other = run_ber(fast_scenario(), snr_db=snrs, **kw)
+            for snr in snrs:
+                got = [p for p in other.points if p.snr_db == snr]
+                assert got == [p for p in full.points if p.snr_db == snr]
+
+    @pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+    def test_ideal_errors_nested_across_snr(self, modulation):
+        # every SNR point scales the same unit noise, so an axis decision
+        # that is right at one SNR stays right at every higher one; steps of
+        # 0.05 dB move the counts by less than independent noise would
+        snrs = tuple(0.05 * i for i in range(11)) + (math.inf,)
+        rep = run_ber(
+            fast_scenario(), precoders=("ideal",), snr_db=snrs,
+            min_bits=4 * MIN_BITS_FLOOR, seed=5, modulations=(modulation,),
+        )
+        errors = [p.errors for p in rep.points]
+        assert [p.snr_db for p in rep.points] == list(snrs)
+        assert errors == sorted(errors, reverse=True)
+        assert errors[0] > errors[-2] > 0 and errors[-1] == 0
 
     def test_degenerate_precoder_fails_alone(self, monkeypatch):
         # the map is built once per sweep, so it fails at every SNR point
