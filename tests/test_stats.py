@@ -225,7 +225,7 @@ class TestStatsReport:
             stats_from_decomp(None, ensemble=[a, b])
 
     def test_decomp_and_ensemble_together_rejected(self):
-        # a decomposition given beside an ensemble used to be dropped silently
+        # a decomposition given beside an ensemble must not be dropped silently
         a, b = self._decomp(14), self._decomp(15)
         with pytest.raises(ValidationError, match="not both"):
             stats_from_decomp(a, ensemble=[b])
