@@ -9,7 +9,7 @@ The BER engine compares precoders on identical footing: a sweep draws its
 channels once for every SNR point, and per (chunk of trials, modulation)
 the data bits and unit-variance noise come from substreams shared by every
 precoder and every SNR point, so curves are paired sample-by-sample and
-across SNR.  Each precoder is one linear map per channel, built once per
+across SNR.  Each precoder is one matrix per channel, built once per
 sweep; a chunk passes through each link once, and each SNR point only
 scales the noise, adds it and slices.  SNR is received-signal-referenced,
 E_s / sigma_v^2 with E_s = 1; per-bit SNR for reference curves is
@@ -35,7 +35,7 @@ from .channel import (
     generate_channel,
     to_kernel,
 )
-from .errors import DegenerateChannelError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .kernels import (
     checked_array,
     checked_fields,
@@ -330,8 +330,9 @@ def parse_precoder(text) -> PrecoderSpec:
 class BerPoint:
     """One measured point of a BER sweep.
 
-    ``bits`` = 0 flags a failed point (degenerate channel); ``ber`` is then
-    NaN and the sweep continues at other points.
+    :func:`run_ber` measures every point it returns, so its ``bits`` are
+    positive; a point with ``bits`` = 0 measured nothing and counts as
+    ``failed``.
     """
 
     snr_db: float
@@ -386,10 +387,9 @@ class BerReport:
 
 
 def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
-    """Each precoder's (flattened kernel, linear map) on one channel draw.
+    """Each precoder's (flattened kernel, precoding matrix) on one channel draw.
 
-    The ideal link has no kernel, and "none"/"ideal" have no map.  A map
-    that raises DegenerateChannelError is replaced by the error.
+    The ideal link has no kernel, and "none"/"ideal" have no matrix.
     """
     if all(sp.kind == "ideal" for sp in specs):
         return [(None, None)] * len(specs)
@@ -400,14 +400,11 @@ def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
     decomp = hogmt_decompose(kernel) if needs_decomp else None
     links = []
     for spec in specs:
-        try:
-            if spec.kind == "hogmt":
-                pmap = hogmt_map(decomp, spec.fraction)
-            else:
-                build = {"zf": zf_map, "zfdpc": zfdpc_map}.get(spec.kind)
-                pmap = build(h) if build else None
-        except DegenerateChannelError as exc:
-            pmap = exc
+        if spec.kind == "hogmt":
+            pmap = hogmt_map(decomp, spec.fraction)
+        else:
+            build = {"zf": zf_map, "zfdpc": zfdpc_map}.get(spec.kind)
+            pmap = build(h) if build else None
         links.append((None if spec.kind == "ideal" else flat, pmap))
     return links
 
@@ -445,14 +442,14 @@ def run_ber(
     sweep (keyed by channel index) and shared by every SNR point, precoder
     and modulation, as are the data bits and the noise of each trial, so
     comparisons are paired.  Per channel, each precoder is built once as a
-    linear map; a map that raises DegenerateChannelError thus fails its
-    precoder at every SNR point.  Each chunk of trials draws its bits and
-    unit noise once, from substreams keyed by its first trial and
-    modulation, and passes through every link's map and kernel once; each
-    SNR point then only scales the noise, adds it and slices.  A point's
-    counts therefore do not depend on the other SNR values, and since the
-    chunk size follows from the scenario dims alone, not on which precoders
-    run beside each other either.
+    matrix P, and a precoder that cannot be built on a channel raises its
+    error (``DegenerateChannelError``, ``NumericalError``).  Each chunk of
+    trials draws its bits and unit noise once, from substreams keyed by its
+    first trial and modulation, and is precoded as S @ P.T and sent through
+    every link's kernel once; each SNR point then only scales the noise,
+    adds it and slices.  A point's counts therefore do not depend on the
+    other SNR values, and since the chunk size follows from the scenario
+    dims alone, not on which precoders run beside each other either.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -472,6 +469,12 @@ def run_ber(
     min_bits = checked_real(min_bits, "min_bits", ge=MIN_BITS_FLOOR)
     n_channels = checked_int(n_channels, "n_channels", ge=1)
     seed = checked_int(seed, "seed", ge=0, lt=2**64)
+    if scenario.users != scenario.tx_antennas and any(sp.kind == "none" for sp in specs):
+        raise DimensionMismatchError(
+            "precoder 'none' sends the data grid as is, so it needs users == "
+            f"tx_antennas, got users={scenario.users}, "
+            f"tx_antennas={scenario.tx_antennas}"
+        )
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
@@ -481,9 +484,7 @@ def run_ber(
         channels.append(_links(scenario, ch_seed, specs))
 
     # trial t of a modulation runs on the links channels[t % n_channels], in
-    # chunks of a number of trials that only the scenario dims set; a
-    # precoder whose map fails on a channel the modulation uses gets a NaN
-    # transmit-energy sum, which marks it failed at every SNR point
+    # chunks of a number of trials that only the scenario dims set
     chunk = max(1, _CHUNK_SYMBOLS // n_sym)
     errors = np.zeros((len(specs), len(schemes), len(snr_list)), dtype=np.int64)
     tx_sum = np.zeros((len(specs), len(schemes)))
@@ -496,14 +497,10 @@ def run_ber(
                 n = len(trials[lo : lo + chunk])
                 bits, unit_noise = _chunk_draws(seed, mi, trials[lo], n, k, dims)
                 sent = _labels(bits, k)
-                s = scheme.points[sent].reshape((n,) + dims)
+                s = scheme.points[sent]  # (n, L_u * L_t), one flattened grid per trial
                 received = []
                 for pi, (flat, pmap) in enumerate(channels[c]):
-                    if isinstance(pmap, DegenerateChannelError):
-                        tx_sum[pi, mi] = math.nan
-                    if math.isnan(tx_sum[pi, mi]):
-                        continue
-                    x = (s if pmap is None else pmap.apply(s)).reshape(n, -1)
+                    x = s if pmap is None else s @ pmap.T
                     received.append((pi, x if flat is None else x @ flat.T))
                     tx_sum[pi, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
                 for si, scale in enumerate(scales):
@@ -517,17 +514,16 @@ def run_ber(
         for pi, spec in enumerate(specs):
             for mi, scheme in enumerate(schemes):
                 nbits = n_trials[mi] * scheme.bits_per_symbol * n_sym
-                failed = math.isnan(tx_sum[pi, mi])
-                n_err = 0 if failed else int(errors[pi, mi, si])
+                n_err = int(errors[pi, mi, si])
                 points.append(
                     BerPoint(
                         snr_db=float(snr),
                         precoder=spec.kind,
                         modulation=scheme.name,
                         fraction=spec.fraction,
-                        bits=0 if failed else nbits,
+                        bits=nbits,
                         errors=n_err,
-                        ber=math.nan if failed else n_err / nbits,
+                        ber=n_err / nbits,
                         tx_energy=float(tx_sum[pi, mi]) / n_trials[mi],
                     )
                 )

@@ -13,9 +13,10 @@ modulo lattice the dirty-paper pre-subtraction is linear, and on square
 full-rank instants Q R^-H is exactly H(t)^-1: its output equals per-instant
 zero-forcing up to rounding.  Both are kept as the two named baselines.
 
-For a fixed channel every precoder is one linear map on data grids, built
-once by :func:`hogmt_map`, :func:`zf_map` or :func:`zfdpc_map` and applied
-to any stack of grids; the ``*_precode`` functions apply it to one grid.
+For a fixed channel every precoder is one complex matrix P of shape
+(L_u'*L_t, L_u*L_t) on row-major flattened data grids, x = P @ s, built by
+:func:`hogmt_map`, :func:`zf_map` or :func:`zfdpc_map`; the
+``*_precode`` functions precode one grid.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .kernels import (
 __all__ = [
     "CoefficientSet",
     "EnergyReport",
-    "ModeMap",
-    "InstantMap",
     "retained_count",
     "hogmt_map",
     "zf_map",
@@ -128,28 +127,6 @@ def _cumulative_normalized(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values) / total
 
 
-@dataclass(frozen=True)
-class ModeMap:
-    """hogmt(f) of one channel: x = conj(Phi_k)^T diag(1/sigma_k) conj(Psi_k) s.
-
-    Applied factor by factor over the k retained modes (flattened views of
-    the decomposition, shape (k, N)), so no N x N map and no conjugated
-    copy of the eigenfunctions is ever formed.
-    """
-
-    psis: np.ndarray
-    phis: np.ndarray
-    sigmas: np.ndarray
-    out_dims: tuple[int, int]
-
-    def apply(self, grids: np.ndarray) -> np.ndarray:
-        """Precode a stack of data grids (..., L_u, L_t) -> (..., L_u', L_t')."""
-        flat = grids.reshape(grids.shape[:-2] + (-1,))
-        x_coeffs = np.conj(np.conj(flat) @ self.psis.T) / self.sigmas
-        x = np.conj(np.conj(x_coeffs) @ self.phis)
-        return x.reshape(grids.shape[:-2] + self.out_dims)
-
-
 def retained_count(sigmas: np.ndarray, fraction: float) -> int:
     """Modes hogmt(fraction) keeps: min(#{sigma >= floor sigma_1}, ceil(fraction n))."""
     fraction = checked_real(fraction, "fraction", **_FRACTION_RANGE)
@@ -159,20 +136,30 @@ def retained_count(sigmas: np.ndarray, fraction: float) -> int:
     )
 
 
-def hogmt_map(decomp: EigenDecomposition, fraction: float = 1.0) -> ModeMap:
-    """hogmt(fraction) of one channel; no retained mode means a degenerate channel."""
+def _retained(decomp: EigenDecomposition, fraction: float) -> int:
+    """Modes hogmt(fraction) keeps on one channel; none kept means a degenerate channel."""
     n_keep = retained_count(decomp.sigmas, fraction)
     if n_keep == 0:
         raise DegenerateChannelError(
             "every mode falls below the singular-value floor "
             f"(largest sigma = {decomp.sigmas[0] if decomp.n_modes else 0.0})"
         )
-    return ModeMap(
-        psis=decomp.psis[:n_keep].reshape(n_keep, -1),
-        phis=decomp.phis[:n_keep].reshape(n_keep, -1),
-        sigmas=decomp.sigmas[:n_keep],
-        out_dims=decomp.source_dims[2:],
-    )
+    return n_keep
+
+
+def hogmt_map(decomp: EigenDecomposition, fraction: float = 1.0) -> np.ndarray:
+    """hogmt(fraction) of one channel: P = conj(Phi_k)^T diag(1/sigma_k) conj(Psi_k).
+
+    Phi_k and Psi_k are the k retained modes' eigenfunctions flattened to
+    rows, so P maps flattened data grids to flattened transmit grids.  It is
+    formed as conj(Phi_k^T diag(1/sigma_k) Psi_k), with no conjugated copy
+    of the eigenfunctions.
+    """
+    k = _retained(decomp, fraction)
+    phis = decomp.phis[:k].reshape(k, -1)
+    psis = decomp.psis[:k].reshape(k, -1)
+    p = (phis.T / decomp.sigmas[:k]) @ psis
+    return np.conj(p, out=p)
 
 
 def hogmt_precode(
@@ -183,21 +170,21 @@ def hogmt_precode(
     """Precode a data grid through a channel decomposition.
 
     x = sum over retained modes of (<s, psi_n> / sigma_n) * conj(phi_n),
-    with <a, b> conjugating the second argument.  Retention is that of
-    :func:`hogmt_map`.
+    with <a, b> conjugating the second argument: the grid
+    :func:`hogmt_map` gives, without forming its N x N matrix.
     """
     grid = ensure_grid(s, "data signal", decomp.source_dims[:2])
-    pmap = hogmt_map(decomp, fraction)
-    n_keep = pmap.sigmas.size
+    n_keep = _retained(decomp, fraction)
     # projections on all modes; the tail beyond n_keep is only reported
     proj = np.conj(decomp.psis.reshape(decomp.n_modes, -1) @ np.conj(grid.ravel()))
     coeffs = CoefficientSet(
-        x_coeffs=proj[:n_keep] / pmap.sigmas,
+        x_coeffs=proj[:n_keep] / decomp.sigmas[:n_keep],
         s_coeffs=proj[:n_keep],
         retained=n_keep,
         dropped_energy=float(np.sum(np.abs(proj[n_keep:]) ** 2)),
     )
-    return SpaceTimeSignal(grid=pmap.apply(grid)), coeffs
+    x = np.conj(np.conj(coeffs.x_coeffs) @ decomp.phis[:n_keep].reshape(n_keep, -1))
+    return SpaceTimeSignal(grid=x.reshape(decomp.source_dims[2:])), coeffs
 
 
 def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyReport:
@@ -223,21 +210,18 @@ def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyR
     )
 
 
-@dataclass(frozen=True)
-class InstantMap:
-    """A per-time-instant baseline of one channel: x(:, t) = mats[t] s(:, t)."""
-
-    mats: np.ndarray  # (L_t, L_u', L_u)
-
-    def apply(self, grids: np.ndarray) -> np.ndarray:
-        """Precode a stack of data grids (..., L_u, L_t) -> (..., L_u', L_t)."""
-        lead, (l_u, l_t) = grids.shape[:-2], grids.shape[-2:]
-        cols = grids.reshape(-1, l_u, l_t).transpose(2, 1, 0)  # (L_t, L_u, batch)
-        x = (self.mats @ cols).transpose(2, 1, 0)
-        return x.reshape(lead + x.shape[1:])
+def _time_diagonal(mats: np.ndarray) -> np.ndarray:
+    """Per-instant matrices (L_t, L_u', L_u) as one map on flattened (L_u, L_t) grids."""
+    l_t, l_up, l_u = mats.shape
+    p = np.zeros((l_up, l_t, l_u, l_t), dtype=np.complex128)
+    ts = np.arange(l_t)
+    # advanced indexing puts the paired time axes first, as in
+    # channel.to_kernel, which stays the channel stage alone
+    p[:, ts, :, ts] = mats
+    return p.reshape(l_up * l_t, l_u * l_t)
 
 
-def zf_map(h: ImpulseResponse4D) -> InstantMap:
+def zf_map(h: ImpulseResponse4D) -> np.ndarray:
     """Per-instant spatial zero-forcing baseline.
 
     Inverts the tap-summed matrix at each time symbol (pseudo-inverse when
@@ -253,10 +237,10 @@ def zf_map(h: ImpulseResponse4D) -> InstantMap:
             "rank-deficient; pseudo-inverse used",
             stacklevel=2,
         )
-    return InstantMap(np.linalg.pinv(mats))
+    return _time_diagonal(np.linalg.pinv(mats))
 
 
-def zfdpc_map(h: ImpulseResponse4D) -> InstantMap:
+def zfdpc_map(h: ImpulseResponse4D) -> np.ndarray:
     """Per-instant QR-based zero-forcing dirty-paper baseline.
 
     Factor the conjugate transpose of each instantaneous matrix as Q R, so
@@ -281,7 +265,7 @@ def zfdpc_map(h: ImpulseResponse4D) -> InstantMap:
             f"rank-deficient instantaneous channel at time symbol {bad[0]}: "
             "zero diagonal in the QR factor"
         )
-    return InstantMap(q @ np.conj(np.swapaxes(np.linalg.inv(r), 1, 2)))
+    return _time_diagonal(q @ np.conj(np.swapaxes(np.linalg.inv(r), 1, 2)))
 
 
 def zf_precode_instant(
@@ -289,7 +273,7 @@ def zf_precode_instant(
 ) -> SpaceTimeSignal:
     """Per-instant spatial zero-forcing baseline (see :func:`zf_map`) on one grid."""
     grid = ensure_grid(s, "data signal", (h.dims[0], h.dims[2]))
-    return SpaceTimeSignal(grid=zf_map(h).apply(grid))
+    return SpaceTimeSignal(grid=(zf_map(h) @ grid.ravel()).reshape(h.dims[1:3]))
 
 
 def zfdpc_precode(
@@ -297,4 +281,4 @@ def zfdpc_precode(
 ) -> SpaceTimeSignal:
     """Per-instant dirty-paper baseline (see :func:`zfdpc_map`) on one grid."""
     grid = ensure_grid(s, "data signal", (h.dims[0], h.dims[2]))
-    return SpaceTimeSignal(grid=zfdpc_map(h).apply(grid))
+    return SpaceTimeSignal(grid=(zfdpc_map(h) @ grid.ravel()).reshape(h.dims[1:3]))

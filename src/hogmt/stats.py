@@ -358,10 +358,6 @@ class CmdSeries:
     def n_starts(self) -> int:
         return self.distances.shape[0]
 
-    def at(self, t: int, dt: int) -> float:
-        """d_corr between window starts t and t + dt."""
-        return float(self.distances[t, t + dt])
-
 
 @dataclass(frozen=True)
 class StationarityReport:

@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,18 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve():
-    missing = [name for name in hogmt.__all__ if not hasattr(hogmt, name)]
-    assert not missing
+    # the package and every module in it: a deleted name must leave __all__ too
+    modules = [hogmt] + [
+        importlib.import_module(f"hogmt.{info.name}")
+        for info in pkgutil.iter_modules(hogmt.__path__)
+    ]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert len(modules) > 1 and not missing
 
 
 def test_traced_functions_exist():

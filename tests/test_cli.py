@@ -628,6 +628,16 @@ class TestCliExitCodes:
         assert err.startswith("error: sim.snr_db") and "Traceback" not in err
         assert not (out / "ber.csv").exists()
 
+    def test_none_on_non_square_scenario_is_1(self, tmp_path, capsys):
+        scenario = {"users": 2, "tx_antennas": 3, "time_symbols": 8, "max_delay_taps": 2}
+        path = write_config(tmp_path, {"scenario": scenario, "sim": {"precoder": "none"}})
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: precoder 'none'") and "Traceback" not in err
+        assert "users" in err and "tx_antennas" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_override_out_of_range_is_1(self, tmp_path, seed, capsys):
         path = write_config(tmp_path, FAST)

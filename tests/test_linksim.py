@@ -25,7 +25,11 @@ from hogmt import (
     theoretical_awgn_ber,
     to_kernel,
 )
-from hogmt.errors import ValidationError
+from hogmt.errors import (
+    DegenerateChannelError,
+    DimensionMismatchError,
+    ValidationError,
+)
 
 
 class TestSchemeTables:
@@ -368,6 +372,28 @@ class TestRunBer:
                 min_bits=20_000, seed=0, n_channels=bad,
             )
 
+    def test_none_on_non_square_scenario_rejected(self, monkeypatch):
+        # "none" sends the users x time grid from tx_antennas antennas
+        def no_draw(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(hogmt.linksim, "generate_channel", no_draw)
+        cfg = ScenarioConfig(users=2, tx_antennas=3, time_symbols=8, max_delay_taps=2)
+        with pytest.raises(DimensionMismatchError, match="none") as exc:
+            run_ber(cfg, ["none"], [10.0], 10_000, seed=1)
+        assert "users=2" in str(exc.value) and "tx_antennas=3" in str(exc.value)
+
+    def test_non_square_scenario_precodes(self):
+        # P is (tx_antennas * L_t) x (users * L_t); full inversion is exact
+        cfg = fast_scenario(tx_antennas=3)
+        rep = run_ber(
+            cfg, ["hogmt(1.0)", "zf", "ideal"], [math.inf], MIN_BITS_FLOOR,
+            seed=4, modulations=("qpsk",),
+        )
+        errors = {p.precoder: p.errors for p in rep.points}
+        assert errors["hogmt"] == 0 and errors["ideal"] == 0
+        assert all(p.bits >= MIN_BITS_FLOOR for p in rep.points)
+
     def test_non_finite_snr_rejected(self):
         # -4000 dB is finite, but its noise variance 10**400 overflows
         for bad in (math.nan, -math.inf, -4000.0):
@@ -562,14 +588,8 @@ class TestRunBerOracle:
         assert errors == sorted(errors, reverse=True)
         assert errors[0] > errors[-2] > 0 and errors[-1] == 0
 
-    def test_degenerate_precoder_fails_alone(self, monkeypatch):
-        # the map is built once per sweep, so it fails at every SNR point
-        kw = dict(
-            precoders=("hogmt(1.0)", "zf", "ideal"), snr_db=(6.0, 12.0),
-            min_bits=MIN_BITS_FLOOR, seed=8, modulations=("qpsk",),
-        )
-        before = run_ber(fast_scenario(), **kw)
-
+    def test_degenerate_precoder_raises(self, monkeypatch):
+        # a precoder that cannot be built fails the sweep, not a NaN row
         def all_zero_sigmas(kernel):
             d = hogmt_decompose(kernel)
             return EigenDecomposition(
@@ -578,13 +598,9 @@ class TestRunBerOracle:
             )
 
         monkeypatch.setattr(hogmt.linksim, "hogmt_decompose", all_zero_sigmas)
-        after = run_ber(fast_scenario(), **kw)
-        failed = after.select(precoder="hogmt")
-        assert [p.snr_db for p in failed] == [6.0, 12.0]
-        for p in failed:
-            assert p.failed and p.bits == 0
-            assert math.isnan(p.ber) and math.isnan(p.tx_energy)
-        for kind in ("zf", "ideal"):
-            pb = before.select(precoder=kind)
-            pa = after.select(precoder=kind)
-            assert pa == pb and len(pa) == 2 and all(p.bits > 0 for p in pa)
+        with pytest.raises(DegenerateChannelError):
+            run_ber(
+                fast_scenario(), precoders=("hogmt(1.0)", "zf", "ideal"),
+                snr_db=(6.0, 12.0), min_bits=MIN_BITS_FLOOR, seed=8,
+                modulations=("qpsk",),
+            )

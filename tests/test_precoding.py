@@ -24,6 +24,7 @@ from hogmt.errors import (
     DimensionMismatchError,
     NumericalError,
 )
+from hogmt.precoding import hogmt_map, zf_map, zfdpc_map
 
 
 def identity_kernel(l_u, l_t, scale=1.0):
@@ -264,3 +265,60 @@ class TestZfDpcBaseline:
         s = SpaceTimeSignal(grid=np.ones((3, 8), dtype=complex))
         with pytest.raises(DimensionMismatchError):
             zfdpc_precode(h, s)
+
+
+def drift_channel(users, tx_antennas, seed):
+    cfg = ScenarioConfig(
+        users=users, tx_antennas=tx_antennas, time_symbols=6, min_delay_taps=2,
+        max_delay_taps=2, mode="drift", doppler_max=0.1,
+    )
+    return generate_channel(cfg, seed)
+
+
+def time_diagonal_oracle(h, block_of):
+    """Dense (L_u'*L_t, L_u*L_t) map with block_of(H(t)) at each (t, t), and its mask."""
+    l_u, l_up, l_t, _ = h.dims
+    want = np.zeros((l_up, l_t, l_u, l_t), dtype=complex)
+    mask = np.zeros(want.shape, dtype=bool)
+    for t in range(l_t):
+        want[:, t, :, t] = block_of(h.values[:, :, t, :].sum(axis=-1))
+        mask[:, t, :, t] = True
+    n_out, n_in = l_up * l_t, l_u * l_t
+    return want.reshape(n_out, n_in), mask.reshape(n_out, n_in)
+
+
+class TestMatrixForm:
+    """Every precoder is one matrix P on flattened grids: x.ravel() = P @ s.ravel()."""
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_hogmt_map_matches_precode(self, fraction):
+        rng = np.random.default_rng(20)
+        dec = hogmt_decompose(to_kernel(drift_channel(2, 3, 21)))
+        s = random_signal(rng, (2, 6))
+        x, coeffs = hogmt_precode(dec, s, fraction)
+        p = hogmt_map(dec, fraction)
+        assert p.shape == (3 * 6, 2 * 6) and x.dims == (3, 6)
+        assert coeffs.retained == (6 if fraction == 0.5 else 12)
+        got = p @ s.grid.ravel()
+        err = np.linalg.norm(got - x.grid.ravel()) / np.linalg.norm(x.grid)
+        assert err <= 1e-12, f"matrix and projection routes differ by {err}"
+
+    def test_zf_map_is_pinv_on_the_time_diagonal(self):
+        h = drift_channel(2, 3, 22)
+        want, mask = time_diagonal_oracle(h, np.linalg.pinv)
+        got = zf_map(h)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got[mask], want[mask], rtol=1e-12, atol=0)
+        assert not np.any(got[~mask])
+
+    def test_zfdpc_map_is_q_r_inverse_on_the_time_diagonal(self):
+        def block(h_t):
+            q, r = np.linalg.qr(np.conj(h_t.T))
+            return q @ np.conj(np.linalg.inv(r).T)
+
+        h = drift_channel(3, 3, 23)
+        want, mask = time_diagonal_oracle(h, block)
+        got = zfdpc_map(h)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got[mask], want[mask], rtol=1e-12, atol=0)
+        assert not np.any(got[~mask])

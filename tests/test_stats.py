@@ -281,8 +281,8 @@ class TestCmd:
     def test_orthogonal_phases_reach_distance_one(self):
         series = cmd(two_phase_channel(), side="tx", window=4)
         # windows fully inside opposite halves share no correlation structure
-        assert series.at(0, 12) == pytest.approx(1.0, abs=1e-12)
-        assert series.at(0, 2) <= 1e-12
+        assert series.distances[0, 12] == pytest.approx(1.0, abs=1e-12)
+        assert series.distances[0, 2] <= 1e-12
 
     def test_parameter_validation(self):
         h = chan(24, users=2, tx_antennas=2, time_symbols=16)
