@@ -28,6 +28,7 @@ from .errors import (
 )
 from .kernels import (
     Kernel4D,
+    _banded,
     apply_kernel,
     checked_array,
     checked_fields,
@@ -299,15 +300,10 @@ def to_kernel(h: ImpulseResponse4D) -> Kernel4D:
     """4-D kernel K[u, t, u', t'] = h[u, u', t, t - t'] for 0 <= t - t' < L_tau.
 
     Entries outside the delay window are zero; the signal has no history
-    before t = 0, so the delay convolution is linear, not circular.
+    before t = 0, so the delay convolution is linear, not circular.  The
+    blocks h[:, :, t, tau] are laid out by ``kernels._banded``.
     """
-    l_u, l_up, l_t, l_tau = h.dims
-    kv = np.zeros((l_u, l_t, l_up, l_t), dtype=np.complex128)
-    for tau in range(l_tau):
-        ts = np.arange(tau, l_t)
-        # advanced indexing puts the paired time axes first
-        kv[:, ts, :, ts - tau] = np.moveaxis(h.values[:, :, ts, tau], 2, 0)
-    return Kernel4D(kv)
+    return Kernel4D(_banded(np.moveaxis(h.values, (3, 2), (0, 1))))
 
 
 def transmit(kernel: Kernel4D, x, noise_var: float, seed: int | None = None):

@@ -16,6 +16,7 @@ problem, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import warnings
@@ -229,7 +230,8 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
     L_u * L_u' * L_t^2.  dpc: successive encoding with per-order search,
     L_t * ((L_u L_u')^3.5 + L_u L_u'^2) * L_u'!, factorial in the antenna
     count.  Assumes at least as many users as transmit antennas; if not, a
-    warning is emitted and the counts are still computed.
+    warning is emitted and the counts are still computed.  A count past the
+    float range reads inf.
     """
     l_u = checked_int(l_u, "users", ge=1)
     l_up = checked_int(l_up, "tx_antennas", ge=1)
@@ -240,10 +242,12 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
             "computing anyway",
             stacklevel=2,
         )
-    flatten = float(l_u) * float(l_up) ** 2 * float(l_t) ** 3
-    hosvd = ((l_u + l_up + 2.0 * l_t) / 4.0) ** 5 + float(l_u) * l_up * float(l_t) ** 2
-    dpc = (
-        float(l_t)
+    flatten = _or_inf(lambda: float(l_u) * float(l_up) ** 2 * float(l_t) ** 3)
+    hosvd = _or_inf(
+        lambda: ((l_u + l_up + 2.0 * l_t) / 4.0) ** 5 + float(l_u) * l_up * float(l_t) ** 2
+    )
+    dpc = _or_inf(
+        lambda: float(l_t)
         * ((float(l_u) * l_up) ** 3.5 + float(l_u) * float(l_up) ** 2)
         * float(math.factorial(l_up))
     )
@@ -255,6 +259,14 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
         hogmt_hosvd=hosvd,
         dpc=dpc,
     )
+
+
+def _or_inf(count) -> float:
+    """``count()``, or inf once a part of it (each is >= 1) passes the float range."""
+    try:
+        return count()
+    except OverflowError:
+        return math.inf
 
 
 def _fmt(x) -> str:
@@ -356,14 +368,17 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
             f"{cfg.scenario.time_symbols}"
         )
     proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
-    decomps = []
-    for member in range(cfg.stats.ensemble):
-        seed = _child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, member)
-        h = generate_channel(cfg.scenario, seed)
-        if member == 0:
-            first_h = h
-        decomps.append(decompose_atomic(atomic_kernel(tf_transfer(h, 0, 0), proto)))
-    report = stats_from_decomp(None, ensemble=decomps)
+    channels = (
+        generate_channel(cfg.scenario, _child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, m))
+        for m in range(cfg.stats.ensemble)
+    )
+    first_h = next(channels)  # cmd runs on it below
+    # a generator, so one member's decomposition is alive at a time
+    members = (
+        decompose_atomic(atomic_kernel(tf_transfer(h, 0, 0), proto))
+        for h in itertools.chain([first_h], channels)
+    )
+    report = stats_from_decomp(None, ensemble=members)
     outputs = {
         "stats_scattering.csv": _csv(
             "tau,nu,value", [(*i, v) for i, v in np.ndenumerate(report.scattering)]

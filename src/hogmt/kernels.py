@@ -214,33 +214,41 @@ def _floor_count(sigmas: np.ndarray, floor_rel: float) -> int:
     return int(np.count_nonzero(sigmas >= floor_rel * sigmas[0]))
 
 
+def _banded(blocks: np.ndarray) -> np.ndarray:
+    """Banded 4-D values (rows, L_t, cols, L_t): the one layout of a kernel.
+
+    Block [tau, t] of ``blocks`` (L_tau, L_t, rows, cols) maps input time
+    t - tau to output time t; every other entry is zero.
+    """
+    l_tau, l_t, rows, cols = blocks.shape
+    out = np.zeros((rows, l_t, cols, l_t), dtype=np.complex128)
+    for tau in range(l_tau):
+        ts = np.arange(tau, l_t)
+        # advanced indexing puts the paired time axes first
+        out[:, ts, :, ts - tau] = blocks[tau, ts]
+    return out
+
+
 def flatten_kernel(kernel: Kernel4D) -> np.ndarray:
     """Matrix view of the kernel: rows (u, t) flattened, cols (u', t')."""
     l_u, l_t, l_up, l_tp = kernel.dims
     return kernel.values.reshape(l_u * l_t, l_up * l_tp)
 
 
-def decompose_grid_pairs(
-    matrix: np.ndarray,
-    row_shape: tuple[int, int],
-    col_shape: tuple[int, int],
-) -> EigenDecomposition:
-    """SVD engine behind :func:`hogmt_decompose`.
+def decompose_grid_pairs(values: np.ndarray) -> EigenDecomposition:
+    """SVD of a 4-D operator: the one entry for channel and atomic kernels.
 
-    ``matrix`` is the flattened operator whose rows index the first 2-D grid
-    (shape ``row_shape``) and whose columns index the second (``col_shape``).
-    Works for any pair of grid shapes, which lets the statistics module
-    decompose time-frequency x delay-Doppler operators with the same code.
-    Modes below DECOMPOSITION_FLOOR_REL * sigma_1 are dropped; a zero operator has none.
+    The first index pair of ``values`` gives the matrix rows, the second the
+    columns; flattening C-contiguous input is a view.  Modes below
+    DECOMPOSITION_FLOOR_REL * sigma_1 are dropped; a zero operator has none.
     """
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("matrix contains non-finite entries")
-    if mat.shape != (row_shape[0] * row_shape[1], col_shape[0] * col_shape[1]):
-        raise DimensionMismatchError(
-            f"matrix shape {mat.shape} inconsistent with grid shapes "
-            f"{row_shape} x {col_shape}"
-        )
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.ndim != 4:
+        raise ValidationError(f"operator must be 4-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("operator contains non-finite entries")
+    row_shape, col_shape = arr.shape[:2], arr.shape[2:]
+    mat = arr.reshape(row_shape[0] * row_shape[1], col_shape[0] * col_shape[1])
     try:
         u_mat, sig, vh_mat = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -263,10 +271,9 @@ def decompose_grid_pairs(
     # stored conj(v_n) row
     vh_mat = vh_mat * np.conj(rot)[:, np.newaxis]
 
-    dims = (*row_shape, *col_shape)
     psis = np.ascontiguousarray(u_mat.T).reshape(keep, *row_shape)
     phis = vh_mat.reshape(keep, *col_shape)
-    return EigenDecomposition(sigmas=sig, psis=psis, phis=phis, source_dims=dims)
+    return EigenDecomposition(sigmas=sig, psis=psis, phis=phis, source_dims=arr.shape)
 
 
 def hogmt_decompose(kernel: Kernel4D) -> EigenDecomposition:
@@ -276,8 +283,7 @@ def hogmt_decompose(kernel: Kernel4D) -> EigenDecomposition:
     that K = sum_n sigma_n * psi_n (x) phi_n and sending conj(phi_n) through
     the kernel yields sigma_n * psi_n.
     """
-    l_u, l_t, l_up, l_tp = kernel.dims
-    return decompose_grid_pairs(flatten_kernel(kernel), (l_u, l_t), (l_up, l_tp))
+    return decompose_grid_pairs(kernel.values)
 
 
 def reconstruct(decomp: EigenDecomposition) -> Kernel4D:

@@ -15,8 +15,9 @@ zero-forcing up to rounding.  Both are kept as the two named baselines.
 
 For a fixed channel every precoder is one complex matrix P of shape
 (L_u'*L_t, L_u*L_t) on row-major flattened data grids, x = P @ s, built by
-:func:`hogmt_map`, :func:`zf_map` or :func:`zfdpc_map`; the
-``*_precode`` functions precode one grid.
+:func:`hogmt_map`, :func:`zf_map` or :func:`zfdpc_map` (the baselines put
+their per-instant matrices on the time diagonal, a one-tap banded operator);
+the ``*_precode`` functions precode one grid.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .kernels import (
     EigenDecomposition,
+    _banded,
     _floor_count,
     checked_array,
     checked_int,
@@ -210,17 +212,6 @@ def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyR
     )
 
 
-def _time_diagonal(mats: np.ndarray) -> np.ndarray:
-    """Per-instant matrices (L_t, L_u', L_u) as one map on flattened (L_u, L_t) grids."""
-    l_t, l_up, l_u = mats.shape
-    p = np.zeros((l_up, l_t, l_u, l_t), dtype=np.complex128)
-    ts = np.arange(l_t)
-    # advanced indexing puts the paired time axes first, as in
-    # channel.to_kernel, which stays the channel stage alone
-    p[:, ts, :, ts] = mats
-    return p.reshape(l_up * l_t, l_u * l_t)
-
-
 def zf_map(h: ImpulseResponse4D) -> np.ndarray:
     """Per-instant spatial zero-forcing baseline.
 
@@ -237,7 +228,8 @@ def zf_map(h: ImpulseResponse4D) -> np.ndarray:
             "rank-deficient; pseudo-inverse used",
             stacklevel=2,
         )
-    return _time_diagonal(np.linalg.pinv(mats))
+    l_t, l_u, l_up = mats.shape
+    return _banded(np.linalg.pinv(mats)[np.newaxis]).reshape(l_up * l_t, l_u * l_t)
 
 
 def zfdpc_map(h: ImpulseResponse4D) -> np.ndarray:
@@ -265,7 +257,8 @@ def zfdpc_map(h: ImpulseResponse4D) -> np.ndarray:
             f"rank-deficient instantaneous channel at time symbol {bad[0]}: "
             "zero diagonal in the QR factor"
         )
-    return _time_diagonal(q @ np.conj(np.swapaxes(np.linalg.inv(r), 1, 2)))
+    blocks = q @ np.conj(np.swapaxes(np.linalg.inv(r), 1, 2))
+    return _banded(blocks[np.newaxis]).reshape(l_u * l_t, l_u * l_t)
 
 
 def zf_precode_instant(

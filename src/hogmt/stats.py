@@ -1,11 +1,12 @@
 """Second-order channel statistics through the eigenfunction route.
 
 The chain: per-pair impulse response -> time-frequency transfer grid ->
-windowed atomic kernel on the joint time-frequency x delay-Doppler lattice
--> SVD of that kernel -> correlation/scattering/path-gain summaries built
-from the eigenvalues and eigenfunction grids alone.  Stationarity metrics
-(per-start-time ACF, correlation matrix distance, stationarity interval)
-operate directly on the impulse response.
+atomic kernel on the joint time-frequency x delay-Doppler lattice, windowed
+by a GaussianPrototype -> SVD of that 4-D kernel by the channel kernel's
+entry, ``kernels.decompose_grid_pairs`` -> correlation/scattering/path-gain
+summaries built from the eigenvalues and eigenfunction grids alone.
+Stationarity metrics (per-start-time ACF, correlation matrix distance,
+stationarity interval) operate directly on the impulse response.
 
 Lattice conventions: the frequency grid is the DFT of the delay axis (size
 L_tau) and the Doppler grid is the DFT of the time axis (size L_t), both in
@@ -71,11 +72,6 @@ class TFTransfer:
         values = ensure_grid(self.values, "TFTransfer.values")
         object.__setattr__(self, "values", values)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        """(L_t, L_f)."""
-        return self.values.shape
-
 
 @dataclass(frozen=True)
 class SpreadingFunction:
@@ -89,11 +85,6 @@ class SpreadingFunction:
     def __post_init__(self):
         values = ensure_grid(self.values, "SpreadingFunction.values")
         object.__setattr__(self, "values", values)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        """(L_tau, L_nu)."""
-        return self.values.shape
 
 
 def tf_transfer(h: ImpulseResponse4D, u: int, up: int) -> TFTransfer:
@@ -137,34 +128,11 @@ class GaussianPrototype:
         return win / np.linalg.norm(win)
 
 
-def _prototype_window(prototype, n_t: int, n_f: int) -> np.ndarray:
-    """Checked unit-norm window on the (n_t, n_f) lattice.
-
-    ``prototype`` is a GaussianPrototype, evaluated on the lattice, or a grid
-    that must already have that shape and unit Frobenius norm.
-    """
-    if isinstance(prototype, GaussianPrototype):
-        prototype = prototype.on_lattice(n_t, n_f)
-    proto = checked_array(prototype, 2, "prototype")
-    if proto.shape != (n_t, n_f):
-        raise DimensionMismatchError(
-            f"prototype shape {proto.shape} does not match lattice ({n_t}, {n_f})"
-        )
-    # written so that a NaN norm fails too
-    if not abs(np.linalg.norm(proto) - 1.0) <= 1e-9:
-        raise ValidationError(
-            "prototype window must have unit norm (pass a GaussianPrototype "
-            "to normalize automatically)"
-        )
-    return proto
-
-
 @dataclass(frozen=True)
 class AtomicKernel:
     """Windowed 4-D kernel A[t, f, tau, nu] on the TF x delay-Doppler lattice."""
 
     values: np.ndarray
-    prototype: np.ndarray
 
     def __post_init__(self):
         arr = checked_array(self.values, 4, "AtomicKernel.values")
@@ -173,9 +141,7 @@ class AtomicKernel:
                 "delay/Doppler grid sizes must mirror the TF lattice, got "
                 f"{arr.shape}"
             )
-        proto = _prototype_window(self.prototype, arr.shape[0], arr.shape[1])
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "prototype", proto)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -183,16 +149,25 @@ class AtomicKernel:
         return self.values.shape
 
 
-def atomic_kernel(transfer: TFTransfer, prototype) -> AtomicKernel:
+def atomic_kernel(transfer: TFTransfer, prototype: GaussianPrototype) -> AtomicKernel:
     """Windowed kernel A[t,f,tau,nu] from a time-frequency transfer grid.
 
     A[t,f,tau,nu] = exp(2j pi f tau / L_f) * sum_{t',f'} L[t',f']
     conj(G[t'-t, f'-f]) exp(-2j pi (nu t'/L_t - tau f'/L_f)), with all index
-    arithmetic circular on the lattice.  Linear in the transfer grid.
+    arithmetic circular on the lattice and G the prototype evaluated on it.
+    Linear in the transfer grid.
     """
+    for name, value, cls in (
+        ("transfer", transfer, TFTransfer),
+        ("prototype", prototype, GaussianPrototype),
+    ):
+        if not isinstance(value, cls):
+            raise ValidationError(
+                f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+            )
     lv = transfer.values
     n_t, n_f = lv.shape
-    proto = _prototype_window(prototype, n_t, n_f)
+    proto = prototype.on_lattice(n_t, n_f)
 
     # windowed grids for every lattice shift, batched over the t axis to
     # bound peak memory at n_f * (lattice size) per batch
@@ -208,14 +183,12 @@ def atomic_kernel(transfer: TFTransfer, prototype) -> AtomicKernel:
         out[t] = np.transpose(spec, (1, 2, 0))  # [f, tau, nu]
     phase = np.exp(2j * np.pi * np.outer(ff, np.arange(n_f)) / n_f)  # [f, tau]
     out *= phase[None, :, :, None]
-    return AtomicKernel(values=out, prototype=proto)
+    return AtomicKernel(out)
 
 
 def decompose_atomic(ak: AtomicKernel) -> EigenDecomposition:
-    """SVD of the atomic kernel flattened as (t,f) rows against (tau,nu) columns."""
-    n_t, n_f, n_tau, n_nu = ak.dims
-    mat = ak.values.reshape(n_t * n_f, n_tau * n_nu)
-    return decompose_grid_pairs(mat, (n_t, n_f), (n_tau, n_nu))
+    """SVD of the atomic kernel with (t,f) rows against (tau,nu) columns."""
+    return decompose_grid_pairs(ak.values)
 
 
 @dataclass(frozen=True)
@@ -265,44 +238,29 @@ def stats_from_decomp(
     With ``ensemble`` given, ``decomp`` must be None and every member's
     statistics are averaged elementwise (eigenvalues enter through their
     per-member values, so the average estimates the ensemble quantities).
+    Members are reduced one at a time, so a generator ensemble can be large.
     """
     if decomp is not None and ensemble is not None:
         raise ValidationError("give a decomposition or an ensemble, not both")
-    if ensemble is not None:
-        members = list(ensemble)
-    elif decomp is not None:
-        members = [decomp]
-    else:
-        raise ValidationError("need a decomposition or a non-empty ensemble")
-    if not members:
-        raise ValidationError("ensemble is empty")
-    dims = members[0].source_dims
-    for m in members:
+    if ensemble is None:
+        if decomp is None:
+            raise ValidationError("need a decomposition or a non-empty ensemble")
+        ensemble = (decomp,)
+    acc = dims = None
+    for count, m in enumerate(ensemble, 1):
+        dims = dims or m.source_dims
         if m.source_dims != dims:
             raise DimensionMismatchError(
                 f"ensemble members disagree on dims: {m.source_dims} vs {dims}"
             )
         if m.n_modes == 0:
             raise ValidationError("ensemble contains an empty decomposition")
-    acc = None
-    for m in members:
         parts = _single_stats(m)
-        if acc is None:
-            acc = list(parts)
-        else:
-            for i in range(4):
-                acc[i] = acc[i] + parts[i]
-            acc[4] += parts[4]
-    k = float(len(members))
-    return StatsReport(
-        ccf_mag=acc[0] / k,
-        lsf=acc[1] / k,
-        scattering=acc[2] / k,
-        path_gain=acc[3] / k,
-        total_gain=acc[4] / k,
-        ensemble_size=len(members),
-        source_dims=dims,
-    )
+        acc = list(parts) if acc is None else [a + p for a, p in zip(acc, parts)]
+        del m, parts  # before the next member is made
+    if acc is None:
+        raise ValidationError("ensemble is empty")
+    return StatsReport(*(a / count for a in acc), ensemble_size=count, source_dims=dims)
 
 
 def acf(h: ImpulseResponse4D, u: int, up: int, max_lag: int) -> np.ndarray:

@@ -30,9 +30,7 @@ def valid_kwargs(cls):
         ),
         H.TFTransfer: lambda: dict(values=c(4, 2)),
         H.SpreadingFunction: lambda: dict(values=c(2, 4)),
-        H.AtomicKernel: lambda: dict(
-            values=c(4, 2, 2, 4), prototype=np.full((4, 2), 8**-0.5, dtype=complex)
-        ),
+        H.AtomicKernel: lambda: dict(values=c(4, 2, 2, 4)),
         H.CoefficientSet: lambda: dict(
             x_coeffs=c(2), s_coeffs=c(2), retained=2, dropped_energy=0.5
         ),
@@ -53,7 +51,6 @@ FIELDS = [
     (H.TFTransfer, "values"),
     (H.SpreadingFunction, "values"),
     (H.AtomicKernel, "values"),
-    (H.AtomicKernel, "prototype"),
     (H.CoefficientSet, "x_coeffs"),
     (H.CoefficientSet, "s_coeffs"),
     (H.CmdSeries, "distances"),
@@ -91,7 +88,7 @@ class TestArrayFields:
     def test_complex_entries_need_a_complex_field(self, cls, field):
         kw = valid_kwargs(cls)
         real_field = np.asarray(kw[field]).dtype.kind != "c"
-        kw[field] = 1j * np.asarray(kw[field])  # unit modulus keeps a prototype's norm
+        kw[field] = 1j * np.asarray(kw[field])
         if real_field:  # the imaginary part is never dropped
             with pytest.raises(ValidationError, match=rf"\b{field}\b.*imaginary"):
                 cls(**kw)
@@ -125,20 +122,6 @@ def test_nan_distances_never_reach_the_interval():
 def test_gaussian_prototype_spreads_finite_and_positive(field, bad):
     with pytest.raises(ValidationError, match=field):
         H.GaussianPrototype(**{field: bad})
-
-
-def test_atomic_kernel_prototype_grid_checked_like_the_field():
-    h = H.generate_channel(
-        H.ScenarioConfig(users=1, tx_antennas=1, time_symbols=4, max_delay_taps=2), 3
-    )
-    transfer = H.tf_transfer(h, 0, 0)
-    proto = np.full((4, 2), 8**-0.5, dtype=complex)
-    assert H.atomic_kernel(transfer, proto).prototype.flags.writeable is False
-    for bad in (2 * proto, np.full((4, 2), np.nan)):
-        with pytest.raises(ValidationError, match="prototype"):
-            H.atomic_kernel(transfer, bad)
-    with pytest.raises(DimensionMismatchError, match="prototype"):
-        H.atomic_kernel(transfer, np.full((2, 4), 8**-0.5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

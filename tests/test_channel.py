@@ -1,5 +1,8 @@
 """Tests for the synthetic channel generator, kernel packing and CTF files."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -362,10 +365,16 @@ class TestCtfFormat:
         "mutate,offset",
         [
             (lambda b: b"XXXXXXXX" + b[8:], 0),
+            (lambda b: b[:5], 0),  # shorter than the magic
             (lambda b: b[:8] + (99).to_bytes(4, "little") + b[12:], 8),
+            (lambda b: b[:10], 8),  # cut inside the version field
             (lambda b: b[:12] + (0).to_bytes(4, "little") + b[16:], 12),
+            (lambda b: b[:20], 12),  # cut inside the dimension header
+            # 2**48 declared entries, rejected before any allocation
+            (lambda b: b[:12] + struct.pack("<4I", 2**16, 2**16, 2**16, 1) + b[28:], 12),
             (lambda b: b[:-8], 28),
             (lambda b: b + b"\x00" * 4, 28),
+            (lambda b: b[:28] + struct.pack("<d", math.nan) + b[36:], 28),
         ],
     )
     def test_malformed_files_report_offset(self, tmp_path, mutate, offset):

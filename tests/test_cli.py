@@ -377,6 +377,19 @@ class TestComplexity:
         with pytest.warns(UserWarning):
             complexity_estimate(2, 4, 16)
 
+    @pytest.mark.parametrize(
+        "dims,past_range",
+        [
+            ((171, 171, 256), {"dpc"}),  # 171! overflows a float
+            ((4, 4, 10**70), {"hogmt_hosvd"}),  # its fifth power overflows
+            ((4, 4, 10**400), {"hogmt_flatten", "hogmt_hosvd", "dpc"}),  # L_t itself
+        ],
+    )
+    def test_counts_past_float_range_read_inf(self, dims, past_range):
+        rows = dict(complexity_estimate(*dims).rows())
+        assert {name for name, v in rows.items() if v == math.inf} == past_range
+        assert all(v > 0 and not math.isnan(v) for v in rows.values())
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -644,6 +657,41 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert run_cli("generate", "--config", str(path), "--out", str(out), "--seed", seed) == 1
         assert "sim.seed must be in [0, 18446744073709551616)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario", [{"users": 171, "tx_antennas": 171}, {"time_symbols": 10**400}]
+    )
+    def test_complexity_past_float_range_is_0(self, tmp_path, scenario, capsys):
+        path = write_config(tmp_path, {"scenario": scenario})
+        assert run_cli("complexity", "--config", str(path)) == 0
+        shown = capsys.readouterr()
+        assert shown.err == "" and re.search(r"^  dpc +inf$", shown.out, re.M)
+
+    def test_empty_config_runs_complexity_on_defaults(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text("")
+        assert run_cli("complexity", "--config", str(path)) == 0
+        shown = capsys.readouterr()
+        assert shown.err == ""
+        assert "users=4 tx_antennas=4 time_symbols=256" in shown.out
+
+    @pytest.mark.parametrize(
+        "subcommand,text,message",
+        [
+            ("generate", "- 1\n", "top-level config must be a mapping"),
+            ("generate", "scenario: [1]\n", "section 'scenario' must be a mapping"),
+            ("simulate", "sim: {snr_db: []}\n", "sim.snr_db must be a number or non-empty"),
+            ("precode", "sim: {precoder: zf}\n", "requires an hogmt precoder"),
+        ],
+    )
+    def test_malformed_config_is_1(self, tmp_path, subcommand, text, message, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli(subcommand, "--config", str(path), "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_usage_error_is_1(self, tmp_path, capsys):

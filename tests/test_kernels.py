@@ -148,11 +148,18 @@ class TestDecomposition:
         rng = np.random.default_rng(seed)
         shape = rows + cols
         mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        flat = mat.reshape(rows[0] * rows[1], cols[0] * cols[1])
-        dec = decompose_grid_pairs(flat, rows, cols)
+        dec = decompose_grid_pairs(mat)
         rec = np.einsum("n,nab,ncd->abcd", dec.sigmas, dec.psis, dec.phis)
         scale = max(np.linalg.norm(mat), 1e-30)
         assert np.linalg.norm(rec - mat) / scale <= 1e-10
+
+    def test_grid_pairs_rejects_flat_and_non_finite(self):
+        with pytest.raises(ValidationError, match="4-D"):
+            decompose_grid_pairs(np.eye(4, dtype=complex))
+        bad = np.ones((1, 2, 1, 2), dtype=complex)
+        bad[0, 1, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            decompose_grid_pairs(bad)
 
 
 class TestApplyKernel:
@@ -212,9 +219,9 @@ class TestTruncationPolicy:
     def test_decomposition_floor(self):
         # a mode at 1e-13 * sigma_1 is dropped, one at 1e-11 * sigma_1 kept
         mat = np.diag([2.0, 2e-11, 2e-13]).astype(complex)
-        dec = decompose_grid_pairs(mat, (1, 3), (1, 3))
+        dec = decompose_grid_pairs(mat.reshape(1, 3, 1, 3))
         np.testing.assert_allclose(dec.sigmas, [2.0, 2e-11], rtol=1e-12)
-        assert decompose_grid_pairs(np.zeros((3, 3)), (1, 3), (1, 3)).n_modes == 0
+        assert decompose_grid_pairs(np.zeros((1, 3, 1, 3))).n_modes == 0
         assert hogmt_decompose(Kernel4D(np.zeros((2, 3, 2, 3)))).n_modes == 0
 
 
@@ -251,6 +258,6 @@ class TestReconstructShapes:
         # the row time-axis cannot be packed back into a channel kernel
         rng = np.random.default_rng(41)
         mat = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-        dec = decompose_grid_pairs(mat, (2, 3), (2, 4))
+        dec = decompose_grid_pairs(mat.reshape(2, 3, 2, 4))
         with pytest.raises(DimensionMismatchError):
             reconstruct(dec)

@@ -1,5 +1,8 @@
 """Tests for channel statistics: transfer grids, atomic kernels, CMD."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
@@ -115,12 +118,14 @@ class TestGaussianPrototype:
         with pytest.raises(ValidationError):
             GaussianPrototype(spread_t=0.0)
 
-    def test_raw_prototype_must_be_unit_norm(self):
+    def test_window_must_be_a_gaussian_prototype(self):
         h = chan(7)
         lv = tf_transfer(h, 0, 0)
-        bad = np.ones((8, 3))
-        with pytest.raises(ValidationError):
-            atomic_kernel(lv, bad)
+        unit_grid = GaussianPrototype().on_lattice(*lv.values.shape)
+        with pytest.raises(ValidationError, match="prototype"):
+            atomic_kernel(lv, unit_grid)
+        with pytest.raises(ValidationError, match="transfer"):
+            atomic_kernel(lv.values, GaussianPrototype())
 
 
 class TestAtomicKernel:
@@ -129,8 +134,9 @@ class TestAtomicKernel:
         transfer = tf_transfer(h, 0, 0)
         lv = transfer.values
         n_t, n_f = lv.shape
-        proto = GaussianPrototype(spread_t=1.5, spread_f=1.0).on_lattice(n_t, n_f)
-        ak = atomic_kernel(transfer, proto)
+        window = GaussianPrototype(spread_t=1.5, spread_f=1.0)
+        proto = window.on_lattice(n_t, n_f)
+        ak = atomic_kernel(transfer, window)
         assert ak.dims == (n_t, n_f, n_f, n_t)
         for t in range(n_t):
             for f in range(n_f):
@@ -151,7 +157,7 @@ class TestAtomicKernel:
     def test_linear_in_transfer(self):
         h1, h2 = chan(9), chan(10)
         t1, t2 = tf_transfer(h1, 0, 0), tf_transfer(h2, 0, 0)
-        proto = GaussianPrototype().on_lattice(*t1.values.shape)
+        proto = GaussianPrototype()
         mixed = TFTransfer(values=2.0 * t1.values - 1j * t2.values)
         a_mixed = atomic_kernel(mixed, proto).values
         a_sep = (
@@ -229,6 +235,27 @@ class TestStatsReport:
         a, b = self._decomp(14), self._decomp(15)
         with pytest.raises(ValidationError, match="not both"):
             stats_from_decomp(a, ensemble=[b])
+
+    def test_generator_ensemble_is_reduced_one_member_at_a_time(self):
+        bases = [self._decomp(seed) for seed in (20, 21, 22)]
+        refs = []
+
+        def members():
+            for k in range(6):
+                # a fresh copy, so only the reduction can keep it alive
+                member = dataclasses.replace(bases[k % 3])
+                alive = {i for i, r in enumerate(refs) if r() is not None}
+                assert alive <= {k - 1}, (k, alive)
+                refs.append(weakref.ref(member))
+                yield member
+                del member
+
+        streamed = stats_from_decomp(None, ensemble=members())
+        listed = stats_from_decomp(None, ensemble=[bases[k % 3] for k in range(6)])
+        assert streamed.ensemble_size == listed.ensemble_size == 6
+        for name in ("ccf_mag", "lsf", "scattering", "path_gain"):
+            np.testing.assert_array_equal(getattr(streamed, name), getattr(listed, name))
+        assert streamed.total_gain == listed.total_gain
 
 
 class TestAcf:
