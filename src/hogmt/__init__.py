@@ -35,7 +35,6 @@ from .channel import (
     load_ctf,
     save_ctf,
     to_kernel,
-    transmit,
 )
 from .precoding import (
     CoefficientSet,
@@ -105,7 +104,6 @@ __all__ = [
     "InterferenceSplit",
     "generate_channel",
     "to_kernel",
-    "transmit",
     "interference_split",
     "save_ctf",
     "load_ctf",

@@ -2,15 +2,17 @@
 
 Generates time-varying impulse responses h[u, u', t, tau] with three
 nonstationarity modes, converts them to 4-D kernels (zero signal history
-before t = 0, linear non-circular delay), applies the noisy channel, splits
-the received signal into its four interference terms, and persists channels
-in a bit-exact binary format (CTF).
+before t = 0, linear non-circular delay), splits the noise-free received
+signal into its four interference terms, and persists channels in a
+bit-exact binary format (CTF).
 
 Tap processes are sums of 16 random sinusoids.  In "wssus" and "block" modes
 the sinusoid frequencies live on the DFT grid of the time horizon, which
 makes every tap exactly circularly stationary; "drift" mode uses continuous
 Jakes-style frequencies with a linear chirp and a linearly growing power
-envelope, so first and second-order statistics change over time.
+envelope, so first and second-order statistics change over time.  One
+channel is one substream of its seed, drawn with array operations (see
+``generate_channel`` for the draw order).
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from .errors import (
 from .kernels import (
     Kernel4D,
     _banded,
-    apply_kernel,
     checked_array,
     checked_fields,
     checked_int,
-    checked_real,
     ensure_grid,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "InterferenceSplit",
     "generate_channel",
     "to_kernel",
-    "transmit",
     "interference_split",
     "save_ctf",
     "load_ctf",
@@ -57,9 +56,7 @@ _SINUSOIDS_PER_TAP = 16
 # Substream tags for seed derivation, all modules' here so they stay disjoint.
 # Every random draw comes from a SeedSequence keyed by (tag, indices...) under
 # the master seed, so results do not depend on loop order or parallel scheduling.
-_SEED_SPREAD = 1
-_SEED_TAP = 2
-_SEED_NOISE = 3
+_SEED_CHANNEL = 1  # channel: every tap process and delay spread of one channel
 _SEED_BER_CHANNEL = 10  # linksim: channel draw per channel, shared by every SNR point
 _SEED_BER_BITS = 11  # linksim: bits per (first trial of chunk, modulation), every SNR point
 _SEED_BER_NOISE = 12  # linksim: unit noise per (first trial of chunk, modulation), every SNR point
@@ -209,39 +206,71 @@ class InterferenceSplit:
 def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     """Draw one channel realization, deterministic in (cfg, seed).
 
-    Per-(u, u') delay spreads are uniform integers in
-    [min_delay_taps, max_delay_taps]; tap powers follow a normalized
-    exponential profile exp(-delay_decay * tau); antenna columns are mixed
-    by the Cholesky factor of the spatial_corr^|du'| correlation matrix.
+    Every tap process is a unit-power sum of 16 sinusoids.  In "drift" mode
+    sinusoid m has the Jakes-style frequency nu_m = doppler_max *
+    cos(alpha_m), a linear chirp and a linearly growing power envelope, so
+    both the correlation structure and the variance change along the
+    horizon (d = doppler_drift):
+
+        g(t) = sqrt(1 + d t) / 4 * sum_m exp(i (theta_m + 2 pi nu_m t (1 + d t / 2)))
+
+    In "block" mode every block of block_len symbols (the last may be
+    shorter) has its own integer frequencies k_m in [-k_max, k_max],
+    k_max = floor(doppler_max * L_t), and phases, evaluated at the absolute
+    symbol t:
+
+        g(t) = 1 / 4 * sum_m exp(i (2 pi k_m t / L_t + theta_m))
+
+    "wssus" is "block" with one block of L_t symbols, so every tap is
+    exactly circularly stationary.
+
+    The whole channel is one substream of ``seed``, drawn in this order:
+    "drift" draws alphas, then thetas, each uniform in [0, 2 pi) of shape
+    (L_u, L_u', L_tau, 16); "wssus" and "block" draw ks, then thetas, each
+    of shape (L_u, L_u', L_tau, n_blocks, 16) with n_blocks =
+    ceil(L_t / block_len) (1 for "wssus"); then every mode draws the
+    per-(u, u') delay spreads, uniform integers in [min_delay_taps,
+    max_delay_taps] of shape (L_u, L_u').  Antenna columns are mixed by the
+    Cholesky factor of the spatial_corr^|du'| correlation matrix, and the
+    first ``spread`` taps of a pair follow the normalized exponential power
+    profile exp(-delay_decay * tau); its other taps are zero.
     """
     seed = checked_int(seed, "seed", ge=0, lt=2**64)
     l_u, l_up = cfg.users, cfg.tx_antennas
     l_t, l_tau = cfg.time_symbols, cfg.max_delay_taps
-    m = _SINUSOIDS_PER_TAP
+    draws = (l_u, l_up, l_tau)
     t = np.arange(l_t, dtype=float)
+    rng = _substream(seed, _SEED_CHANNEL)
 
-    # raw unit-power tap processes, independent per (u, u', tau)
-    raw = np.empty((l_u, l_up, l_t, l_tau), dtype=np.complex128)
+    # phase(u) has shape (L_u', L_tau, L_t, 16): one receive user at a time
+    # bounds the temporaries to L_u' * L_tau * L_t * 16 entries
+    if cfg.mode == "drift":
+        alphas = rng.uniform(0.0, 2.0 * np.pi, size=draws + (_SINUSOIDS_PER_TAP,))
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=draws + (_SINUSOIDS_PER_TAP,))
+        nus = cfg.doppler_max * np.cos(alphas)[..., None, :]
+        chirp = (t * (1.0 + 0.5 * cfg.doppler_drift * t))[:, None]
+        env = np.sqrt(1.0 + cfg.doppler_drift * t)
+
+        def phase(u):
+            return thetas[u][..., None, :] + 2.0 * np.pi * (chirp * nus[u])
+    else:
+        block_len = l_t if cfg.mode == "wssus" else cfg.block_len
+        blocks = draws + (math.ceil(l_t / block_len), _SINUSOIDS_PER_TAP)
+        k_max = math.floor(cfg.doppler_max * l_t)
+        ks = rng.integers(-k_max, k_max + 1, size=blocks).astype(float)
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=blocks)
+        block_of = np.arange(l_t) // block_len
+        env = 1.0
+
+        def phase(u):
+            k, theta = ks[u][:, :, block_of], thetas[u][:, :, block_of]
+            return 2.0 * np.pi * (t[:, None] * k) / float(l_t) + theta
+
+    raw = np.empty((l_u, l_up, l_tau, l_t), dtype=np.complex128)
     for u in range(l_u):
-        for up in range(l_up):
-            for tau in range(l_tau):
-                if cfg.mode == "wssus":
-                    rng = _substream(seed, _SEED_TAP, u, up, tau)
-                    raw[u, up, :, tau] = _grid_sinusoids(rng, t, l_t, cfg.doppler_max)
-                elif cfg.mode == "block":
-                    g = np.empty(l_t, dtype=np.complex128)
-                    n_blocks = math.ceil(l_t / cfg.block_len)
-                    for b in range(n_blocks):
-                        lo = b * cfg.block_len
-                        hi = min(l_t, lo + cfg.block_len)
-                        rng = _substream(seed, _SEED_TAP, u, up, tau, b)
-                        g[lo:hi] = _grid_sinusoids(rng, t[lo:hi], l_t, cfg.doppler_max)
-                    raw[u, up, :, tau] = g
-                else:  # drift
-                    rng = _substream(seed, _SEED_TAP, u, up, tau)
-                    raw[u, up, :, tau] = _drift_sinusoids(
-                        rng, t, cfg.doppler_max, cfg.doppler_drift
-                    )
+        ph = phase(u)
+        raw[u] = np.cos(ph).sum(axis=-1) + 1j * np.sin(ph).sum(axis=-1)
+    raw = np.swapaxes(raw * (env / math.sqrt(_SINUSOIDS_PER_TAP)), 2, 3)
 
     # spatial correlation across the transmit-antenna axis
     if cfg.spatial_corr > 0.0 and l_up > 1:
@@ -251,49 +280,11 @@ def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
         raw = np.einsum("ab,ubtk->uatk", chol, raw, optimize=True)
 
     # per-pair delay spread and normalized exponential power profile
-    base_profile = np.exp(-cfg.delay_decay * np.arange(l_tau, dtype=float))
-    h = np.zeros_like(raw)
-    for u in range(l_u):
-        for up in range(l_up):
-            rng = _substream(seed, _SEED_SPREAD, u, up)
-            spread = int(
-                rng.integers(cfg.min_delay_taps, cfg.max_delay_taps + 1)
-            )
-            prof = base_profile[:spread]
-            amp = np.sqrt(prof / prof.sum())
-            h[u, up, :, :spread] = raw[u, up, :, :spread] * amp[None, :]
-    return ImpulseResponse4D(h)
-
-
-def _grid_sinusoids(
-    rng: np.random.Generator, times: np.ndarray, horizon: int, max_doppler: float
-) -> np.ndarray:
-    """Unit-power sum of sinusoids with frequencies on the horizon's DFT grid."""
-    k_max = int(math.floor(max_doppler * horizon))
-    ks = rng.integers(-k_max, k_max + 1, size=_SINUSOIDS_PER_TAP).astype(float)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=_SINUSOIDS_PER_TAP)
-    phase = 2.0 * np.pi * np.outer(times, ks) / float(horizon) + thetas[None, :]
-    return np.exp(1j * phase).sum(axis=1) / math.sqrt(_SINUSOIDS_PER_TAP)
-
-
-def _drift_sinusoids(
-    rng: np.random.Generator, times: np.ndarray, max_doppler: float, drift: float
-) -> np.ndarray:
-    """Chirped Jakes-style tap with a linearly growing power envelope.
-
-    Instantaneous frequency of sinusoid m is nu_m * (1 + drift * t) and the
-    expected power at time t is (1 + drift * t), so both the correlation
-    structure and the variance change along the horizon.
-    """
-    alphas = rng.uniform(0.0, 2.0 * np.pi, size=_SINUSOIDS_PER_TAP)
-    nus = max_doppler * np.cos(alphas)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=_SINUSOIDS_PER_TAP)
-    phase = (
-        thetas[None, :]
-        + 2.0 * np.pi * np.outer(times * (1.0 + 0.5 * drift * times), nus)
-    )
-    env = np.sqrt(1.0 + drift * times)
-    return env * np.exp(1j * phase).sum(axis=1) / math.sqrt(_SINUSOIDS_PER_TAP)
+    spreads = rng.integers(cfg.min_delay_taps, cfg.max_delay_taps + 1, size=(l_u, l_up))
+    taus = np.arange(l_tau)
+    prof = np.exp(-cfg.delay_decay * taus.astype(float)) * (taus < spreads[..., None])
+    amp = np.sqrt(prof / prof.sum(axis=-1, keepdims=True))
+    return ImpulseResponse4D(raw * amp[:, :, None, :])
 
 
 def to_kernel(h: ImpulseResponse4D) -> Kernel4D:
@@ -304,29 +295,6 @@ def to_kernel(h: ImpulseResponse4D) -> Kernel4D:
     blocks h[:, :, t, tau] are laid out by ``kernels._banded``.
     """
     return Kernel4D(_banded(np.moveaxis(h.values, (3, 2), (0, 1))))
-
-
-def transmit(kernel: Kernel4D, x, noise_var: float, seed: int | None = None):
-    """Noisy channel output r = K x + v.
-
-    v is i.i.d. circularly-symmetric complex Gaussian with the given variance
-    per complex sample, drawn from a dedicated substream of ``seed``; a
-    ``seed`` of None means master seed 0.  Like ``apply_kernel``, ``x`` may
-    be a plain 2-D grid or a space-time signal, and the result is the same
-    kind at every noise variance.
-    """
-    noise_var = checked_real(noise_var, "noise_var", ge=0)
-    seed = 0 if seed is None else checked_int(seed, "seed", ge=0, lt=2**64)
-    clean = apply_kernel(kernel, x)
-    if noise_var == 0.0:
-        return clean
-    grid = getattr(clean, "grid", clean)
-    rng = _substream(seed, _SEED_NOISE)
-    scale = math.sqrt(noise_var / 2.0)
-    v = scale * (
-        rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    )
-    return type(clean)(grid=grid + v) if hasattr(clean, "grid") else grid + v
 
 
 def interference_split(h: ImpulseResponse4D, s: SpaceTimeSignal) -> InterferenceSplit:

@@ -195,9 +195,6 @@ SCALARS = [
          source_dims=(1, v, 1, 2),
      )),
     ("generate_channel.seed", "seed", "int", -1, lambda c, v: H.generate_channel(c.cfg, v)),
-    ("transmit.noise_var", "noise_var", "real", -1.0,
-     lambda c, v: H.transmit(c.kernel, c.x, v)),
-    ("transmit.seed", "seed", "int", 2**64, lambda c, v: H.transmit(c.kernel, c.x, 0.1, v)),
     ("modulate.dims", "dims", "int", 0,
      lambda c, v: H.modulate(np.zeros(4), "bpsk", (v, 2))),
     ("theoretical_awgn_ber.snr_per_bit_db", "snr_per_bit_db", "real+inf", None,
@@ -306,10 +303,6 @@ class TestScalarArguments:
         assert type(cfg.doppler_max) is float and type(cfg.delay_decay) is float
         assert type(H.PrecoderSpec("hogmt", 1).fraction) is float
         assert type(H.GaussianPrototype(spread_t=2).spread_t) is float
-
-    def test_transmit_seed_none_is_master_seed_0(self, ctx):
-        a = H.transmit(ctx.kernel, ctx.x, 0.1)
-        np.testing.assert_array_equal(a.grid, H.transmit(ctx.kernel, ctx.x, 0.1, 0).grid)
 
 
 def test_ctf_dimension_must_fit_the_u32_header(tmp_path):

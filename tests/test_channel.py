@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from hogmt import (
     load_ctf,
     save_ctf,
     to_kernel,
-    transmit,
 )
+from hogmt import channel as channel_mod
+from hogmt.channel import _SEED_CHANNEL, _SINUSOIDS_PER_TAP, _substream
 from hogmt.errors import FormatError, ValidationError
 from hogmt.stats import acf
 
@@ -205,6 +207,240 @@ class TestGenerateChannel:
         assert rel < 0.10, f"recovered drift slope {slope}, want ~0.02 (rel {rel:.3f})"
 
 
+def _loop_channel(cfg, seed):
+    """Scalar per-tap rebuild of a channel from the documented draw order."""
+    m = _SINUSOIDS_PER_TAP
+    l_u, l_up, l_t, l_tau = (cfg.users, cfg.tx_antennas, cfg.time_symbols,
+                             cfg.max_delay_taps)
+    rng = _substream(seed, _SEED_CHANNEL)
+    block_len = l_t if cfg.mode == "wssus" else cfg.block_len
+    n_blocks = -(-l_t // block_len)
+    if cfg.mode == "drift":
+        alphas = rng.uniform(0.0, 2.0 * np.pi, size=(l_u, l_up, l_tau, m))
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=(l_u, l_up, l_tau, m))
+    else:
+        k_max = math.floor(cfg.doppler_max * l_t)
+        ks = rng.integers(-k_max, k_max + 1, size=(l_u, l_up, l_tau, n_blocks, m))
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=(l_u, l_up, l_tau, n_blocks, m))
+    spreads = rng.integers(cfg.min_delay_taps, cfg.max_delay_taps + 1, size=(l_u, l_up))
+
+    raw = np.zeros((l_u, l_up, l_t, l_tau), dtype=complex)
+    for u in range(l_u):
+        for up in range(l_up):
+            for tau in range(l_tau):
+                for t in range(l_t):
+                    acc = 0j
+                    for j in range(m):
+                        if cfg.mode == "drift":
+                            nu = cfg.doppler_max * math.cos(alphas[u, up, tau, j])
+                            chirp = t * (1.0 + 0.5 * cfg.doppler_drift * t)
+                            acc += np.exp(1j * (thetas[u, up, tau, j] + 2 * np.pi * nu * chirp))
+                        else:
+                            b = t // block_len
+                            k, th = ks[u, up, tau, b, j], thetas[u, up, tau, b, j]
+                            acc += np.exp(1j * (2 * np.pi * k * t / l_t + th))
+                    env = math.sqrt(1.0 + cfg.doppler_drift * t) if cfg.mode == "drift" else 1.0
+                    raw[u, up, t, tau] = env * acc / math.sqrt(m)
+    if cfg.spatial_corr > 0:
+        corr = np.array([[cfg.spatial_corr ** abs(a - b) for b in range(l_up)]
+                         for a in range(l_up)])
+        chol = np.linalg.cholesky(corr)
+        for u in range(l_u):
+            for t in range(l_t):
+                for tau in range(l_tau):
+                    raw[u, :, t, tau] = chol @ raw[u, :, t, tau]
+    h = np.zeros_like(raw)
+    for u in range(l_u):
+        for up in range(l_up):
+            spread = spreads[u, up]
+            prof = np.array([math.exp(-cfg.delay_decay * tau) for tau in range(spread)])
+            h[u, up, :, :spread] = raw[u, up, :, :spread] * np.sqrt(prof / prof.sum())
+    return h
+
+
+class TestChannelDraw:
+    """The one-substream draw against a loop oracle and the generator's truth."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(mode="drift", doppler_max=0.1, doppler_drift=0.05),
+            dict(mode="wssus", doppler_max=0.2),
+            dict(mode="block", block_len=4, doppler_max=0.15),  # 4 does not divide 10
+            dict(mode="drift", doppler_max=0.1, doppler_drift=0.02, spatial_corr=0.7),
+            dict(mode="block", block_len=3, doppler_max=0.2, spatial_corr=0.4),
+            dict(mode="wssus", doppler_max=0.3, spatial_corr=0.5),
+            dict(mode="block", block_len=1, doppler_max=0.2),  # a fresh block every symbol
+            dict(mode="block", block_len=25, doppler_max=0.2),  # one block longer than L_t
+        ],
+    )
+    def test_matches_loop_oracle(self, kw):
+        cfg = ScenarioConfig(users=2, tx_antennas=3, time_symbols=10, min_delay_taps=1,
+                             max_delay_taps=3, delay_decay=0.7, **kw)
+        for seed in (0, 11):
+            got = generate_channel(cfg, seed).values
+            want = _loop_channel(cfg, seed)
+            assert np.abs(got - want).max() <= 1e-12, kw
+            # zero taps sit exactly where the drawn spread ends
+            np.testing.assert_array_equal(got == 0, want == 0)
+
+    @pytest.mark.parametrize("mode", ["wssus", "block", "drift"])
+    def test_one_substream_per_channel(self, monkeypatch, mode):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _substream(*args)
+
+        monkeypatch.setattr(channel_mod, "_substream", counting)
+        generate_channel(small_cfg(users=3, tx_antennas=2, mode=mode, block_len=5), 9)
+        assert calls == [(9, _SEED_CHANNEL)]
+
+    def test_mean_tap_power_matches_profile(self):
+        # On the DFT grid the time-mean power of a unit tap is
+        # X = 1 + (1/8) sum_{m<m'} [k_m = k_m'] cos(theta_m - theta_m'),
+        # so E X = 1 and Var X = (15/16) q with q = 1/(2 k_max + 1) the
+        # chance that two frequencies coincide.  Every (seed, u, u') gives an
+        # independent sample of each tap, so 5 standard errors bound the
+        # error of the mean power of tap tau at 5 p_tau sqrt(15 q / 16 n).
+        cfg = ScenarioConfig(users=4, tx_antennas=4, time_symbols=64, min_delay_taps=4,
+                             max_delay_taps=4, mode="wssus", doppler_max=0.2,
+                             delay_decay=0.6)
+        n_seeds = 100
+        power = np.zeros(4)
+        for sd in range(n_seeds):
+            power += np.mean(np.abs(generate_channel(cfg, sd).values) ** 2, axis=(0, 1, 2))
+        power /= n_seeds
+        n = n_seeds * cfg.users * cfg.tx_antennas
+        q = 1.0 / (2 * math.floor(cfg.doppler_max * cfg.time_symbols) + 1)
+        profile = np.exp(-cfg.delay_decay * np.arange(4))
+        profile /= profile.sum()
+        tol = 5.0 * profile * math.sqrt(15.0 / 16.0 * q / n)
+        assert np.all(np.abs(power - profile) <= tol), (power, profile, tol)
+
+    def test_wssus_doppler_support_within_band(self):
+        cfg = ScenarioConfig(users=2, tx_antennas=2, time_symbols=40, min_delay_taps=3,
+                             max_delay_taps=3, mode="wssus", doppler_max=0.1)
+        k_max = math.floor(cfg.doppler_max * cfg.time_symbols)
+        bins = np.fft.fftfreq(cfg.time_symbols, 1.0 / cfg.time_symbols).round()
+        used = set()
+        for sd in range(20):
+            spec = np.abs(np.fft.fft(generate_channel(cfg, sd).values, axis=2)) ** 2
+            outside = spec[:, :, np.abs(bins) > k_max, :]
+            assert outside.max() <= 1e-20 * spec.max()
+            used.update(bins[spec.max(axis=(0, 1, 3)) > 1e-12 * spec.max()].astype(int))
+        # the band is used up to its edges, so it is not narrower than drawn
+        assert used == set(range(-k_max, k_max + 1))
+
+    @pytest.mark.parametrize("block_len", [20, 33])
+    def test_wssus_is_block_with_one_full_block(self, block_len):
+        kw = dict(users=2, tx_antennas=3, time_symbols=20, min_delay_taps=1,
+                  max_delay_taps=3, doppler_max=0.2, spatial_corr=0.3)
+        for seed in (1, 8):
+            wssus = generate_channel(ScenarioConfig(mode="wssus", **kw), seed).values
+            block = generate_channel(
+                ScenarioConfig(mode="block", block_len=block_len, **kw), seed
+            ).values
+            np.testing.assert_array_equal(wssus, block)
+
+    @pytest.mark.parametrize("block_len", [3, 5, 7])
+    def test_every_block_is_redrawn(self, block_len):
+        # with zero Doppler each block is one constant draw, the short last one too
+        cfg = ScenarioConfig(users=2, tx_antennas=2, time_symbols=16, min_delay_taps=2,
+                             max_delay_taps=2, mode="block", block_len=block_len,
+                             doppler_max=0.0)
+        v = generate_channel(cfg, 4).values
+        starts = list(range(0, 16, block_len))
+        for a, b in zip(starts, starts[1:] + [16]):
+            assert np.abs(v[:, :, a:b] - v[:, :, a:a + 1]).max() == 0.0
+        for a, b in zip(starts, starts[1:]):
+            assert np.abs(v[:, :, a] - v[:, :, b]).min() > 1e-9, (a, b)
+
+    @pytest.mark.parametrize("mode", ["wssus", "block", "drift"])
+    def test_temporaries_are_bounded_per_receive_user(self, mode):
+        # Phases are built one receive user at a time, so the peak allocation
+        # is a few output-sized arrays plus a few arrays of L_u' L_tau L_t 16
+        # phases; with 16 users a whole-channel phase array alone is 16 times
+        # that and breaks the bound.
+        cfg = ScenarioConfig(users=16, tx_antennas=4, time_symbols=256, min_delay_taps=1,
+                             max_delay_taps=4, mode=mode, block_len=64, doppler_max=0.05,
+                             doppler_drift=0.001 if mode == "drift" else 0.0,
+                             spatial_corr=0.5)
+        generate_channel(cfg, 0)
+        tracemalloc.start()
+        try:
+            out = generate_channel(cfg, 0).values.nbytes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_user = cfg.tx_antennas * cfg.max_delay_taps * cfg.time_symbols * 16 * 8
+        assert peak <= 4 * out + 4 * per_user, (peak, out, per_user)
+
+    def test_delay_spreads_are_uniform(self):
+        # a pair's spread is its count of non-zero taps; over 800 independent
+        # pairs the counts of spreads 1..4 pass a chi-square test at p = 0.001
+        cfg = ScenarioConfig(users=4, tx_antennas=4, time_symbols=8, min_delay_taps=1,
+                             max_delay_taps=4, mode="wssus", doppler_max=0.2)
+        counts = np.zeros(5, dtype=int)
+        for sd in range(50):
+            nonzero = np.abs(generate_channel(cfg, sd).values).max(axis=2) > 0
+            spreads = nonzero.sum(axis=-1)
+            # the occupied taps are the first `spread` ones
+            assert np.array_equal(nonzero, np.arange(4) < spreads[..., None])
+            counts += np.bincount(spreads.ravel(), minlength=5)
+        assert counts[0] == 0
+        expected = counts.sum() / 4
+        chi2 = float(np.sum((counts[1:] - expected) ** 2 / expected))
+        assert chi2 < 16.27, counts
+
+    def test_spatial_correlation_mixes_the_uncorrelated_draw(self):
+        # correlation consumes no draws: the lower Cholesky factor of
+        # [[1, r], [r, 1]] keeps antenna 0 and mixes antenna 1 as r x0 + sqrt(1-r^2) x1
+        kw = dict(users=2, tx_antennas=2, time_symbols=12, min_delay_taps=2,
+                  max_delay_taps=2, mode="drift", doppler_max=0.1, doppler_drift=0.01)
+        r = 0.6
+        plain = generate_channel(ScenarioConfig(**kw), 5).values
+        mixed = generate_channel(ScenarioConfig(spatial_corr=r, **kw), 5).values
+        np.testing.assert_array_equal(mixed[:, 0], plain[:, 0])
+        np.testing.assert_allclose(
+            mixed[:, 1], r * plain[:, 0] + math.sqrt(1 - r * r) * plain[:, 1],
+            rtol=0, atol=1e-12,
+        )
+
+    def test_spatial_correlation_is_a_no_op_for_one_antenna(self):
+        kw = dict(users=3, tx_antennas=1, time_symbols=12, min_delay_taps=1,
+                  max_delay_taps=3, mode="block", block_len=5, doppler_max=0.2)
+        np.testing.assert_array_equal(
+            generate_channel(ScenarioConfig(spatial_corr=0.9, **kw), 2).values,
+            generate_channel(ScenarioConfig(**kw), 2).values,
+        )
+
+    def test_delay_profile_only_scales_the_taps(self):
+        # the profile consumes no draws, so two decays give the same spreads
+        # and tap processes, in the ratio of their normalized amplitudes
+        kw = dict(users=3, tx_antennas=2, time_symbols=12, min_delay_taps=1,
+                  max_delay_taps=4, mode="wssus", doppler_max=0.2)
+        a = generate_channel(ScenarioConfig(delay_decay=0.2, **kw), 6).values
+        b = generate_channel(ScenarioConfig(delay_decay=1.5, **kw), 6).values
+        np.testing.assert_array_equal(a == 0, b == 0)
+        taus = np.arange(4)
+        spreads = (np.abs(a).max(axis=2) > 0).sum(axis=-1)
+        for u in range(3):
+            for up in range(2):
+                s = spreads[u, up]
+                pa = np.exp(-0.2 * taus[:s])
+                pb = np.exp(-1.5 * taus[:s])
+                ratio = np.sqrt((pb / pb.sum()) / (pa / pa.sum()))
+                np.testing.assert_allclose(b[u, up, :, :s], a[u, up, :, :s] * ratio,
+                                           rtol=1e-12, atol=0)
+
+    def test_seed_tags_are_disjoint(self):
+        tags = {name: value for name, value in vars(channel_mod).items()
+                if name.startswith("_SEED_")}
+        assert "_SEED_CHANNEL" in tags
+        assert len(set(tags.values())) == len(tags), tags
+
+
 class TestAcfBehavior:
     """Ensemble ACF shape: flat for the stationary mode, varying under drift."""
 
@@ -263,61 +499,6 @@ class TestToKernel:
         outside = (diff < 0) | (diff >= h.dims[3])
         mask = np.broadcast_to(outside[None, :, None, :], kern.values.shape)
         assert np.abs(kern.values[mask]).max() == 0.0
-
-
-class TestTransmit:
-    def test_noise_free_equals_apply(self):
-        cfg = small_cfg()
-        h = generate_channel(cfg, 4)
-        kern = to_kernel(h)
-        rng = np.random.default_rng(0)
-        x = SpaceTimeSignal(grid=rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)))
-        r = transmit(kern, x, noise_var=0.0)
-        np.testing.assert_array_equal(r.grid, apply_kernel(kern, x).grid)
-
-    def test_noise_variance_calibrated(self):
-        cfg = small_cfg(time_symbols=32)
-        h = generate_channel(cfg, 4)
-        kern = to_kernel(h)
-        rng = np.random.default_rng(1)
-        x = SpaceTimeSignal(grid=rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32)))
-        clean = apply_kernel(kern, x).grid
-        nv = 0.37
-        acc = 0.0
-        n = 0
-        for sd in range(200):
-            r = transmit(kern, x, noise_var=nv, seed=sd)
-            acc += float(np.sum(np.abs(r.grid - clean) ** 2))
-            n += clean.size
-        est = acc / n
-        assert est == pytest.approx(nv, rel=0.04), f"noise variance {est}, want {nv}"
-
-    def test_noise_deterministic_per_seed(self):
-        cfg = small_cfg()
-        h = generate_channel(cfg, 4)
-        kern = to_kernel(h)
-        x = SpaceTimeSignal(grid=np.ones((2, 16), dtype=complex))
-        r1 = transmit(kern, x, noise_var=1.0, seed=77)
-        r2 = transmit(kern, x, noise_var=1.0, seed=77)
-        np.testing.assert_array_equal(r1.grid, r2.grid)
-
-    @pytest.mark.parametrize("noise_var", [0.0, 0.1])
-    def test_output_kind_follows_input(self, noise_var):
-        kern = to_kernel(generate_channel(small_cfg(), 4))
-        grid = np.ones((2, 16), dtype=complex)
-        plain = transmit(kern, grid, noise_var, seed=3)
-        signal = transmit(kern, SpaceTimeSignal(grid=grid), noise_var, seed=3)
-        assert type(plain) is np.ndarray and plain.shape == (2, 16)
-        assert type(signal) is SpaceTimeSignal
-        np.testing.assert_array_equal(plain, signal.grid)
-        clean = apply_kernel(kern, grid)
-        assert np.array_equal(plain, clean) == (noise_var == 0.0)
-
-    def test_negative_noise_rejected(self):
-        h = generate_channel(small_cfg(), 4)
-        x = SpaceTimeSignal(grid=np.ones((2, 16), dtype=complex))
-        with pytest.raises(ValidationError):
-            transmit(to_kernel(h), x, noise_var=-0.5)
 
 
 class TestInterferenceSplit:
