@@ -2,8 +2,7 @@
 
 Generates time-varying impulse responses h[u, u', t, tau] with three
 nonstationarity modes, converts them to 4-D kernels (zero signal history
-before t = 0, linear non-circular delay), splits the noise-free received
-signal into its four interference terms, and persists channels in a
+before t = 0, linear non-circular delay), and persists channels in a
 bit-exact binary format (CTF).
 
 Tap processes are sums of 16 random sinusoids.  In "wssus" and "block" modes
@@ -18,16 +17,14 @@ channel is one substream of its seed, drawn with array operations (see
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    FormatError,
-    ValidationError,
-)
+from .errors import FormatError, ValidationError
 from .kernels import (
     Kernel4D,
     _banded,
@@ -41,10 +38,8 @@ __all__ = [
     "ScenarioConfig",
     "ImpulseResponse4D",
     "SpaceTimeSignal",
-    "InterferenceSplit",
     "generate_channel",
     "to_kernel",
-    "interference_split",
     "save_ctf",
     "load_ctf",
 ]
@@ -183,26 +178,6 @@ class SpaceTimeSignal:
         return float(np.sum(np.abs(self.grid) ** 2))
 
 
-@dataclass(frozen=True)
-class InterferenceSplit:
-    """Noise-free received signal split into its four interference terms.
-
-    signal: own-stream tau=0 term; spatial: cross-stream tau=0; temporal:
-    own-stream tau>=1; joint: cross-stream tau>=1.  The four grids sum to
-    the full kernel output.
-    """
-
-    signal: SpaceTimeSignal
-    spatial: SpaceTimeSignal
-    temporal: SpaceTimeSignal
-    joint: SpaceTimeSignal
-
-    def total(self) -> np.ndarray:
-        return (
-            self.signal.grid + self.spatial.grid + self.temporal.grid + self.joint.grid
-        )
-
-
 def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     """Draw one channel realization, deterministic in (cfg, seed).
 
@@ -297,44 +272,6 @@ def to_kernel(h: ImpulseResponse4D) -> Kernel4D:
     return Kernel4D(_banded(np.moveaxis(h.values, (3, 2), (0, 1))))
 
 
-def interference_split(h: ImpulseResponse4D, s: SpaceTimeSignal) -> InterferenceSplit:
-    """Split the noise-free received signal into its four interference terms.
-
-    Requires one receive user per transmit antenna so the own-stream term is
-    well defined.  The terms:
-
-      signal[u,t]   = h[u,u,t,0] s[u,t]
-      spatial[u,t]  = sum_{u' != u} h[u,u',t,0] s[u',t]
-      temporal[u,t] = sum_{tau >= 1} h[u,u,t,tau] s[u,t-tau]
-      joint[u,t]    = sum_{u' != u, tau >= 1} h[u,u',t,tau] s[u',t-tau]
-    """
-    l_u, l_up, l_t, l_tau = h.dims
-    if l_u != l_up:
-        raise DimensionMismatchError(
-            "interference split needs matching user/antenna counts, got "
-            f"L_u={l_u} and L_u'={l_up}"
-        )
-    grid = ensure_grid(s, "data signal", (l_up, l_t))
-    # delayed copies of the signal, zero before t = 0
-    delayed = np.zeros((l_up, l_t, l_tau), dtype=np.complex128)
-    for tau in range(l_tau):
-        delayed[:, tau:, tau] = grid[:, : l_t - tau]
-
-    hv = h.values  # (u, u', t, tau)
-    full = np.einsum("avtk,vtk->at", hv, delayed, optimize=True)
-    own = np.einsum("aatk,atk->at", hv, delayed, optimize=True)
-    own_t0 = hv[np.arange(l_u), np.arange(l_u), :, 0] * grid
-    full_t0 = np.einsum("avt,vt->at", hv[:, :, :, 0], grid, optimize=True)
-
-    signal = own_t0
-    spatial = full_t0 - own_t0
-    temporal = own - own_t0
-    joint = full - own - full_t0 + own_t0
-    return InterferenceSplit(
-        *(SpaceTimeSignal(g) for g in (signal, spatial, temporal, joint))
-    )
-
-
 def save_ctf(h: ImpulseResponse4D, path) -> None:
     """Write the impulse response in the CTF container (lossless, bit-exact).
 
@@ -354,47 +291,58 @@ def save_ctf(h: ImpulseResponse4D, path) -> None:
 
 
 def load_ctf(path) -> ImpulseResponse4D:
-    """Read a CTF file, validating structure with byte-offset diagnostics."""
+    """Read a CTF file, validating structure with byte-offset diagnostics.
+
+    The header is checked against the size of a regular file before the
+    payload is read, so a malformed file costs no more memory than its
+    28-byte header.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise FormatError(
-            f"file too short for magic: {len(blob)} bytes", offset=0
-        )
-    if blob[:8] != _CTF_MAGIC:
-        raise FormatError(
-            f"bad magic {blob[:8]!r}, expected {_CTF_MAGIC!r}", offset=0
-        )
-    if len(blob) < 12:
-        raise FormatError("file truncated inside version field", offset=8)
-    (version,) = struct.unpack_from("<I", blob, 8)
-    if version != _CTF_VERSION:
-        raise FormatError(
-            f"unsupported version {version}, expected {_CTF_VERSION}", offset=8
-        )
-    if len(blob) < _CTF_HEADER.size:
-        raise FormatError("file truncated inside dimension header", offset=12)
-    l_u, l_up, l_t, l_tau = struct.unpack_from("<4I", blob, 12)
-    dims = (l_u, l_up, l_t, l_tau)
-    if min(dims) < 1:
-        raise FormatError(f"all dims must be >= 1, got {dims}", offset=12)
-    n_entries = l_u * l_up * l_t * l_tau
-    if n_entries > _MAX_CTF_ENTRIES:
-        raise FormatError(
-            f"declared dims {dims} overflow the supported payload size", offset=12
-        )
-    if l_tau > l_t:
-        raise FormatError(
-            f"delay taps {l_tau} exceed time symbols {l_t}", offset=12
-        )
-    expected = n_entries * 16
-    actual = len(blob) - _CTF_HEADER.size
-    if actual != expected:
-        raise FormatError(
-            f"payload holds {actual} bytes but dims {dims} require {expected}",
-            offset=_CTF_HEADER.size,
-        )
-    flat = np.frombuffer(blob, dtype="<c16", offset=_CTF_HEADER.size)
+        head = fh.read(_CTF_HEADER.size)
+        if len(head) < 8:
+            raise FormatError(
+                f"file too short for magic: {len(head)} bytes", offset=0
+            )
+        if head[:8] != _CTF_MAGIC:
+            raise FormatError(
+                f"bad magic {head[:8]!r}, expected {_CTF_MAGIC!r}", offset=0
+            )
+        if len(head) < 12:
+            raise FormatError("file truncated inside version field", offset=8)
+        (version,) = struct.unpack_from("<I", head, 8)
+        if version != _CTF_VERSION:
+            raise FormatError(
+                f"unsupported version {version}, expected {_CTF_VERSION}", offset=8
+            )
+        if len(head) < _CTF_HEADER.size:
+            raise FormatError("file truncated inside dimension header", offset=12)
+        l_u, l_up, l_t, l_tau = struct.unpack_from("<4I", head, 12)
+        dims = (l_u, l_up, l_t, l_tau)
+        if min(dims) < 1:
+            raise FormatError(f"all dims must be >= 1, got {dims}", offset=12)
+        n_entries = l_u * l_up * l_t * l_tau
+        if n_entries > _MAX_CTF_ENTRIES:
+            raise FormatError(
+                f"declared dims {dims} overflow the supported payload size", offset=12
+            )
+        if l_tau > l_t:
+            raise FormatError(
+                f"delay taps {l_tau} exceed time symbols {l_t}", offset=12
+            )
+        expected = n_entries * 16
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            actual = st.st_size - _CTF_HEADER.size
+            payload = fh.read(expected) if actual == expected else b""
+        else:  # a pipe has no size until it is read to its end
+            payload = fh.read()
+            actual = len(payload)
+        if actual != expected:
+            raise FormatError(
+                f"payload holds {actual} bytes but dims {dims} require {expected}",
+                offset=_CTF_HEADER.size,
+            )
+    flat = np.frombuffer(payload, dtype="<c16")
     values = flat.reshape(dims)  # ImpulseResponse4D makes the native copy
     if not np.all(np.isfinite(values)):
         raise FormatError(

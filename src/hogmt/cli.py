@@ -49,7 +49,7 @@ from .linksim import (
     parse_precoder,
     run_ber,
 )
-from .precoding import energy_report, hogmt_precode
+from .precoding import _cumulative_normalized, energy_report, hogmt_precode
 from .stats import (
     GaussianPrototype,
     atomic_kernel,
@@ -307,7 +307,7 @@ def _cmd_decompose(cfg: RunConfig, src: Path) -> dict:
     kernel, decomp = _decompose_ctf(src)
     sig_sq = decomp.sigmas**2
     total = float(sig_sq.sum())
-    cum = np.cumsum(sig_sq) / total if total > 0 else np.zeros_like(sig_sq)
+    cum = _cumulative_normalized(sig_sq)
     rows = [(n, *pair) for n, pair in enumerate(zip(decomp.sigmas, cum))]
     footer = (
         f"# sum_sigma_sq={_fmt(total)} kernel_frob_sq={_fmt(kernel.frob_norm ** 2)}"

@@ -4,6 +4,16 @@ The CLI maps these onto exit codes: validation/config problems -> 1,
 file-format and I/O problems -> 2, numerical failures -> 3.
 """
 
+__all__ = [
+    "HogmtError",
+    "ValidationError",
+    "DimensionMismatchError",
+    "ConfigError",
+    "FormatError",
+    "NumericalError",
+    "DegenerateChannelError",
+]
+
 
 class HogmtError(Exception):
     """Base class for all errors raised by this package."""

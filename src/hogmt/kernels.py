@@ -27,11 +27,6 @@ from .errors import (
 __all__ = [
     "Kernel4D",
     "EigenDecomposition",
-    "checked_array",
-    "checked_fields",
-    "checked_int",
-    "checked_real",
-    "ensure_grid",
     "flatten_kernel",
     "decompose_grid_pairs",
     "hogmt_decompose",

@@ -47,6 +47,7 @@ from .kernels import (
 from .precoding import _FRACTION_RANGE, hogmt_map, zf_map, zfdpc_map
 
 __all__ = [
+    "MIN_BITS_FLOOR",
     "ModulationScheme",
     "SCHEMES",
     "get_scheme",

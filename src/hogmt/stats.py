@@ -5,8 +5,8 @@ atomic kernel on the joint time-frequency x delay-Doppler lattice, windowed
 by a GaussianPrototype -> SVD of that 4-D kernel by the channel kernel's
 entry, ``kernels.decompose_grid_pairs`` -> correlation/scattering/path-gain
 summaries built from the eigenvalues and eigenfunction grids alone.
-Stationarity metrics (per-start-time ACF, correlation matrix distance,
-stationarity interval) operate directly on the impulse response.
+Stationarity metrics (correlation matrix distance, stationarity interval)
+operate directly on the impulse response.
 
 Lattice conventions: the frequency grid is the DFT of the delay axis (size
 L_tau) and the Doppler grid is the DFT of the time axis (size L_t), both in
@@ -45,7 +45,6 @@ __all__ = [
     "atomic_kernel",
     "decompose_atomic",
     "stats_from_decomp",
-    "acf",
     "cmd",
     "stationarity_interval",
 ]
@@ -261,29 +260,6 @@ def stats_from_decomp(
     if acc is None:
         raise ValidationError("ensemble is empty")
     return StatsReport(*(a / count for a in acc), ensemble_size=count, source_dims=dims)
-
-
-def acf(h: ImpulseResponse4D, u: int, up: int, max_lag: int) -> np.ndarray:
-    """Per-start-time autocorrelation magnitude over the delay axis.
-
-    Returns a real grid of shape (L_t - max_lag, max_lag + 1); entry [t, l]
-    is |sum_tau g[t+l,tau] conj(g[t,tau])| normalized by the geometric mean
-    of the energies at t and t+l.  Row t covers every lag from the same
-    start time, so time variation of the correlation structure shows up as
-    variation across rows.
-    """
-    g = _check_pair(h, u, up)
-    l_t = g.shape[0]
-    max_lag = checked_int(max_lag, "max_lag", ge=0, lt=l_t)
-    energy = np.sum(np.abs(g) ** 2, axis=1)
-    n_starts = l_t - max_lag
-    out = np.empty((n_starts, max_lag + 1), dtype=float)
-    tiny = np.finfo(float).tiny
-    for lag in range(max_lag + 1):
-        corr = np.sum(g[lag : lag + n_starts] * np.conj(g[:n_starts]), axis=1)
-        denom = np.sqrt(energy[lag : lag + n_starts] * energy[:n_starts])
-        out[:, lag] = np.abs(corr) / np.maximum(denom, tiny)
-    return out
 
 
 @dataclass(frozen=True)

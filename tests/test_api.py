@@ -1,26 +1,56 @@
 """The public API contract: exported names and the names the benchmark traces."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
 import io
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import hogmt
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
+
+# public names whose only callers are tests, each kept for a stated job
+TEST_ONLY = {
+    "reconstruct": "the Mercer-reconstruction oracle of the decomposition tests",
+    "spreading_function": "the direct second route for the eigen-domain statistics",
+}
+
+
+def _submodules():
+    return [
+        importlib.import_module(f"hogmt.{info.name}")
+        for info in pkgutil.iter_modules(hogmt.__path__)
+    ]
+
+
+def _readme_example() -> str:
+    text = README.read_text(encoding="utf-8")
+    (block,) = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    return block
+
+
+def _loaded_names(source: str) -> set[str]:
+    """Names a module reads; def and class lines, imports and __all__ strings are not reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
 
 
 def test_all_names_resolve():
     # the package and every module in it: a deleted name must leave __all__ too
-    modules = [hogmt] + [
-        importlib.import_module(f"hogmt.{info.name}")
-        for info in pkgutil.iter_modules(hogmt.__path__)
-    ]
+    modules = [hogmt] + _submodules()
     missing = [
         f"{mod.__name__}.{name}"
         for mod in modules
@@ -56,11 +86,36 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_exports_are_unique_and_come_from_their_module():
+    # a star import that shadowed another module's name would break this
+    exported = [name for name in hogmt.__all__ if name != "__version__"]
+    assert len(exported) == len(set(exported))
+    modules = _submodules()
+    wrong = {}
+    for name in exported:
+        owners = [mod for mod in modules if name in getattr(mod, "__all__", ())]
+        if len(owners) != 1 or getattr(hogmt, name) is not getattr(owners[0], name):
+            wrong[name] = [mod.__name__ for mod in owners]
+    assert not wrong
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # the package reading it, the benchmark naming it, or the README example
+    src = Path(hogmt.__file__).parent
+    used = set().union(*(_loaded_names(f.read_text(encoding="utf-8")) for f in src.glob("*.py")))
+    used |= _loaded_names(_readme_example()) | TEST_ONLY.keys()
+    bench = "\n".join(f.read_text(encoding="utf-8") for f in (ROOT / "perfbench").glob("*.py"))
+    unused = [
+        name
+        for name in hogmt.__all__
+        if name not in used and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert not unused
+
+
 def test_readme_library_example_runs():
     # the README's python block is the documented API; it must run as written
-    text = README.read_text(encoding="utf-8")
-    (block,) = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        exec(compile(block, str(README), "exec"), {})
+        exec(compile(_readme_example(), str(README), "exec"), {})
     residual = float(out.getvalue().splitlines()[0])
     assert residual < 1e-9

@@ -145,13 +145,10 @@ def _mismatch_calls():
         "apply_kernel": lambda: H.apply_kernel(kernel, wrong),
         "hogmt_precode": lambda: H.hogmt_precode(H.hogmt_decompose(kernel), wrong),
         "zf_precode_instant": lambda: H.zf_precode_instant(h, wrong),
-        "interference_split": lambda: H.interference_split(h, H.SpaceTimeSignal(wrong)),
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["apply_kernel", "hogmt_precode", "zf_precode_instant", "interference_split"]
-)
+@pytest.mark.parametrize("name", ["apply_kernel", "hogmt_precode", "zf_precode_instant"])
 def test_signal_shape_mismatch_rejected(name):
     with pytest.raises(DimensionMismatchError, match=r"\(2, 5\) does not match \(2, 4\)"):
         _mismatch_calls()[name]()
@@ -221,9 +218,6 @@ SCALARS = [
     ("tf_transfer.up", "up", "int", -1, lambda c, v: H.tf_transfer(c.h, 0, v)),
     ("spreading_function.u", "u", "int", -1, lambda c, v: H.spreading_function(c.h, v, 0)),
     ("spreading_function.up", "up", "int", 2, lambda c, v: H.spreading_function(c.h, 0, v)),
-    ("acf.u", "u", "int", 2, lambda c, v: H.acf(c.h, v, 0, 1)),
-    ("acf.up", "up", "int", 2, lambda c, v: H.acf(c.h, 0, v, 1)),
-    ("acf.max_lag", "max_lag", "int", 4, lambda c, v: H.acf(c.h, 0, 0, v)),
     ("GaussianPrototype.spread_t", "spread_t", "real", 0.0,
      lambda c, v: H.GaussianPrototype(spread_t=v)),
     ("GaussianPrototype.spread_f", "spread_f", "real", -1.0,

@@ -1,6 +1,7 @@
 """Tests for the synthetic channel generator, kernel packing and CTF files."""
 
 import math
+import os
 import struct
 import tracemalloc
 
@@ -9,10 +10,7 @@ import pytest
 
 from hogmt import (
     ScenarioConfig,
-    SpaceTimeSignal,
-    apply_kernel,
     generate_channel,
-    interference_split,
     load_ctf,
     save_ctf,
     to_kernel,
@@ -20,7 +18,6 @@ from hogmt import (
 from hogmt import channel as channel_mod
 from hogmt.channel import _SEED_CHANNEL, _SINUSOIDS_PER_TAP, _substream
 from hogmt.errors import FormatError, ValidationError
-from hogmt.stats import acf
 
 
 def small_cfg(**kw):
@@ -445,10 +442,14 @@ class TestAcfBehavior:
     """Ensemble ACF shape: flat for the stationary mode, varying under drift."""
 
     def _mean_lag_profile(self, cfg, n_seeds, lag):
+        # per start t: |sum_tau g[t+lag,tau] conj(g[t,tau])| over the geometric
+        # mean of the two instants' energies
         rows = []
         for sd in range(n_seeds):
-            h = generate_channel(cfg, sd)
-            rows.append(acf(h, 0, 0, max_lag=lag)[:, lag])
+            g = generate_channel(cfg, sd).values[0, 0]  # (L_t, L_tau)
+            corr = np.abs(np.sum(g[lag:] * np.conj(g[:-lag]), axis=1))
+            energy = np.sum(np.abs(g) ** 2, axis=1)
+            rows.append(corr / np.sqrt(energy[lag:] * energy[:-lag]))
         arr = np.asarray(rows)
         mean = arr.mean(axis=0)
         se = arr.std(axis=0, ddof=1) / np.sqrt(n_seeds)
@@ -501,29 +502,6 @@ class TestToKernel:
         assert np.abs(kern.values[mask]).max() == 0.0
 
 
-class TestInterferenceSplit:
-    def test_terms_sum_to_kernel_output(self):
-        cfg = small_cfg(users=3, tx_antennas=3)
-        h = generate_channel(cfg, 6)
-        rng = np.random.default_rng(2)
-        s = SpaceTimeSignal(grid=rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16)))
-        split = interference_split(h, s)
-        full = apply_kernel(to_kernel(h), s).grid
-        err = np.abs(split.total() - full).max()
-        assert err <= 1e-12 * max(np.abs(full).max(), 1.0), f"recomposition error {err}"
-
-    def test_single_tap_has_no_temporal_terms(self):
-        cfg = small_cfg(min_delay_taps=1, max_delay_taps=1)
-        h = generate_channel(cfg, 8)
-        s = SpaceTimeSignal(grid=np.ones((2, 16), dtype=complex))
-        split = interference_split(h, s)
-        scale = np.abs(split.total()).max()
-        # the terms are assembled by differencing, so allow rounding residue
-        assert np.abs(split.temporal.grid).max() <= 1e-14 * scale
-        assert np.abs(split.joint.grid).max() <= 1e-14 * scale
-        assert np.abs(split.spatial.grid).max() > 1e-3
-
-
 class TestCtfFormat:
     def test_roundtrip_exact(self, tmp_path):
         h = generate_channel(small_cfg(), 10)
@@ -567,6 +545,51 @@ class TestCtfFormat:
         with pytest.raises(FormatError) as exc:
             load_ctf(bad)
         assert exc.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "header,offset",
+        [
+            (b"XXXXXXXX" + bytes(20), 0),
+            # a valid header declaring 1 KiB of payload
+            (struct.pack("<8s5I", b"HGMTCTF1", 1, 2, 2, 16, 4), 28),
+        ],
+    )
+    def test_malformed_file_rejected_before_payload_read(self, tmp_path, header, offset):
+        # a 64 MiB sparse file: the header and the file size reject it, so the
+        # payload is never read into memory
+        bad = tmp_path / "big.ctf"
+        with open(bad, "wb") as fh:
+            fh.write(header)
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                load_ctf(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == offset
+        assert peak < 1 << 20, peak
+
+    @staticmethod
+    def _load_through_pipe(data):
+        r, w = os.pipe()
+        os.write(w, data)  # fits the pipe buffer, so no writer thread
+        os.close(w)
+        try:
+            return load_ctf(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    def test_pipe_input(self, tmp_path):
+        # a pipe has no size before it is read, as in `hogmt decompose <(cat f)`
+        h = generate_channel(small_cfg(), 10)
+        save_ctf(h, tmp_path / "chan.ctf")
+        raw = (tmp_path / "chan.ctf").read_bytes()
+        np.testing.assert_array_equal(self._load_through_pipe(raw).values, h.values)
+        with pytest.raises(FormatError, match="payload holds 3064 bytes") as exc:
+            self._load_through_pipe(raw[:-8])
+        assert exc.value.offset == 28
 
     def test_delay_axis_longer_than_time_rejected(self, tmp_path):
         h = generate_channel(small_cfg(), 10)

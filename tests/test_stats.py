@@ -11,7 +11,6 @@ from hogmt import (
     ImpulseResponse4D,
     ScenarioConfig,
     TFTransfer,
-    acf,
     atomic_kernel,
     cmd,
     CmdSeries,
@@ -256,30 +255,6 @@ class TestStatsReport:
         for name in ("ccf_mag", "lsf", "scattering", "path_gain"):
             np.testing.assert_array_equal(getattr(streamed, name), getattr(listed, name))
         assert streamed.total_gain == listed.total_gain
-
-
-class TestAcf:
-    def test_lag_zero_is_one(self):
-        h = chan(18, time_symbols=20)
-        a = acf(h, 0, 0, max_lag=4)
-        assert a.shape == (16, 5)
-        np.testing.assert_allclose(a[:, 0], 1.0, rtol=1e-12)
-
-    def test_time_invariant_channel_fully_coherent(self):
-        h = chan(19, doppler_max=0.0, time_symbols=20)
-        a = acf(h, 0, 0, max_lag=6)
-        np.testing.assert_allclose(a, 1.0, rtol=1e-12)
-
-    def test_values_bounded(self):
-        h = chan(20, time_symbols=24, doppler_max=0.3)
-        a = acf(h, 0, 0, max_lag=8)
-        assert a.max() <= 1.0 + 1e-12
-        assert a.min() >= 0.0
-
-    def test_lag_validation(self):
-        h = chan(21)
-        with pytest.raises(ValidationError):
-            acf(h, 0, 0, max_lag=8)  # no starts left on an 8-symbol horizon
 
 
 def two_phase_channel(l_t=16):
