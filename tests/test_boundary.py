@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hogmt as H
-from hogmt.cli import complexity_estimate
+from hogmt.cli import SimConfig, StatsConfig, complexity_estimate
 from hogmt.errors import DimensionMismatchError, ValidationError
 from hogmt.kernels import checked_int, checked_real
 from hogmt.precoding import hogmt_map, retained_count
@@ -235,6 +235,16 @@ SCALARS = [
      lambda c, v: H.StationarityReport(intervals=[1], threshold=0.2, window=v, side="tx")),
     ("stationarity_interval.d0", "d0", "real", 1.5,
      lambda c, v: H.stationarity_interval(c.series, v)),
+    ("SimConfig.min_bits", "min_bits", "int", H.MIN_BITS_FLOOR - 1,
+     lambda c, v: SimConfig(min_bits=v)),
+    ("SimConfig.seed", "seed", "int", -1, lambda c, v: SimConfig(seed=v)),
+    ("StatsConfig.d0", "d0", "real", 0.0, lambda c, v: StatsConfig(d0=v)),
+    ("StatsConfig.window", "window", "int", 1, lambda c, v: StatsConfig(window=v)),
+    ("StatsConfig.ensemble", "ensemble", "int", 0, lambda c, v: StatsConfig(ensemble=v)),
+    ("StatsConfig.proto_spread_t", "proto_spread_t", "real", 0.0,
+     lambda c, v: StatsConfig(proto_spread_t=v)),
+    ("StatsConfig.proto_spread_f", "proto_spread_f", "real", -1.0,
+     lambda c, v: StatsConfig(proto_spread_f=v)),
     ("complexity_estimate.users", "users", "int", 0, lambda c, v: complexity_estimate(v, 1, 2)),
     ("complexity_estimate.tx_antennas", "tx_antennas", "int", 0,
      lambda c, v: complexity_estimate(2, v, 2)),

@@ -10,6 +10,8 @@ import pytest
 
 from hogmt import (
     ScenarioConfig,
+    SpaceTimeSignal,
+    apply_kernel,
     generate_channel,
     load_ctf,
     save_ctf,
@@ -500,6 +502,27 @@ class TestToKernel:
         outside = (diff < 0) | (diff >= h.dims[3])
         mask = np.broadcast_to(outside[None, :, None, :], kern.values.shape)
         assert np.abs(kern.values[mask]).max() == 0.0
+
+    def test_kernel_output_is_the_time_varying_convolution(self):
+        # r[u, t] = sum_{u', tau} h[u, u', t, tau] s[u', t - tau]
+        h = generate_channel(small_cfg(users=3, tx_antennas=3), 6)
+        rng = np.random.default_rng(2)
+        s = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        want = np.zeros((3, 16), dtype=complex)
+        for tau in range(h.dims[3]):
+            want[:, tau:] += np.einsum("avt,vt->at", h.values[:, :, tau:, tau], s[:, : 16 - tau])
+        full = apply_kernel(to_kernel(h), SpaceTimeSignal(grid=s)).grid
+        np.testing.assert_allclose(full, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_single_tap_has_no_interference_across_time(self):
+        h = generate_channel(small_cfg(min_delay_taps=1, max_delay_taps=1), 8)
+        s = np.zeros((2, 16), dtype=complex)
+        s[:, 5] = 1.0  # one instant: the output must stay at that instant
+        r = apply_kernel(to_kernel(h), SpaceTimeSignal(grid=s)).grid
+        assert np.abs(np.delete(r, 5, axis=1)).max() == 0.0
+        # the spatial terms remain: each user hears both antennas
+        np.testing.assert_allclose(r[:, 5], h.values[:, :, 5, 0].sum(axis=1), rtol=1e-12)
+        assert np.abs(h.values[:, :, 5, 0]).min() > 1e-3
 
 
 class TestCtfFormat:
