@@ -28,6 +28,7 @@ from .errors import FormatError, ValidationError
 from .kernels import (
     Kernel4D,
     _banded,
+    _freeze,
     checked_array,
     checked_fields,
     checked_int,
@@ -259,7 +260,7 @@ def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     taus = np.arange(l_tau)
     prof = np.exp(-cfg.delay_decay * taus.astype(float)) * (taus < spreads[..., None])
     amp = np.sqrt(prof / prof.sum(axis=-1, keepdims=True))
-    return ImpulseResponse4D(raw * amp[:, :, None, :])
+    return ImpulseResponse4D(_freeze(raw * amp[:, :, None, :]))
 
 
 def to_kernel(h: ImpulseResponse4D) -> Kernel4D:
@@ -343,7 +344,8 @@ def load_ctf(path) -> ImpulseResponse4D:
                 offset=_CTF_HEADER.size,
             )
     flat = np.frombuffer(payload, dtype="<c16")
-    values = flat.reshape(dims)  # ImpulseResponse4D makes the native copy
+    # read-only over immutable bytes, so ImpulseResponse4D keeps it uncopied
+    values = flat.reshape(dims)
     if not np.all(np.isfinite(values)):
         raise FormatError(
             "payload contains non-finite values", offset=_CTF_HEADER.size

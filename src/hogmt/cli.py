@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -366,6 +367,18 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
         raise ConfigError(
             f"stats.window must be <= scenario.time_symbols, got {cfg.stats.window} > "
             f"{cfg.scenario.time_symbols}"
+        )
+    # checked before any channel is drawn: the atomic kernel is the largest
+    # array, and the cmd matrix, (time_symbols - window + 1)**2 * 8 bytes, is
+    # at most half of it
+    l_t, l_tau = cfg.scenario.time_symbols, cfg.scenario.max_delay_taps
+    nbytes = (l_t * l_tau) ** 2 * 16
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConfigError(
+            f"scenario.time_symbols {l_t} needs {nbytes / 2**30:,.1f} GiB for the "
+            "atomic kernel, (time_symbols * max_delay_taps)**2 * 16 bytes, more than "
+            f"the {memory / 2**30:,.1f} GiB of physical memory"
         )
     proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
     channels = (

@@ -39,19 +39,47 @@ __all__ = [
 DECOMPOSITION_FLOOR_REL = 1e-12
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only down its ``.base`` chain; for fresh results only.
+
+    A producer hands its new array to a dataclass through this, so that
+    :func:`checked_array` keeps it instead of copying it.
+    """
+    link = arr
+    while isinstance(link, np.ndarray):
+        link.flags.writeable = False
+        link = link.base
+    return arr
+
+
+def _is_frozen(arr: np.ndarray) -> bool:
+    """True when ``arr`` is read-only down its ``.base`` chain and that chain
+    ends in no base or in an immutable ``bytes`` object."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None or isinstance(arr, bytes)
+
+
 def checked_array(data, ndim: int, name: str, dtype=np.complex128) -> np.ndarray:
-    """Read-only C-contiguous copy of ``data`` as ``dtype``, ``ndim``-D and finite.
+    """Read-only C-contiguous ``data`` as ``dtype``, ``ndim``-D and finite.
 
     The single boundary every public array of the package passes: errors
-    raise ValidationError naming ``name``, and later changes to the
-    caller's array do not reach the copy.
+    raise ValidationError naming ``name``.  An array that already has
+    ``dtype``, is C-contiguous and is frozen (see :func:`_is_frozen`) is
+    kept as it is; anything else is copied and the copy frozen, so later
+    changes to the caller's array do not reach it.
     """
     try:
         with np.errstate(invalid="raise"):  # NaN or inf cast to an integer dtype
             raw = np.asarray(data)
             if raw.dtype.kind == "c" and np.dtype(dtype).kind != "c":
                 raise TypeError("complex entries would lose their imaginary part")
-            arr = np.array(raw, dtype=dtype, order="C")
+            if raw.dtype == dtype and raw.flags.c_contiguous and _is_frozen(raw):
+                arr = raw
+            else:
+                arr = np.array(raw, dtype=dtype, order="C")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"{name} is not a {np.dtype(dtype)} array: {exc}") from exc
     if arr.ndim != ndim:
@@ -221,7 +249,7 @@ def _banded(blocks: np.ndarray) -> np.ndarray:
         ts = np.arange(tau, l_t)
         # advanced indexing puts the paired time axes first
         out[:, ts, :, ts - tau] = blocks[tau, ts]
-    return out
+    return _freeze(out)
 
 
 def flatten_kernel(kernel: Kernel4D) -> np.ndarray:
@@ -261,14 +289,16 @@ def decompose_grid_pairs(values: np.ndarray) -> EigenDecomposition:
     # Singular vectors have unit norm, so every peak is nonzero.
     peaks = u_mat[np.argmax(np.abs(u_mat), axis=0), np.arange(keep)]
     rot = np.conj(peaks) / np.abs(peaks)
-    u_mat = u_mat * rot
+    u_mat *= rot
     # keeping u_n v_n^H invariant requires the conjugate rotation on the
     # stored conj(v_n) row
-    vh_mat = vh_mat * np.conj(rot)[:, np.newaxis]
+    vh_mat *= np.conj(rot)[:, np.newaxis]
 
     psis = np.ascontiguousarray(u_mat.T).reshape(keep, *row_shape)
     phis = vh_mat.reshape(keep, *col_shape)
-    return EigenDecomposition(sigmas=sig, psis=psis, phis=phis, source_dims=arr.shape)
+    return EigenDecomposition(
+        sigmas=_freeze(sig), psis=_freeze(psis), phis=_freeze(phis), source_dims=arr.shape
+    )
 
 
 def hogmt_decompose(kernel: Kernel4D) -> EigenDecomposition:

@@ -24,6 +24,7 @@ from .channel import ImpulseResponse4D, _instant_matrices
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (
     EigenDecomposition,
+    _freeze,
     checked_array,
     checked_fields,
     checked_int,
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _SIDES = ("tx", "rx")
+_CMD_BLOCK_ROWS = 64  # most rows of the distance matrix filled per Gram block
 
 
 def _check_pair(h: ImpulseResponse4D, u: int, up: int) -> np.ndarray:
@@ -182,7 +184,7 @@ def atomic_kernel(transfer: TFTransfer, prototype: GaussianPrototype) -> AtomicK
         out[t] = np.transpose(spec, (1, 2, 0))  # [f, tau, nu]
     phase = np.exp(2j * np.pi * np.outer(ff, np.arange(n_f)) / n_f)  # [f, tau]
     out *= phase[None, :, :, None]
-    return AtomicKernel(out)
+    return AtomicKernel(_freeze(out))
 
 
 def decompose_atomic(ak: AtomicKernel) -> EigenDecomposition:
@@ -316,17 +318,12 @@ class StationarityReport:
         object.__setattr__(self, "window", window)
 
 
-def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
-    """Correlation matrix distance over sliding windows of the tap-summed channel.
+def _window_correlations(h: ImpulseResponse4D, side: str, window: int) -> np.ndarray:
+    """Sliding-window mean correlation matrices, flattened one row per start.
 
-    side "tx" compares transmit-side correlation matrices mean(H^T conj(H)),
-    side "rx" receive-side mean(H H^H), where H(t) sums the delay taps.
-    d[i,j] = 1 - Re<R_i, R_j> / (||R_i|| ||R_j||), clipped into [0, 1].
+    A function of its own so that its temporaries are gone before ``cmd``
+    allocates the distance matrix.
     """
-    if side not in _SIDES:
-        raise ValidationError(f"side must be 'tx' or 'rx', got {side!r}")
-    l_u, l_up, l_t, _ = h.dims
-    window = checked_int(window, "window", ge=2, le=l_t)
     mats = _instant_matrices(h)
     if side == "tx":
         inst = np.einsum("tua,tub->tab", mats, np.conj(mats), optimize=True)
@@ -336,15 +333,41 @@ def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
     csum = np.cumsum(inst, axis=0)
     zero = np.zeros_like(csum[:1])
     csum = np.concatenate([zero, csum], axis=0)
-    n_starts = l_t - window + 1
+    n_starts = inst.shape[0] - window + 1
     rmats = (csum[window : window + n_starts] - csum[:n_starts]) / window
-    flat = rmats.reshape(n_starts, -1)
+    return rmats.reshape(n_starts, -1)
+
+
+def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
+    """Correlation matrix distance over sliding windows of the tap-summed channel.
+
+    side "tx" compares transmit-side correlation matrices mean(H^T conj(H)),
+    side "rx" receive-side mean(H H^H), where H(t) sums the delay taps.
+    d[i,j] = 1 - Re<R_i, R_j> / (||R_i|| ||R_j||), clipped into [0, 1].
+    """
+    if side not in _SIDES:
+        raise ValidationError(f"side must be 'tx' or 'rx', got {side!r}")
+    window = checked_int(window, "window", ge=2, le=h.dims[2])
+    flat = _window_correlations(h, side, window)
+    n_starts = flat.shape[0]
     norms = np.linalg.norm(flat, axis=1)
     tiny = np.finfo(float).tiny
-    gram = np.real(flat @ np.conj(flat.T))
-    denom = np.maximum(np.outer(norms, norms), tiny)
-    dist = 1.0 - gram / denom
-    return CmdSeries(distances=np.clip(dist, 0.0, 1.0), window=window, side=side)
+    conj_t = np.conj(flat.T)
+    # filled in place a block of rows at a time, so neither the complex Gram
+    # matrix nor a full-size temporary is made; blocks differ in size by at
+    # most one row, so none is a lone row (a matrix-vector product) unless
+    # the matrix has one row
+    dist = np.empty((n_starts, n_starts))
+    n_blocks = -(-n_starts // _CMD_BLOCK_ROWS)
+    edges = [n_starts * b // n_blocks for b in range(n_blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = dist[lo:hi]
+        block[...] = np.real(flat[lo:hi] @ conj_t)
+        denom = np.outer(norms[lo:hi], norms)
+        block /= np.maximum(denom, tiny, out=denom)
+        np.subtract(1.0, block, out=block)
+    np.clip(dist, 0.0, 1.0, out=dist)
+    return CmdSeries(distances=_freeze(dist), window=window, side=side)
 
 
 def stationarity_interval(series: CmdSeries, d0: float) -> StationarityReport:
@@ -356,12 +379,26 @@ def stationarity_interval(series: CmdSeries, d0: float) -> StationarityReport:
     """
     d0 = checked_real(d0, "d0", gt=0, le=1)
     n = series.n_starts
-    intervals = np.ones(n, dtype=int)
-    for i in range(n):
-        crossed = series.distances[i] >= d0
-        # each run ends at its first crossing, or at the end of the row
-        for run in (crossed[i + 1 :], crossed[:i][::-1]):
-            intervals[i] += run.argmax() if run.any() else run.size
+    # the crossings d >= d0, bordered by a row and a column of True that end
+    # every run at the edge of the matrix
+    crossed = np.ones((n + 1, n + 1), dtype=bool)
+    inner = crossed[:n, :n]
+    np.greater_equal(series.distances, d0, out=inner)
+    ahead = _runs_ahead(crossed)
+    # the backward runs are the forward runs of the matrix turned by 180 degrees
+    inner[...] = inner[::-1, ::-1]
+    behind = _runs_ahead(crossed)[::-1]
     return StationarityReport(
-        intervals=intervals, threshold=d0, window=series.window, side=series.side
+        intervals=1 + ahead + behind, threshold=d0, window=series.window, side=series.side
     )
+
+
+def _runs_ahead(crossed: np.ndarray) -> np.ndarray:
+    """Per row i < n of the bordered (n+1) x (n+1) mask, the count of False
+    entries from crossed[i, i+1] up to the first True (the border at latest).
+
+    Row i of the reshaped view starts at crossed[i, i+1], so one argmax, which
+    stops at the first True, finds every run.
+    """
+    n = crossed.shape[0] - 1
+    return crossed.ravel()[1:].reshape(n, n + 2).argmax(axis=1)

@@ -1,5 +1,6 @@
-"""The input boundary: every public array field is checked, copied and frozen,
-and every public scalar argument is checked for type, finiteness and range."""
+"""The input boundary: every public array field is checked and frozen (copied
+unless it is already frozen), and every public scalar argument is checked for
+type, finiteness and range."""
 
 from types import SimpleNamespace
 
@@ -85,6 +86,27 @@ class TestArrayFields:
         kw[field][...] = 7  # the caller's array changes afterwards
         np.testing.assert_array_equal(stored, before)
 
+    def test_frozen_owning_array_is_kept_as_it_is(self, cls, field):
+        kw = valid_kwargs(cls)
+        dtype = getattr(cls(**kw), field).dtype
+        frozen = np.array(kw[field], dtype=dtype)
+        frozen.flags.writeable = False
+        kw[field] = frozen
+        assert np.shares_memory(getattr(cls(**kw), field), frozen)
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self, cls, field):
+        kw = valid_kwargs(cls)
+        dtype = getattr(cls(**kw), field).dtype
+        base = np.array(kw[field], dtype=dtype)
+        view = base[...]
+        view.flags.writeable = False
+        kw[field] = view
+        stored = getattr(cls(**kw), field)
+        assert not np.shares_memory(stored, base)
+        before = base.copy()
+        base[...] = 7  # the writeable base changes afterwards
+        np.testing.assert_array_equal(stored, before)
+
     def test_complex_entries_need_a_complex_field(self, cls, field):
         kw = valid_kwargs(cls)
         real_field = np.asarray(kw[field]).dtype.kind != "c"
@@ -94,6 +116,20 @@ class TestArrayFields:
                 cls(**kw)
         else:
             np.testing.assert_array_equal(getattr(cls(**kw), field), kw[field])
+
+
+def test_array_over_immutable_bytes_is_kept_and_over_a_bytearray_copied():
+    payload = np.arange(24, dtype=complex).tobytes()
+    kept = np.frombuffer(payload, dtype=complex).reshape(2, 2, 3, 2)
+    assert H.ImpulseResponse4D(kept).values is kept
+    buffer = bytearray(payload)
+    flat = np.frombuffer(buffer, dtype=complex)
+    flat.flags.writeable = False  # read-only down to the mutable buffer
+    shared = flat.reshape(2, 2, 3, 2)
+    stored = H.ImpulseResponse4D(shared).values
+    buffer[:16] = bytes(16)  # the mutable buffer changes afterwards
+    assert stored[0, 0, 0, 0] == 0 and stored[0, 0, 0, 1] == 1
+    assert not np.shares_memory(stored, shared)
 
 
 @pytest.mark.parametrize("cls", [H.TFTransfer, H.SpreadingFunction, H.SpaceTimeSignal])

@@ -6,6 +6,7 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +578,24 @@ class TestWindowRule:
             assert target.exists() == existed
         assert not any(out.glob("stats_*.csv"))
         assert yaml.safe_load((out / "manifest.yaml").read_text())["subcommand"] == "simulate"
+
+
+def test_stats_size_that_cannot_fit_exits_1_before_any_work(tmp_path, capsys):
+    # the atomic kernel alone would take (200000 * 4)**2 * 16 bytes = 9.31 TiB
+    scenario = {"users": 1, "tx_antennas": 1, "time_symbols": 200_000,
+                "min_delay_taps": 4, "max_delay_taps": 4, "mode": "wssus"}
+    cfg_path = write_config(tmp_path, {"scenario": scenario})
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = run_cli("stats", "--config", str(cfg_path), "--out", str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: scenario.time_symbols 200000 needs")
+    assert not out.exists()
+    assert peak < 2**20, peak  # no channel was drawn
 
 
 class TestCliExitCodes:

@@ -1,6 +1,7 @@
 """Tests for channel statistics: transfer grids, atomic kernels, CMD."""
 
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from hogmt import (
     tf_transfer,
 )
 from hogmt.errors import DimensionMismatchError, ValidationError
+from hogmt.stats import _window_correlations
 
 
 def chan(seed=0, **kw):
@@ -294,6 +296,71 @@ class TestCmd:
             cmd(h, window=1)
         with pytest.raises(ValidationError):
             cmd(h, window=99)
+
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    @pytest.mark.parametrize("window", [2, 8, 33])
+    @pytest.mark.parametrize("name", ["switch", "drift"])
+    def test_row_blocks_equal_the_one_shot_formula(self, name, window, side):
+        # the 4x4x2048 channel fills 2041 (window 8) rows in 32 blocks of
+        # 63 or 64 rows; the 3x2x300 one fits one block
+        h = CMD_CHANNELS[name]()
+        got = cmd(h, side=side, window=window).distances
+        flat = _window_correlations(h, side, window)
+        norms = np.linalg.norm(flat, axis=1)
+        tiny = np.finfo(float).tiny
+        gram = np.real(flat @ np.conj(flat.T))
+        want = np.clip(1 - gram / np.maximum(np.outer(norms, norms), tiny), 0, 1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    def test_matches_a_per_window_loop_oracle(self, side):
+        h = CMD_CHANNELS["drift"]()
+        window = 33
+        mats = h.values.sum(axis=3)  # (L_u, L_u', L_t)
+        k = mats.shape[1] if side == "tx" else mats.shape[0]
+        corr = []
+        for i in range(h.dims[2] - window + 1):
+            r = np.zeros((k, k), dtype=complex)
+            for t in range(i, i + window):
+                m = mats[:, :, t]
+                r += m.T @ m.conj() if side == "tx" else m @ m.conj().T
+            corr.append(r / window)
+        n = len(corr)
+        want = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                inner = np.real(np.vdot(corr[j], corr[i]))
+                want[i, j] = 1 - inner / (np.linalg.norm(corr[i]) * np.linalg.norm(corr[j]))
+        got = cmd(h, side=side, window=window).distances
+        np.testing.assert_allclose(got, np.clip(want, 0, 1), rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_bounded_by_the_result(self):
+        # the row blocks hold a few rows of Gram and norm products at a time,
+        # and the distances are not copied on the way into CmdSeries; a
+        # full complex Gram matrix alone is twice the result
+        h = CMD_CHANNELS["switch"]()
+        cmd(h, side="tx", window=8)
+        tracemalloc.start()
+        try:
+            out = cmd(h, side="tx", window=8).distances.nbytes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == 8 * 2041**2
+        assert peak <= 1.25 * out, (peak, out)
+
+
+CMD_CHANNELS = {
+    # the benchmark's stats_ensemble switch channel, and a drifting one
+    "switch": lambda: generate_channel(ScenarioConfig(
+        users=4, tx_antennas=4, time_symbols=2048, min_delay_taps=2,
+        max_delay_taps=2, mode="block", block_len=256, doppler_max=0.0,
+    ), 4242),
+    "drift": lambda: generate_channel(ScenarioConfig(
+        users=3, tx_antennas=2, time_symbols=300, max_delay_taps=3, mode="drift",
+        doppler_max=0.05, doppler_drift=0.001,
+    ), 7),
+}
 
 
 class TestStationarityInterval:
