@@ -29,10 +29,8 @@ from .kernels import (
     Kernel4D,
     _banded,
     _freeze,
-    checked_array,
     checked_fields,
     checked_int,
-    ensure_grid,
 )
 
 __all__ = [
@@ -80,9 +78,10 @@ def _child_seed(master_seed: int, *key: int) -> int:
 class ScenarioConfig:
     """Channel scenario: dimensions, nonstationarity mode, and statistics.
 
-    All values are validated on construction; error messages name the
-    offending field and its constraint; :func:`checked_fields` checks the
-    number fields against the intervals in their metadata.
+    All values are validated on construction, and error messages name the
+    offending field and its constraint: :func:`checked_fields` checks each
+    number field against the interval in its metadata and ``mode`` against
+    its choices; ``__post_init__`` adds the rules that relate fields.
     """
 
     users: int = field(default=4, metadata={"ge": 1})
@@ -90,7 +89,7 @@ class ScenarioConfig:
     time_symbols: int = field(default=256, metadata={"ge": 1})
     min_delay_taps: int = field(default=1, metadata={"ge": 1})
     max_delay_taps: int = 4  # in [min_delay_taps, time_symbols]
-    mode: str = "wssus"
+    mode: str = field(default="wssus", metadata={"choices": MODES})
     block_len: int = field(default=64, metadata={"ge": 1})
     doppler_max: float = field(default=0.05, metadata={"ge": 0, "lt": 0.5})
     doppler_drift: float = field(default=0.0, metadata={"ge": 0})
@@ -108,10 +107,6 @@ class ScenarioConfig:
             raise ValidationError(
                 "max_delay_taps must be <= time_symbols, got "
                 f"{self.max_delay_taps} > {self.time_symbols}"
-            )
-        if self.mode not in MODES:
-            raise ValidationError(
-                f"mode must be one of {MODES}, got {self.mode!r}"
             )
         if self.mode == "drift":
             peak = self.doppler_max * (
@@ -134,20 +129,13 @@ class ImpulseResponse4D:
     taps.  The number of taps never exceeds the time horizon.
     """
 
-    values: np.ndarray
+    values: np.ndarray = field(metadata={"ndim": 4, "nonempty": True})
 
     def __post_init__(self):
-        arr = checked_array(self.values, 4, "ImpulseResponse4D.values")
-        if min(arr.shape) < 1:
-            raise ValidationError(
-                f"impulse response dims must be >= 1, got {arr.shape}"
-            )
-        if arr.shape[3] > arr.shape[2]:
-            raise ValidationError(
-                f"delay taps ({arr.shape[3]}) must not exceed time symbols "
-                f"({arr.shape[2]})"
-            )
-        object.__setattr__(self, "values", arr)
+        checked_fields(self)
+        l_t, l_tau = self.values.shape[2:]
+        if l_tau > l_t:
+            raise ValidationError(f"delay taps ({l_tau}) must not exceed time symbols ({l_t})")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -164,10 +152,9 @@ def _instant_matrices(h: ImpulseResponse4D) -> np.ndarray:
 class SpaceTimeSignal:
     """Checked 2-D complex grid over (user/antenna stream, time symbol)."""
 
-    grid: np.ndarray
+    grid: np.ndarray = field(metadata={"ndim": 2, "nonempty": True})
 
-    def __post_init__(self):
-        object.__setattr__(self, "grid", ensure_grid(self.grid, "SpaceTimeSignal.grid"))
+    __post_init__ = checked_fields
 
     @property
     def dims(self) -> tuple[int, int]:

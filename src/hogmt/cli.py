@@ -105,8 +105,7 @@ class StatsConfig:
     proto_spread_t: float = field(default=4.0, metadata={"gt": 0})
     proto_spread_f: float = field(default=1.0, metadata={"gt": 0})
 
-    def __post_init__(self):
-        checked_fields(self)
+    __post_init__ = checked_fields
 
 
 @dataclass(frozen=True)

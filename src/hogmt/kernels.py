@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numbers
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,14 +62,15 @@ def _is_frozen(arr: np.ndarray) -> bool:
     return arr is None or isinstance(arr, bytes)
 
 
-def checked_array(data, ndim: int, name: str, dtype=np.complex128) -> np.ndarray:
+def checked_array(data, ndim: int, name: str, dtype=np.complex128, nonempty=False) -> np.ndarray:
     """Read-only C-contiguous ``data`` as ``dtype``, ``ndim``-D and finite.
 
     The single boundary every public array of the package passes: errors
-    raise ValidationError naming ``name``.  An array that already has
-    ``dtype``, is C-contiguous and is frozen (see :func:`_is_frozen`) is
-    kept as it is; anything else is copied and the copy frozen, so later
-    changes to the caller's array do not reach it.
+    raise ValidationError naming ``name``.  ``nonempty`` requires every dim
+    to be >= 1.  An array that already has ``dtype``, is C-contiguous and is
+    frozen (see :func:`_is_frozen`) is kept as it is; anything else is
+    copied and the copy frozen, so later changes to the caller's array do
+    not reach it.
     """
     try:
         with np.errstate(invalid="raise"):  # NaN or inf cast to an integer dtype
@@ -80,10 +81,14 @@ def checked_array(data, ndim: int, name: str, dtype=np.complex128) -> np.ndarray
                 arr = raw
             else:
                 arr = np.array(raw, dtype=dtype, order="C")
+                if arr.dtype.kind in "iu" and raw.dtype.kind == "f" and (arr != raw).any():
+                    raise TypeError("fractional entries would be truncated")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"{name} is not a {np.dtype(dtype)} array: {exc}") from exc
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if nonempty and min(arr.shape) < 1:
+        raise ValidationError(f"{name} must have all dims >= 1, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
@@ -116,18 +121,32 @@ def checked_int(value, name: str, *, ge=None, le=None, lt=np.inf) -> int:
     return int(value)
 
 
-def checked_fields(obj) -> None:
-    """Check and store the number fields of the frozen dataclass ``obj``.
+_NUMBER_CHECKS = {"int": checked_int, "float": checked_real}
 
-    A field with an int or float default is a number field; its metadata
-    holds its interval as bounds of :func:`checked_real`, and an int default
-    makes it an integer.  Errors raise ValidationError naming the field.
+
+def checked_fields(obj) -> None:
+    """Check and store every field of the frozen dataclass ``obj`` that declares a check.
+
+    A field's metadata is its one declaration: ``choices`` lists the strings
+    it may take; ``ndim`` (with ``dtype``, complex by default, and
+    ``nonempty``) makes it an array passed through :func:`checked_array` as
+    ``Class.field``; on a field annotated ``int`` or ``float`` it holds the
+    interval as bounds of :func:`checked_real`.  Errors raise
+    ValidationError naming the field.
     """
     for f in fields(obj):
-        if isinstance(f.default, (int, float)):
-            check = checked_int if isinstance(f.default, int) else checked_real
-            value = check(getattr(obj, f.name), f.name, **f.metadata)
-            object.__setattr__(obj, f.name, value)
+        value, meta = getattr(obj, f.name), f.metadata
+        # every module uses ``from __future__ import annotations``: f.type is a string
+        number_check = _NUMBER_CHECKS.get(f.type)
+        if "choices" in meta and not (isinstance(value, str) and value in meta["choices"]):
+            raise ValidationError(f"{f.name} must be one of {meta['choices']}, got {value!r}")
+        if "ndim" in meta:
+            value = checked_array(value, name=f"{type(obj).__name__}.{f.name}", **meta)
+        elif number_check is not None:
+            value = number_check(value, f.name, **meta)
+        else:
+            continue
+        object.__setattr__(obj, f.name, value)
 
 
 def ensure_grid(data, name: str = "grid", shape=None) -> np.ndarray:
@@ -135,9 +154,7 @@ def ensure_grid(data, name: str = "grid", shape=None) -> np.ndarray:
 
     Both dims must be >= 1 and, when ``shape`` is given, equal to it.
     """
-    arr = checked_array(getattr(data, "grid", data), 2, name)
-    if min(arr.shape) < 1:
-        raise ValidationError(f"{name} must have both dims >= 1, got {arr.shape}")
+    arr = checked_array(getattr(data, "grid", data), 2, name, nonempty=True)
     if shape is not None and arr.shape != tuple(shape):
         raise DimensionMismatchError(
             f"{name} shape {arr.shape} does not match {tuple(shape)}"
@@ -154,18 +171,15 @@ class Kernel4D:
     common time horizon).
     """
 
-    values: np.ndarray
+    values: np.ndarray = field(metadata={"ndim": 4, "nonempty": True})
 
     def __post_init__(self):
-        arr = checked_array(self.values, 4, "Kernel4D.values")
-        if min(arr.shape) < 1:
-            raise ValidationError(f"kernel dims must all be >= 1, got {arr.shape}")
-        if arr.shape[1] != arr.shape[3]:
+        checked_fields(self)
+        l_t, l_tp = self.values.shape[1::2]
+        if l_t != l_tp:
             raise ValidationError(
-                "kernel input/output time lengths must match, got "
-                f"L_t={arr.shape[1]} and L_t'={arr.shape[3]}"
+                f"kernel input/output time lengths must match, got L_t={l_t} and L_t'={l_tp}"
             )
-        object.__setattr__(self, "values", arr)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -187,15 +201,14 @@ class EigenDecomposition:
     the per-mode transmission gain of a single kernel realization.
     """
 
-    sigmas: np.ndarray
-    psis: np.ndarray  # shape (n_modes, rows, cols) of the first index pair
-    phis: np.ndarray  # shape (n_modes, rows', cols') of the second index pair
+    sigmas: np.ndarray = field(metadata={"ndim": 1, "dtype": float})
+    psis: np.ndarray = field(metadata={"ndim": 3})  # (n_modes, rows, cols) of the first pair
+    phis: np.ndarray = field(metadata={"ndim": 3})  # (n_modes, rows', cols') of the second
     source_dims: tuple[int, int, int, int]
 
     def __post_init__(self):
-        sig = checked_array(self.sigmas, 1, "EigenDecomposition.sigmas", float)
-        psis = checked_array(self.psis, 3, "EigenDecomposition.psis")
-        phis = checked_array(self.phis, 3, "EigenDecomposition.phis")
+        checked_fields(self)
+        sig, psis, phis = self.sigmas, self.psis, self.phis
         n = sig.size
         if psis.shape[0] != n or phis.shape[0] != n:
             raise DimensionMismatchError(
@@ -215,9 +228,6 @@ class EigenDecomposition:
             raise ValidationError("sigmas must be nonnegative")
         if n > 1 and np.any(np.diff(sig) > 0):
             raise ValidationError("sigmas must be sorted descending")
-        object.__setattr__(self, "sigmas", sig)
-        object.__setattr__(self, "psis", psis)
-        object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "source_dims", d)
 
     @property
@@ -265,11 +275,7 @@ def decompose_grid_pairs(values: np.ndarray) -> EigenDecomposition:
     columns; flattening C-contiguous input is a view.  Modes below
     DECOMPOSITION_FLOOR_REL * sigma_1 are dropped; a zero operator has none.
     """
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 4:
-        raise ValidationError(f"operator must be 4-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("operator contains non-finite entries")
+    arr = checked_array(values, 4, "operator")
     row_shape, col_shape = arr.shape[:2], arr.shape[2:]
     mat = arr.reshape(row_shape[0] * row_shape[1], col_shape[0] * col_shape[1])
     try:

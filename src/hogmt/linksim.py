@@ -294,13 +294,10 @@ _PLAIN_KINDS = ("zf", "zfdpc", "none", "ideal")
 class PrecoderSpec:
     """Which precoder to run; ``fraction`` is the retained-mode fraction."""
 
-    kind: str
+    kind: str = field(metadata={"choices": ("hogmt",) + _PLAIN_KINDS})
     fraction: float = field(default=1.0, metadata=_FRACTION_RANGE)
 
-    def __post_init__(self):
-        if self.kind not in ("hogmt",) + _PLAIN_KINDS:
-            raise ValidationError(f"unknown precoder kind {self.kind!r}")
-        checked_fields(self)
+    __post_init__ = checked_fields
 
 
 def parse_precoder(text) -> PrecoderSpec:

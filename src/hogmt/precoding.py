@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .kernels import (
     EigenDecomposition,
     _banded,
     _floor_count,
-    checked_array,
-    checked_int,
+    checked_fields,
     checked_real,
     ensure_grid,
 )
@@ -76,29 +75,22 @@ class CoefficientSet:
     energy of the unreconstructed part of the data grid.
     """
 
-    x_coeffs: np.ndarray
-    s_coeffs: np.ndarray
-    retained: int
-    dropped_energy: float
+    x_coeffs: np.ndarray = field(metadata={"ndim": 1})
+    s_coeffs: np.ndarray = field(metadata={"ndim": 1})
+    retained: int = field(metadata={"ge": 0})
+    dropped_energy: float = field(metadata={"ge": 0})
 
     def __post_init__(self):
-        x = checked_array(self.x_coeffs, 1, "CoefficientSet.x_coeffs")
-        s = checked_array(self.s_coeffs, 1, "CoefficientSet.s_coeffs")
-        if x.size != s.size:
+        checked_fields(self)
+        n_x, n_s = self.x_coeffs.size, self.s_coeffs.size
+        if n_x != n_s:
             raise DimensionMismatchError(
-                f"coefficient arrays must have equal length, got {x.size} and {s.size}"
+                f"coefficient arrays must have equal length, got {n_x} and {n_s}"
             )
-        retained = checked_int(self.retained, "CoefficientSet.retained", ge=0)
-        if x.size != retained:
+        if n_x != self.retained:
             raise DimensionMismatchError(
-                f"retained count {retained} does not match coefficient "
-                f"length {x.size}"
+                f"retained count {self.retained} does not match coefficient length {n_x}"
             )
-        dropped = checked_real(self.dropped_energy, "CoefficientSet.dropped_energy", ge=0)
-        object.__setattr__(self, "x_coeffs", x)
-        object.__setattr__(self, "s_coeffs", s)
-        object.__setattr__(self, "retained", retained)
-        object.__setattr__(self, "dropped_energy", dropped)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,10 @@ from .errors import DimensionMismatchError, ValidationError
 from .kernels import (
     EigenDecomposition,
     _freeze,
-    checked_array,
     checked_fields,
     checked_int,
     checked_real,
     decompose_grid_pairs,
-    ensure_grid,
 )
 
 __all__ = [
@@ -67,11 +65,9 @@ class TFTransfer:
     f runs over the DFT grid of the delay axis (normalized frequency).
     """
 
-    values: np.ndarray
+    values: np.ndarray = field(metadata={"ndim": 2, "nonempty": True})
 
-    def __post_init__(self):
-        values = ensure_grid(self.values, "TFTransfer.values")
-        object.__setattr__(self, "values", values)
+    __post_init__ = checked_fields
 
 
 @dataclass(frozen=True)
@@ -81,11 +77,9 @@ class SpreadingFunction:
     nu runs over the DFT grid of the time axis (normalized Doppler).
     """
 
-    values: np.ndarray
+    values: np.ndarray = field(metadata={"ndim": 2, "nonempty": True})
 
-    def __post_init__(self):
-        values = ensure_grid(self.values, "SpreadingFunction.values")
-        object.__setattr__(self, "values", values)
+    __post_init__ = checked_fields
 
 
 def tf_transfer(h: ImpulseResponse4D, u: int, up: int) -> TFTransfer:
@@ -112,8 +106,7 @@ class GaussianPrototype:
     spread_t: float = field(default=4.0, metadata={"gt": 0})
     spread_f: float = field(default=1.0, metadata={"gt": 0})
 
-    def __post_init__(self):
-        checked_fields(self)
+    __post_init__ = checked_fields
 
     def on_lattice(self, n_t: int, n_f: int) -> np.ndarray:
         n_t = checked_int(n_t, "n_t", ge=1)
@@ -133,16 +126,15 @@ class GaussianPrototype:
 class AtomicKernel:
     """Windowed 4-D kernel A[t, f, tau, nu] on the TF x delay-Doppler lattice."""
 
-    values: np.ndarray
+    values: np.ndarray = field(metadata={"ndim": 4})
 
     def __post_init__(self):
-        arr = checked_array(self.values, 4, "AtomicKernel.values")
-        if arr.shape[2] != arr.shape[1] or arr.shape[3] != arr.shape[0]:
+        checked_fields(self)
+        l_t, l_f, l_tau, l_nu = self.values.shape
+        if (l_tau, l_nu) != (l_f, l_t):
             raise DimensionMismatchError(
-                "delay/Doppler grid sizes must mirror the TF lattice, got "
-                f"{arr.shape}"
+                f"delay/Doppler grid sizes must mirror the TF lattice, got {self.values.shape}"
             )
-        object.__setattr__(self, "values", arr)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -272,23 +264,15 @@ class CmdSeries:
     start i with the one at start j; zero on the diagonal, bounded by 1.
     """
 
-    distances: np.ndarray
-    window: int
-    side: str
+    distances: np.ndarray = field(metadata={"ndim": 2, "dtype": float})
+    window: int = field(metadata={"ge": 2})
+    side: str = field(metadata={"choices": _SIDES})
 
     def __post_init__(self):
-        arr = checked_array(self.distances, 2, "CmdSeries.distances", float)
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError(
-                f"distance matrix must be square, got {arr.shape}"
-            )
-        if self.side not in _SIDES:
-            raise ValidationError(
-                f"CmdSeries.side must be 'tx' or 'rx', got {self.side!r}"
-            )
-        window = checked_int(self.window, "CmdSeries.window", ge=2)
-        object.__setattr__(self, "distances", arr)
-        object.__setattr__(self, "window", window)
+        checked_fields(self)
+        rows, cols = self.distances.shape
+        if rows != cols:
+            raise ValidationError(f"distance matrix must be square, got {(rows, cols)}")
 
     @property
     def n_starts(self) -> int:
@@ -299,23 +283,12 @@ class CmdSeries:
 class StationarityReport:
     """Per-start stationarity intervals at a fixed distance threshold."""
 
-    intervals: np.ndarray  # symbols, one per window start
-    threshold: float
-    window: int
-    side: str
+    intervals: np.ndarray = field(metadata={"ndim": 1, "dtype": int})  # symbols, per start
+    threshold: float = field(metadata={"gt": 0, "le": 1})
+    window: int = field(metadata={"ge": 2})
+    side: str = field(metadata={"choices": _SIDES})
 
-    def __post_init__(self):
-        arr = checked_array(self.intervals, 1, "StationarityReport.intervals", int)
-        name = "StationarityReport.threshold"
-        threshold = checked_real(self.threshold, name, gt=0, le=1)
-        window = checked_int(self.window, "StationarityReport.window", ge=2)
-        if self.side not in _SIDES:
-            raise ValidationError(
-                f"StationarityReport.side must be 'tx' or 'rx', got {self.side!r}"
-            )
-        object.__setattr__(self, "intervals", arr)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "window", window)
+    __post_init__ = checked_fields
 
 
 def _window_correlations(h: ImpulseResponse4D, side: str, window: int) -> np.ndarray:
@@ -346,7 +319,7 @@ def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
     d[i,j] = 1 - Re<R_i, R_j> / (||R_i|| ||R_j||), clipped into [0, 1].
     """
     if side not in _SIDES:
-        raise ValidationError(f"side must be 'tx' or 'rx', got {side!r}")
+        raise ValidationError(f"side must be one of {_SIDES}, got {side!r}")
     window = checked_int(window, "window", ge=2, le=h.dims[2])
     flat = _window_correlations(h, side, window)
     n_starts = flat.shape[0]

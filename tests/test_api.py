@@ -119,3 +119,16 @@ def test_readme_library_example_runs():
         exec(compile(_readme_example(), str(README), "exec"), {})
     residual = float(out.getvalue().splitlines()[0])
     assert residual < 1e-9
+
+
+def test_no_post_init_checks_an_array_by_hand():
+    # array fields declare ndim in their metadata and checked_fields reads it
+    src = Path(hogmt.__file__).parent
+    by_hand = [
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        and {"checked_array", "ensure_grid"} & _loaded_names(ast.unparse(node))
+    ]
+    assert not by_hand

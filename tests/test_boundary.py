@@ -1,13 +1,16 @@
 """The input boundary: every public array field is checked and frozen (copied
-unless it is already frozen), and every public scalar argument is checked for
-type, finiteness and range."""
+unless it is already frozen), every choice field takes only its listed values,
+and every public scalar argument is checked for type, finiteness and range."""
 
+import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import hogmt as H
+from hogmt import cli
 from hogmt.cli import SimConfig, StatsConfig, complexity_estimate
 from hogmt.errors import DimensionMismatchError, ValidationError
 from hogmt.kernels import checked_int, checked_real
@@ -58,6 +61,19 @@ FIELDS = [
     (H.StationarityReport, "intervals"),
 ]
 FIELD_IDS = [f"{cls.__name__}.{field}" for cls, field in FIELDS]
+
+
+def test_fields_lists_every_declared_array_field():
+    # a new array field joins the tests below by its declaration alone
+    public = [getattr(H, n) for n in H.__all__] + [getattr(cli, n) for n in cli.__all__]
+    declared = {
+        (cls, f.name)
+        for cls in public
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls)
+        if "ndim" in f.metadata
+    }
+    assert declared == set(FIELDS)
 
 
 @pytest.mark.parametrize("cls,field", FIELDS, ids=FIELD_IDS)
@@ -116,6 +132,35 @@ class TestArrayFields:
                 cls(**kw)
         else:
             np.testing.assert_array_equal(getattr(cls(**kw), field), kw[field])
+
+
+def test_fractional_entries_of_an_integer_field_rejected():
+    kw = dict(threshold=0.2, window=2, side="tx")
+    with pytest.raises(ValidationError, match=r"\bintervals\b.*fractional"):
+        H.StationarityReport(intervals=[1.5, 2.9], **kw)
+    stored = H.StationarityReport(intervals=[1.0, 2.0], **kw).intervals
+    assert stored.dtype == int and stored.tolist() == [1, 2]
+
+
+CHOICES = [
+    ("ScenarioConfig.mode", ("wssus", "block", "drift"), lambda v: H.ScenarioConfig(mode=v)),
+    ("PrecoderSpec.kind", ("hogmt", "zf", "zfdpc", "none", "ideal"), H.PrecoderSpec),
+    ("CmdSeries.side", ("tx", "rx"),
+     lambda v: H.CmdSeries(distances=np.zeros((2, 2)), window=2, side=v)),
+    ("StationarityReport.side", ("tx", "rx"),
+     lambda v: H.StationarityReport(intervals=[1], threshold=0.2, window=2, side=v)),
+]
+
+
+@pytest.mark.parametrize("field,choices,call", CHOICES, ids=[c[0] for c in CHOICES])
+@pytest.mark.parametrize("bad", ["bogus", None, 1, np.array(["tx", "rx"])])
+def test_value_outside_the_choices_rejected(field, choices, call, bad):
+    name = field.split(".")[1]
+    message = f"{name} must be one of {choices}, got {bad!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(bad)
+    for good in choices:
+        assert getattr(call(good), name) == good
 
 
 def test_array_over_immutable_bytes_is_kept_and_over_a_bytearray_copied():
@@ -308,18 +353,6 @@ class TestScalarArguments:
     def test_rejected_naming_the_argument(self, ctx, name, call, bad):
         with pytest.raises(ValidationError, match=rf"\b{name}\b"):
             call(ctx, bad)
-
-    @pytest.mark.parametrize(
-        "call,name",
-        [
-            (lambda: H.CmdSeries(distances=np.zeros((2, 2)), window=2, side="up"), "side"),
-            (lambda: H.StationarityReport(intervals=[1], threshold=0.2, window=2, side="up"),
-             "side"),
-        ],
-    )
-    def test_side_is_tx_or_rx(self, call, name):
-        with pytest.raises(ValidationError, match=name):
-            call()
 
     def test_interval_is_stated(self):
         with pytest.raises(ValidationError, match=r"^d0 must be in \(0, 1\], got nan$"):
