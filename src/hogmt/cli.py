@@ -367,17 +367,21 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
             f"stats.window must be <= scenario.time_symbols, got {cfg.stats.window} > "
             f"{cfg.scenario.time_symbols}"
         )
-    # checked before any channel is drawn: the atomic kernel is the largest
-    # array, and the cmd matrix, (time_symbols - window + 1)**2 * 8 bytes, is
-    # at most half of it
+    # checked before any channel is drawn.  The peak is the SVD of a member's
+    # atomic kernel, an n x n complex matrix of n**2 * 16 bytes (n =
+    # time_symbols * max_delay_taps).  Beside the kernel it holds NumPy's copy
+    # of it, U and Vh both in LAPACK's buffers and as returned (4 kernels) and
+    # zgesdd's rwork of 5 n**2 doubles (2.5 kernels), while the ensemble's
+    # running lsf sum, n**2 doubles, takes half a kernel: 9 kernels in all.
+    # The cmd matrix, made after the SVDs, is at most half a kernel.
     l_t, l_tau = cfg.scenario.time_symbols, cfg.scenario.max_delay_taps
-    nbytes = (l_t * l_tau) ** 2 * 16
+    nbytes = 9 * (l_t * l_tau) ** 2 * 16
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ConfigError(
             f"scenario.time_symbols {l_t} needs {nbytes / 2**30:,.1f} GiB for the "
-            "atomic kernel, (time_symbols * max_delay_taps)**2 * 16 bytes, more than "
-            f"the {memory / 2**30:,.1f} GiB of physical memory"
+            "atomic kernel and its SVD, 9 * (time_symbols * max_delay_taps)**2 * 16 "
+            f"bytes, more than the {memory / 2**30:,.1f} GiB of physical memory"
         )
     proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
     channels = (

@@ -89,7 +89,11 @@ def checked_array(data, ndim: int, name: str, dtype=np.complex128, nonempty=Fals
         raise ValidationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if nonempty and min(arr.shape) < 1:
         raise ValidationError(f"{name} must have all dims >= 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # any NaN or inf makes the sum non-finite, so only a sum that overflowed
+    # or met a non-finite entry needs the elementwise check and its bool array
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(arr.sum()) or np.isfinite(arr).all()
+    if not finite:
         raise ValidationError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr

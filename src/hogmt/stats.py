@@ -25,6 +25,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .kernels import (
     EigenDecomposition,
     _freeze,
+    checked_array,
     checked_fields,
     checked_int,
     checked_real,
@@ -32,10 +33,7 @@ from .kernels import (
 )
 
 __all__ = [
-    "TFTransfer",
-    "SpreadingFunction",
     "GaussianPrototype",
-    "AtomicKernel",
     "StatsReport",
     "CmdSeries",
     "StationarityReport",
@@ -58,40 +56,24 @@ def _check_pair(h: ImpulseResponse4D, u: int, up: int) -> np.ndarray:
     return h.values[u, up]  # (L_t, L_tau)
 
 
-@dataclass(frozen=True)
-class TFTransfer:
-    """Time-frequency transfer grid L[t, f] of one (user, antenna) pair.
+def tf_transfer(h: ImpulseResponse4D, u: int, up: int) -> np.ndarray:
+    """Time-frequency transfer grid of one (user, antenna) pair, read-only.
 
-    f runs over the DFT grid of the delay axis (normalized frequency).
+    L[t, f] = sum_tau h[u,u',t,tau] exp(-2j pi f tau / L_f), L_f = L_tau: f
+    runs over the DFT grid of the delay axis (normalized frequency).
     """
-
-    values: np.ndarray = field(metadata={"ndim": 2, "nonempty": True})
-
-    __post_init__ = checked_fields
+    g = _check_pair(h, u, up)
+    return _freeze(np.fft.fft(g, axis=1))
 
 
-@dataclass(frozen=True)
-class SpreadingFunction:
-    """Delay-Doppler spreading grid S[tau, nu] of one (user, antenna) pair.
+def spreading_function(h: ImpulseResponse4D, u: int, up: int) -> np.ndarray:
+    """Delay-Doppler spreading grid of one (user, antenna) pair, read-only.
 
-    nu runs over the DFT grid of the time axis (normalized Doppler).
+    S[tau, nu] = (1/L_t) sum_t h[u,u',t,tau] exp(-2j pi nu t / L_t): nu runs
+    over the DFT grid of the time axis (normalized Doppler).
     """
-
-    values: np.ndarray = field(metadata={"ndim": 2, "nonempty": True})
-
-    __post_init__ = checked_fields
-
-
-def tf_transfer(h: ImpulseResponse4D, u: int, up: int) -> TFTransfer:
-    """L[t, f] = sum_tau h[u,u',t,tau] exp(-2j pi f tau / L_f), L_f = L_tau."""
     g = _check_pair(h, u, up)
-    return TFTransfer(np.fft.fft(g, axis=1))
-
-
-def spreading_function(h: ImpulseResponse4D, u: int, up: int) -> SpreadingFunction:
-    """S[tau, nu] = (1/L_t) sum_t h[u,u',t,tau] exp(-2j pi nu t / L_t)."""
-    g = _check_pair(h, u, up)
-    return SpreadingFunction(np.fft.fft(g, axis=0).T / g.shape[0])
+    return _freeze(np.ascontiguousarray(np.fft.fft(g, axis=0).T / g.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -122,43 +104,19 @@ class GaussianPrototype:
         return win / np.linalg.norm(win)
 
 
-@dataclass(frozen=True)
-class AtomicKernel:
-    """Windowed 4-D kernel A[t, f, tau, nu] on the TF x delay-Doppler lattice."""
-
-    values: np.ndarray = field(metadata={"ndim": 4})
-
-    def __post_init__(self):
-        checked_fields(self)
-        l_t, l_f, l_tau, l_nu = self.values.shape
-        if (l_tau, l_nu) != (l_f, l_t):
-            raise DimensionMismatchError(
-                f"delay/Doppler grid sizes must mirror the TF lattice, got {self.values.shape}"
-            )
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        """(L_t, L_f, L_tau, L_nu)."""
-        return self.values.shape
-
-
-def atomic_kernel(transfer: TFTransfer, prototype: GaussianPrototype) -> AtomicKernel:
-    """Windowed kernel A[t,f,tau,nu] from a time-frequency transfer grid.
+def atomic_kernel(transfer: np.ndarray, prototype: GaussianPrototype) -> np.ndarray:
+    """Read-only windowed kernel A[t,f,tau,nu] from a time-frequency transfer grid.
 
     A[t,f,tau,nu] = exp(2j pi f tau / L_f) * sum_{t',f'} L[t',f']
     conj(G[t'-t, f'-f]) exp(-2j pi (nu t'/L_t - tau f'/L_f)), with all index
     arithmetic circular on the lattice and G the prototype evaluated on it.
-    Linear in the transfer grid.
+    Linear in the transfer grid; its (tau, nu) dims mirror the (t, f) ones.
     """
-    for name, value, cls in (
-        ("transfer", transfer, TFTransfer),
-        ("prototype", prototype, GaussianPrototype),
-    ):
-        if not isinstance(value, cls):
-            raise ValidationError(
-                f"{name} must be a {cls.__name__}, got {type(value).__name__}"
-            )
-    lv = transfer.values
+    if not isinstance(prototype, GaussianPrototype):
+        raise ValidationError(
+            f"prototype must be a GaussianPrototype, got {type(prototype).__name__}"
+        )
+    lv = checked_array(transfer, 2, "transfer", nonempty=True)
     n_t, n_f = lv.shape
     proto = prototype.on_lattice(n_t, n_f)
 
@@ -176,26 +134,30 @@ def atomic_kernel(transfer: TFTransfer, prototype: GaussianPrototype) -> AtomicK
         out[t] = np.transpose(spec, (1, 2, 0))  # [f, tau, nu]
     phase = np.exp(2j * np.pi * np.outer(ff, np.arange(n_f)) / n_f)  # [f, tau]
     out *= phase[None, :, :, None]
-    return AtomicKernel(_freeze(out))
+    return _freeze(out)
 
 
-def decompose_atomic(ak: AtomicKernel) -> EigenDecomposition:
+def decompose_atomic(ak: np.ndarray) -> EigenDecomposition:
     """SVD of the atomic kernel with (t,f) rows against (tau,nu) columns."""
-    return decompose_grid_pairs(ak.values)
+    ak = checked_array(ak, 4, "atomic kernel")
+    l_t, l_f, l_tau, l_nu = ak.shape
+    if (l_tau, l_nu) != (l_f, l_t):
+        raise DimensionMismatchError(
+            f"delay/Doppler grid sizes must mirror the TF lattice, got {ak.shape}"
+        )
+    return decompose_grid_pairs(ak)
 
 
 @dataclass(frozen=True)
 class StatsReport:
     """Eigen-domain channel statistics, optionally ensemble-averaged.
 
-    ccf_mag[dt,df,dtau,dnu]: correlation magnitude over lattice shifts;
     lsf[t,f,tau,nu]: nonnegative local scattering density; scattering[tau,nu]
     and path_gain[t,f] are its marginals; total_gain is the sum of
     eigenvalues.  ensemble_size reports how many realizations were averaged
     (1 = single-realization estimate).
     """
 
-    ccf_mag: np.ndarray
     lsf: np.ndarray
     scattering: np.ndarray
     path_gain: np.ndarray
@@ -208,18 +170,12 @@ def _single_stats(decomp: EigenDecomposition):
     lam = decomp.lambdas
     psis = decomp.psis
     phis = decomp.phis
-    # circular autocorrelation of each eigenfunction grid via the FFT route
-    acf_psi = np.abs(np.fft.ifft2(np.abs(np.fft.fft2(psis, axes=(1, 2))) ** 2,
-                                  axes=(1, 2)))
-    acf_phi = np.abs(np.fft.ifft2(np.abs(np.fft.fft2(phis, axes=(1, 2))) ** 2,
-                                  axes=(1, 2)))
-    ccf = np.einsum("n,nab,ncd->abcd", lam, acf_psi, acf_phi, optimize=True)
     p2 = np.abs(psis) ** 2
     q2 = np.abs(phis) ** 2
     lsf = np.einsum("n,nab,ncd->abcd", lam, p2, q2, optimize=True)
     path_gain = np.einsum("n,nab->ab", lam, p2, optimize=True)
     scattering = np.einsum("n,ncd->cd", lam, q2, optimize=True)
-    return ccf, lsf, scattering, path_gain, float(lam.sum())
+    return lsf, scattering, path_gain, float(lam.sum())
 
 
 def stats_from_decomp(
@@ -318,7 +274,7 @@ def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
     side "rx" receive-side mean(H H^H), where H(t) sums the delay taps.
     d[i,j] = 1 - Re<R_i, R_j> / (||R_i|| ||R_j||), clipped into [0, 1].
     """
-    if side not in _SIDES:
+    if not (isinstance(side, str) and side in _SIDES):
         raise ValidationError(f"side must be one of {_SIDES}, got {side!r}")
     window = checked_int(window, "window", ge=2, le=h.dims[2])
     flat = _window_correlations(h, side, window)

@@ -113,6 +113,13 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert not unused
 
 
+def test_readme_names_resolve():
+    # every H.<name> in the README's prose and examples, so a deleted name leaves it too
+    named = set(re.findall(r"\bH\.(\w+)", README.read_text(encoding="utf-8")))
+    missing = sorted(name for name in named if not hasattr(hogmt, name))
+    assert named and not missing
+
+
 def test_readme_library_example_runs():
     # the README's python block is the documented API; it must run as written
     with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -4,6 +4,7 @@ and every public scalar argument is checked for type, finiteness and range."""
 
 import dataclasses
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ import hogmt as H
 from hogmt import cli
 from hogmt.cli import SimConfig, StatsConfig, complexity_estimate
 from hogmt.errors import DimensionMismatchError, ValidationError
-from hogmt.kernels import checked_int, checked_real
+from hogmt.kernels import _freeze, checked_array, checked_int, checked_real
 from hogmt.precoding import hogmt_map, retained_count
 
 
@@ -32,9 +33,6 @@ def valid_kwargs(cls):
             sigmas=np.array([2.0, 1.0]), psis=c(2, 1, 2), phis=c(2, 1, 2),
             source_dims=(1, 2, 1, 2),
         ),
-        H.TFTransfer: lambda: dict(values=c(4, 2)),
-        H.SpreadingFunction: lambda: dict(values=c(2, 4)),
-        H.AtomicKernel: lambda: dict(values=c(4, 2, 2, 4)),
         H.CoefficientSet: lambda: dict(
             x_coeffs=c(2), s_coeffs=c(2), retained=2, dropped_energy=0.5
         ),
@@ -52,9 +50,6 @@ FIELDS = [
     (H.EigenDecomposition, "sigmas"),
     (H.EigenDecomposition, "psis"),
     (H.EigenDecomposition, "phis"),
-    (H.TFTransfer, "values"),
-    (H.SpreadingFunction, "values"),
-    (H.AtomicKernel, "values"),
     (H.CoefficientSet, "x_coeffs"),
     (H.CoefficientSet, "s_coeffs"),
     (H.CmdSeries, "distances"),
@@ -149,6 +144,8 @@ CHOICES = [
      lambda v: H.CmdSeries(distances=np.zeros((2, 2)), window=2, side=v)),
     ("StationarityReport.side", ("tx", "rx"),
      lambda v: H.StationarityReport(intervals=[1], threshold=0.2, window=2, side=v)),
+    ("cmd.side", ("tx", "rx"),
+     lambda v: H.cmd(H.ImpulseResponse4D(np.ones((1, 1, 2, 1))), side=v, window=2)),
 ]
 
 
@@ -177,11 +174,67 @@ def test_array_over_immutable_bytes_is_kept_and_over_a_bytearray_copied():
     assert not np.shares_memory(stored, shared)
 
 
-@pytest.mark.parametrize("cls", [H.TFTransfer, H.SpreadingFunction, H.SpaceTimeSignal])
-def test_empty_grid_rejected(cls):
-    field = "grid" if cls is H.SpaceTimeSignal else "values"
+def test_empty_grid_rejected():
     with pytest.raises(ValidationError, match="dims >= 1"):
-        cls(**{field: np.zeros((0, 4), dtype=complex)})
+        H.SpaceTimeSignal(grid=np.zeros((0, 4), dtype=complex))
+
+
+def test_sum_overflow_is_no_non_finite_entry():
+    # the finite check sums first; an overflowing sum must neither warn (an
+    # error under pytest's filterwarnings) nor reject
+    for big in (np.full((4, 4), 1e308), np.full((4, 4), 1e308 - 1e308j)):
+        big = _freeze(big)
+        assert checked_array(big, 2, "big", dtype=big.dtype) is big
+        bad = big.copy()
+        bad[-1, -1] = np.nan
+        with pytest.raises(ValidationError, match="^bad contains non-finite entries$"):
+            checked_array(bad, 2, "bad", dtype=big.dtype)
+
+
+def test_finite_check_makes_no_array_of_the_input_size():
+    arr = _freeze(np.ones((512, 512), dtype=complex))
+    tracemalloc.start()
+    try:
+        assert checked_array(arr, 2, "arr") is arr
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.size // 16, peak  # an elementwise bool mask takes arr.size bytes
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param([[1.0, np.nan]], id="nan"),
+    pytest.param([[np.inf, 1.0]], id="inf"),
+    pytest.param(np.ones((4, 2, 1)), id="3-D"),
+    pytest.param(np.ones((0, 2)), id="empty-dim"),
+    pytest.param([["a", "b"]], id="non-numeric"),
+])
+def test_atomic_kernel_checks_its_transfer_grid(bad):
+    with pytest.raises(ValidationError, match=r"^transfer\b"):
+        H.atomic_kernel(bad, H.GaussianPrototype())
+
+
+@pytest.mark.parametrize("shape,error,message", [
+    ((4, 2, 2), ValidationError, "atomic kernel must be 4-D"),
+    ((4, 2, 2, 3), DimensionMismatchError, "must mirror the TF lattice"),
+])
+def test_decompose_atomic_checks_its_kernel(shape, error, message):
+    with pytest.raises(error, match=message):
+        H.decompose_atomic(np.ones(shape, dtype=complex))
+
+
+def test_stats_stage_results_are_read_only_and_handed_on_uncopied(monkeypatch):
+    h = H.ImpulseResponse4D(np.ones((1, 1, 4, 2)))
+    transfer = H.tf_transfer(h, 0, 0)
+    ak = H.atomic_kernel(transfer, H.GaussianPrototype())
+    for result in (transfer, ak, H.spreading_function(h, 0, 0)):
+        assert not result.flags.writeable
+        with pytest.raises(ValueError):
+            result[(0,) * result.ndim] = 7
+    seen = []
+    monkeypatch.setattr(H.stats, "decompose_grid_pairs", seen.append)
+    H.decompose_atomic(ak)
+    assert seen[0] is ak
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -596,6 +597,27 @@ def test_stats_size_that_cannot_fit_exits_1_before_any_work(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: scenario.time_symbols 200000 needs")
     assert not out.exists()
     assert peak < 2**20, peak  # no channel was drawn
+
+
+@pytest.mark.parametrize("time_symbols,taps,memory,code", [
+    (256, 4, 64 * 2**20, 1),  # the 16 MiB kernel fits in 64 MiB, its SVD does not
+    (8, 2, 9 * 16**2 * 16 - 1, 1),
+    (8, 2, 9 * 16**2 * 16, 0),  # exactly nine 4 KiB kernels
+])
+def test_stats_memory_check_counts_the_svd(
+    tmp_path, capsys, monkeypatch, time_symbols, taps, memory, code
+):
+    # a small physical memory is reported, so the rejected runs allocate nothing
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
+    scenario = {"users": 1, "tx_antennas": 1, "time_symbols": time_symbols,
+                "min_delay_taps": taps, "max_delay_taps": taps, "mode": "wssus"}
+    cfg_path = write_config(tmp_path, {"scenario": scenario})
+    out = tmp_path / "o"
+    assert run_cli("stats", "--config", str(cfg_path), "--out", str(out), "--quiet") == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"error: scenario.time_symbols {time_symbols} needs")
+    assert out.exists() == (code == 0)
 
 
 class TestCliExitCodes:
