@@ -279,7 +279,7 @@ def decompose_grid_pairs(values: np.ndarray) -> EigenDecomposition:
     columns; flattening C-contiguous input is a view.  Modes below
     DECOMPOSITION_FLOOR_REL * sigma_1 are dropped; a zero operator has none.
     """
-    arr = checked_array(values, 4, "operator")
+    arr = checked_array(values, 4, "operator", nonempty=True)
     row_shape, col_shape = arr.shape[:2], arr.shape[2:]
     mat = arr.reshape(row_shape[0] * row_shape[1], col_shape[0] * col_shape[1])
     try:

@@ -139,7 +139,7 @@ def atomic_kernel(transfer: np.ndarray, prototype: GaussianPrototype) -> np.ndar
 
 def decompose_atomic(ak: np.ndarray) -> EigenDecomposition:
     """SVD of the atomic kernel with (t,f) rows against (tau,nu) columns."""
-    ak = checked_array(ak, 4, "atomic kernel")
+    ak = checked_array(ak, 4, "atomic kernel", nonempty=True)
     l_t, l_f, l_tau, l_nu = ak.shape
     if (l_tau, l_nu) != (l_f, l_t):
         raise DimensionMismatchError(

@@ -205,6 +205,7 @@ def test_finite_check_makes_no_array_of_the_input_size():
 @pytest.mark.parametrize("bad", [
     pytest.param([[1.0, np.nan]], id="nan"),
     pytest.param([[np.inf, 1.0]], id="inf"),
+    pytest.param([[1.0, -np.inf]], id="-inf"),
     pytest.param(np.ones((4, 2, 1)), id="3-D"),
     pytest.param(np.ones((0, 2)), id="empty-dim"),
     pytest.param([["a", "b"]], id="non-numeric"),
@@ -217,24 +218,46 @@ def test_atomic_kernel_checks_its_transfer_grid(bad):
 @pytest.mark.parametrize("shape,error,message", [
     ((4, 2, 2), ValidationError, "atomic kernel must be 4-D"),
     ((4, 2, 2, 3), DimensionMismatchError, "must mirror the TF lattice"),
+    ((2, 0, 0, 2), ValidationError, "atomic kernel must have all dims >= 1"),
 ])
 def test_decompose_atomic_checks_its_kernel(shape, error, message):
     with pytest.raises(error, match=message):
         H.decompose_atomic(np.ones(shape, dtype=complex))
 
 
-def test_stats_stage_results_are_read_only_and_handed_on_uncopied(monkeypatch):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompose_atomic_rejects_non_finite_entries(bad):
+    ak = np.ones((4, 2, 2, 4), dtype=complex)
+    ak.flat[-1] = bad
+    with pytest.raises(ValidationError, match="^atomic kernel contains non-finite entries$"):
+        H.decompose_atomic(ak)
+
+
+@pytest.mark.parametrize("stage", [
+    lambda h: H.tf_transfer(h, 0, 0),
+    lambda h: H.spreading_function(h, 0, 0),
+    lambda h: H.atomic_kernel(H.tf_transfer(h, 0, 0), H.GaussianPrototype()),
+], ids=["tf_transfer", "spreading_function", "atomic_kernel"])
+def test_stats_stage_result_is_read_only(stage):
+    result = stage(H.ImpulseResponse4D(np.ones((1, 1, 4, 2))))
+    assert not result.flags.writeable
+    with pytest.raises(ValueError):
+        result[(0,) * result.ndim] = 7
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writeable"])
+def test_decompose_atomic_hands_on_only_a_frozen_kernel(monkeypatch, frozen):
     h = H.ImpulseResponse4D(np.ones((1, 1, 4, 2)))
-    transfer = H.tf_transfer(h, 0, 0)
-    ak = H.atomic_kernel(transfer, H.GaussianPrototype())
-    for result in (transfer, ak, H.spreading_function(h, 0, 0)):
-        assert not result.flags.writeable
-        with pytest.raises(ValueError):
-            result[(0,) * result.ndim] = 7
+    ak = H.atomic_kernel(H.tf_transfer(h, 0, 0), H.GaussianPrototype())
+    if not frozen:
+        ak = ak.copy()
     seen = []
     monkeypatch.setattr(H.stats, "decompose_grid_pairs", seen.append)
     H.decompose_atomic(ak)
-    assert seen[0] is ak
+    assert not seen[0].flags.writeable
+    # a frozen kernel is handed on as it is, a writeable one as a copy
+    assert (seen[0] is ak) == frozen
+    assert np.shares_memory(seen[0], ak) == frozen
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])

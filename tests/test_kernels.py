@@ -161,6 +161,11 @@ class TestDecomposition:
         with pytest.raises(ValidationError, match="non-finite"):
             decompose_grid_pairs(bad)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 0, 2), (2, 2, 0, 2)])
+    def test_grid_pairs_rejects_an_empty_dim(self, shape):
+        with pytest.raises(ValidationError, match="^operator must have all dims >= 1"):
+            decompose_grid_pairs(np.zeros(shape, dtype=complex))
+
 
 class TestApplyKernel:
     def test_matches_flat_matvec(self):
