@@ -156,15 +156,6 @@ class SpaceTimeSignal:
 
     __post_init__ = checked_fields
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.grid.shape
-
-    @property
-    def energy(self) -> float:
-        """Total energy sum |grid|^2."""
-        return float(np.sum(np.abs(self.grid) ** 2))
-
 
 def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     """Draw one channel realization, deterministic in (cfg, seed).
@@ -330,11 +321,10 @@ def load_ctf(path) -> ImpulseResponse4D:
                 f"payload holds {actual} bytes but dims {dims} require {expected}",
                 offset=_CTF_HEADER.size,
             )
-    flat = np.frombuffer(payload, dtype="<c16")
     # read-only over immutable bytes, so ImpulseResponse4D keeps it uncopied
-    values = flat.reshape(dims)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(
-            "payload contains non-finite values", offset=_CTF_HEADER.size
-        )
-    return ImpulseResponse4D(values)
+    # and its finiteness check is the only pass over the payload
+    values = np.frombuffer(payload, dtype="<c16").reshape(dims)
+    try:
+        return ImpulseResponse4D(values)
+    except ValidationError as exc:
+        raise FormatError(f"payload rejected: {exc}", offset=_CTF_HEADER.size) from exc

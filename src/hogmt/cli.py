@@ -207,9 +207,6 @@ def parse_config(path) -> RunConfig:
 class ComplexityEstimate:
     """Operation-count estimates of the three precoding strategies."""
 
-    users: int
-    tx_antennas: int
-    time_symbols: int
     hogmt_flatten: float
     hogmt_hosvd: float
     dpc: float
@@ -246,19 +243,13 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
     hosvd = _or_inf(
         lambda: ((l_u + l_up + 2.0 * l_t) / 4.0) ** 5 + float(l_u) * l_up * float(l_t) ** 2
     )
-    dpc = _or_inf(
+    # 171! is past the float range, so the factorial is not worked out from there on
+    dpc = math.inf if l_up > 170 else _or_inf(
         lambda: float(l_t)
         * ((float(l_u) * l_up) ** 3.5 + float(l_u) * float(l_up) ** 2)
         * float(math.factorial(l_up))
     )
-    return ComplexityEstimate(
-        users=l_u,
-        tx_antennas=l_up,
-        time_symbols=l_t,
-        hogmt_flatten=flatten,
-        hogmt_hosvd=hosvd,
-        dpc=dpc,
-    )
+    return ComplexityEstimate(hogmt_flatten=flatten, hogmt_hosvd=hosvd, dpc=dpc)
 
 
 def _or_inf(count) -> float:
@@ -428,12 +419,11 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
 
 
 def _cmd_complexity(cfg: RunConfig, src: Path) -> dict:
-    est = complexity_estimate(
-        cfg.scenario.users, cfg.scenario.tx_antennas, cfg.scenario.time_symbols
-    )
+    sc = cfg.scenario
+    est = complexity_estimate(sc.users, sc.tx_antennas, sc.time_symbols)
     print(
-        f"operation counts for users={est.users} tx_antennas={est.tx_antennas} "
-        f"time_symbols={est.time_symbols}"
+        f"operation counts for users={sc.users} tx_antennas={sc.tx_antennas} "
+        f"time_symbols={sc.time_symbols}"
     )
     for name, count in est.rows():
         print(f"  {name:<14} {_fmt(count)}")

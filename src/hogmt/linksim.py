@@ -67,25 +67,22 @@ MIN_BITS_FLOOR = 10_000
 # noise substreams, so changing it changes every BER number
 _CHUNK_SYMBOLS = 1 << 14
 
+# channel realizations per sweep: trial t runs on channel t % _N_CHANNELS
+_N_CHANNELS = 2
 
-def _gray_to_binary(g: int) -> int:
-    b = 0
-    while g:
-        b ^= g
-        g >>= 1
-    return b
+_POPCOUNT = np.array([bin(v).count("1") for v in range(64)])  # labels have <= 6 bits
 
 
 def _gray_pam_levels(n_bits: int) -> np.ndarray:
     """Unnormalized PAM levels indexed by the Gray label (MSB first).
 
-    Label g maps to level 2*i - (M-1) where i is the binary rank of g in
-    the Gray sequence, so adjacent levels differ in exactly one label bit.
+    Rank i of the Gray sequence has label i ^ (i >> 1) and level 2*i - (M-1),
+    so adjacent levels differ in exactly one label bit.
     """
     m = 1 << n_bits
+    i = np.arange(m)
     levels = np.empty(m, dtype=float)
-    for g in range(m):
-        levels[g] = 2 * _gray_to_binary(g) - (m - 1)
+    levels[i ^ (i >> 1)] = 2 * i - (m - 1)
     return levels
 
 
@@ -251,14 +248,12 @@ def _axis_bit_errors(levels: np.ndarray, sigma: float) -> float:
     m = levels.size
     total = 0.0
     for si in range(m):
-        sent_label = order[si]
         upper = np.concatenate([ndtr((thresholds - sorted_lv[si]) / sigma), [1.0]])
         lower = np.concatenate([[0.0], upper[:-1]])
         band = upper - lower
-        for di in range(m):
-            ham = bin(int(sent_label) ^ int(order[di])).count("1")
-            if ham:
-                total += band[di] * ham
+        ham = _POPCOUNT[order[si] ^ order]
+        for di in np.flatnonzero(ham):
+            total += band[di] * ham[di]
     return total / m
 
 
@@ -346,42 +341,12 @@ class BerPoint:
     def failed(self) -> bool:
         return self.bits == 0
 
-    @property
-    def ci95(self) -> float:
-        """95% binomial confidence half-width of the BER estimate."""
-        return 1.96 * self.mc_sigma
-
-    @property
-    def mc_sigma(self) -> float:
-        """One Monte-Carlo standard error of the BER estimate."""
-        if self.bits == 0:
-            return math.nan
-        p = self.ber
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.bits)
-
 
 @dataclass(frozen=True)
 class BerReport:
     """All points of a sweep, one per (snr, precoder, modulation, fraction)."""
 
     points: tuple[BerPoint, ...]
-
-    def select(
-        self,
-        precoder: str | None = None,
-        modulation: str | None = None,
-        fraction: float | None = None,
-    ) -> list[BerPoint]:
-        out = []
-        for p in self.points:
-            if precoder is not None and p.precoder != precoder:
-                continue
-            if modulation is not None and p.modulation != modulation:
-                continue
-            if fraction is not None and p.fraction != fraction:
-                continue
-            out.append(p)
-        return out
 
 
 def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
@@ -420,9 +385,6 @@ def _chunk_draws(seed, mi, first, n, k, dims):
     return bits, ((normals[0] + 1j * normals[1]) / math.sqrt(2.0)).reshape(n, -1)
 
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(64)])  # labels have <= 6 bits
-
-
 def run_ber(
     scenario: ScenarioConfig,
     precoders,
@@ -430,13 +392,12 @@ def run_ber(
     min_bits: int,
     seed: int,
     modulations=("qam16",),
-    n_channels: int = 2,
 ) -> BerReport:
     """Monte-Carlo BER sweep over SNR points, precoders, and modulations.
 
     Noise variance per point is 10**(-snr_db/10), referencing the received
     signal (unit symbol energy).  Each trial spans one (users, time_symbols)
-    block; trials rotate over ``n_channels`` realizations, drawn once per
+    block; trials rotate over two channel realizations, drawn once per
     sweep (keyed by channel index) and shared by every SNR point, precoder
     and modulation, as are the data bits and the noise of each trial, so
     comparisons are paired.  Per channel, each precoder is built once as a
@@ -465,7 +426,6 @@ def run_ber(
     # noise scale per SNR point; 0 at +inf dB, where r + 0 * noise == r
     scales = [math.sqrt(_noise_variance(v)) for v in snr_list]
     min_bits = checked_real(min_bits, "min_bits", ge=MIN_BITS_FLOOR)
-    n_channels = checked_int(n_channels, "n_channels", ge=1)
     seed = checked_int(seed, "seed", ge=0, lt=2**64)
     if scenario.users != scenario.tx_antennas and any(sp.kind == "none" for sp in specs):
         raise DimensionMismatchError(
@@ -477,11 +437,11 @@ def run_ber(
     n_sym = dims[0] * dims[1]
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
     channels = []
-    for c in range(min(n_channels, max(n_trials))):
+    for c in range(min(_N_CHANNELS, max(n_trials))):
         ch_seed = _child_seed(seed, _SEED_BER_CHANNEL, c)
         channels.append(_links(scenario, ch_seed, specs))
 
-    # trial t of a modulation runs on the links channels[t % n_channels], in
+    # trial t of a modulation runs on the links channels[t % _N_CHANNELS], in
     # chunks of a number of trials that only the scenario dims set
     chunk = max(1, _CHUNK_SYMBOLS // n_sym)
     errors = np.zeros((len(specs), len(schemes), len(snr_list)), dtype=np.int64)
@@ -489,8 +449,8 @@ def run_ber(
     for mi, scheme in enumerate(schemes):
         k = scheme.bits_per_symbol
         slicer = _slicer(scheme)
-        for c in range(min(n_channels, n_trials[mi])):
-            trials = range(c, n_trials[mi], n_channels)
+        for c in range(min(_N_CHANNELS, n_trials[mi])):
+            trials = range(c, n_trials[mi], _N_CHANNELS)
             for lo in range(0, len(trials), chunk):
                 n = len(trials[lo : lo + chunk])
                 bits, unit_noise = _chunk_draws(seed, mi, trials[lo], n, k, dims)

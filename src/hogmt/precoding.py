@@ -77,7 +77,6 @@ class CoefficientSet:
 
     x_coeffs: np.ndarray = field(metadata={"ndim": 1})
     s_coeffs: np.ndarray = field(metadata={"ndim": 1})
-    retained: int = field(metadata={"ge": 0})
     dropped_energy: float = field(metadata={"ge": 0})
 
     def __post_init__(self):
@@ -87,10 +86,11 @@ class CoefficientSet:
             raise DimensionMismatchError(
                 f"coefficient arrays must have equal length, got {n_x} and {n_s}"
             )
-        if n_x != self.retained:
-            raise DimensionMismatchError(
-                f"retained count {self.retained} does not match coefficient length {n_x}"
-            )
+
+    @property
+    def retained(self) -> int:
+        """Number of retained modes."""
+        return self.x_coeffs.size
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,6 @@ def hogmt_precode(
     coeffs = CoefficientSet(
         x_coeffs=proj[:n_keep] / decomp.sigmas[:n_keep],
         s_coeffs=proj[:n_keep],
-        retained=n_keep,
         dropped_energy=float(np.sum(np.abs(proj[n_keep:]) ** 2)),
     )
     x = np.conj(np.conj(coeffs.x_coeffs) @ decomp.phis[:n_keep].reshape(n_keep, -1))

@@ -163,7 +163,6 @@ class StatsReport:
     path_gain: np.ndarray
     total_gain: float
     ensemble_size: int
-    source_dims: tuple[int, int, int, int]
 
 
 def _single_stats(decomp: EigenDecomposition):
@@ -209,7 +208,7 @@ def stats_from_decomp(
         del m, parts  # before the next member is made
     if acc is None:
         raise ValidationError("ensemble is empty")
-    return StatsReport(*(a / count for a in acc), ensemble_size=count, source_dims=dims)
+    return StatsReport(*(a / count for a in acc), ensemble_size=count)
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,6 @@ class CmdSeries:
 
     distances: np.ndarray = field(metadata={"ndim": 2, "dtype": float})
     window: int = field(metadata={"ge": 2})
-    side: str = field(metadata={"choices": _SIDES})
 
     def __post_init__(self):
         checked_fields(self)
@@ -240,9 +238,7 @@ class StationarityReport:
     """Per-start stationarity intervals at a fixed distance threshold."""
 
     intervals: np.ndarray = field(metadata={"ndim": 1, "dtype": int})  # symbols, per start
-    threshold: float = field(metadata={"gt": 0, "le": 1})
     window: int = field(metadata={"ge": 2})
-    side: str = field(metadata={"choices": _SIDES})
 
     __post_init__ = checked_fields
 
@@ -296,7 +292,7 @@ def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
         block /= np.maximum(denom, tiny, out=denom)
         np.subtract(1.0, block, out=block)
     np.clip(dist, 0.0, 1.0, out=dist)
-    return CmdSeries(distances=_freeze(dist), window=window, side=side)
+    return CmdSeries(distances=_freeze(dist), window=window)
 
 
 def stationarity_interval(series: CmdSeries, d0: float) -> StationarityReport:
@@ -317,9 +313,7 @@ def stationarity_interval(series: CmdSeries, d0: float) -> StationarityReport:
     # the backward runs are the forward runs of the matrix turned by 180 degrees
     inner[...] = inner[::-1, ::-1]
     behind = _runs_ahead(crossed)[::-1]
-    return StationarityReport(
-        intervals=1 + ahead + behind, threshold=d0, window=series.window, side=series.side
-    )
+    return StationarityReport(intervals=1 + ahead + behind, window=series.window)
 
 
 def _runs_ahead(crossed: np.ndarray) -> np.ndarray:

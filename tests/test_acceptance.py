@@ -161,9 +161,9 @@ def test_criterion_04_near_ideal_ber():
     )
     elapsed = time.perf_counter() - t0
 
-    h99 = {p.snr_db: p for p in rep.select(precoder="hogmt", fraction=0.99)}
-    h100 = {p.snr_db: p for p in rep.select(precoder="hogmt", fraction=1.0)}
-    ideal = {p.snr_db: p for p in rep.select(precoder="ideal")}
+    h99 = {p.snr_db: p for p in rep.points if p.precoder == "hogmt" and p.fraction == 0.99}
+    h100 = {p.snr_db: p for p in rep.points if p.precoder == "hogmt" and p.fraction == 1.0}
+    ideal = {p.snr_db: p for p in rep.points if p.precoder == "ideal"}
     worst_factor_lo, worst_factor_hi, worst_z = 1.0, 1.0, 0.0
     for snr in BER_GRID:
         pa, pb, pi_ = h99[snr], h100[snr], ideal[snr]

@@ -2,8 +2,10 @@
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import io
 import pkgutil
 import re
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import hogmt
+from hogmt import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -21,6 +24,11 @@ README = ROOT / "README.md"
 TEST_ONLY = {
     "reconstruct": "the Mercer-reconstruction oracle of the decomposition tests",
     "spreading_function": "the direct second route for the eigen-domain statistics",
+}
+
+# public classes whose fields need no attribute read, each with the reason
+WRITTEN_WHOLE = {
+    "BerPoint": "simulate writes every field as a ber.csv column through astuple",
 }
 
 
@@ -46,6 +54,28 @@ def _loaded_names(source: str) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _outside_sources() -> list[str]:
+    """Every reader outside the tests: the package, the benchmark and the README example."""
+    src = Path(hogmt.__file__).parent
+    files = [*src.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return [f.read_text(encoding="utf-8") for f in files] + [_readme_example()]
+
+
+def _public_api():
+    """(name, object) of every export of the package and of its command line."""
+    return [(name, getattr(mod, name)) for mod in (hogmt, cli) for name in mod.__all__]
+
+
+def _public_members(cls) -> dict:
+    """Name -> object of the public methods, properties and dataclass fields ``cls`` declares."""
+    members = {f.name: f for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else {}
+    members.update(
+        (name, obj) for name, obj in vars(cls).items()
+        if inspect.isfunction(obj) or isinstance(obj, property)
+    )
+    return {name: obj for name, obj in members.items() if not name.startswith("_")}
 
 
 def test_all_names_resolve():
@@ -111,6 +141,64 @@ def test_every_export_has_a_caller_outside_the_tests():
         if name not in used and not re.search(rf"\b{name}\b", bench)
     ]
     assert not unused
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    # matched by attribute name: a name another class also reads passes
+    read = {
+        node.attr
+        for source in _outside_sources()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}.{member}"
+        for name, obj in _public_api()
+        if isinstance(obj, type)
+        for member, declared in _public_members(obj).items()
+        if member not in read
+        and not (name in WRITTEN_WHOLE and isinstance(declared, dataclasses.Field))
+    ]
+    assert not unread
+
+
+def _passes(call: ast.Call, param: inspect.Parameter, index: int) -> bool:
+    """True when ``call`` passes ``param``, the index-th parameter after any self."""
+    if any(kw.arg in (param.name, None) for kw in call.keywords):  # None: a ** splat
+        return True
+    if param.kind is not inspect.Parameter.POSITIONAL_OR_KEYWORD:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_option_is_passed_outside_the_tests():
+    # a defaulted parameter of an exported function or a public method
+    functions = [(name, obj) for name, obj in _public_api() if inspect.isfunction(obj)]
+    functions += [
+        (f"{name}.{member}", method)
+        for name, cls in _public_api()
+        if isinstance(cls, type)
+        for member, method in _public_members(cls).items()
+        if inspect.isfunction(method)
+    ]
+    calls = {}
+    for source in _outside_sources():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    unpassed = []
+    for qualname, fn in functions:
+        params = list(inspect.signature(fn).parameters.values())
+        if "." in qualname:
+            params = params[1:]  # self
+        unpassed += [
+            f"{qualname}({p.name})"
+            for i, p in enumerate(params)
+            if p.default is not p.empty
+            and not any(_passes(c, p, i) for c in calls.get(fn.__name__, ()))
+        ]
+    assert not unpassed
 
 
 def test_readme_names_resolve():

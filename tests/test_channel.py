@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hogmt import (
+    ImpulseResponse4D,
     ScenarioConfig,
     SpaceTimeSignal,
     apply_kernel,
@@ -557,6 +558,8 @@ class TestCtfFormat:
             (lambda b: b[:-8], 28),
             (lambda b: b + b"\x00" * 4, 28),
             (lambda b: b[:28] + struct.pack("<d", math.nan) + b[36:], 28),
+            (lambda b: b[:28] + struct.pack("<d", math.inf) + b[36:], 28),
+            (lambda b: b[:36] + struct.pack("<d", -math.inf) + b[44:], 28),  # imaginary part
         ],
     )
     def test_malformed_files_report_offset(self, tmp_path, mutate, offset):
@@ -568,6 +571,24 @@ class TestCtfFormat:
         with pytest.raises(FormatError) as exc:
             load_ctf(bad)
         assert exc.value.offset == offset
+        if offset == 28:
+            assert "payload" in str(exc.value)
+
+    def test_load_peaks_at_the_payload(self, tmp_path):
+        # the payload is read once and checked in place, with no mask of its size
+        rng = np.random.default_rng(0)
+        shape = (4, 4, 4096, 4)  # 4 MiB of payload
+        h = ImpulseResponse4D(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        path = tmp_path / "chan.ctf"
+        save_ctf(h, path)
+        tracemalloc.start()
+        try:
+            back = load_ctf(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, h.values)
+        assert peak < h.values.nbytes * (1 + 1 / 32), peak
 
     @pytest.mark.parametrize(
         "header,offset",

@@ -383,6 +383,7 @@ class TestComplexity:
         "dims,past_range",
         [
             ((171, 171, 256), {"dpc"}),  # 171! overflows a float
+            ((10**6, 10**6, 2), {"dpc"}),
             ((4, 4, 10**70), {"hogmt_hosvd"}),  # its fifth power overflows
             ((4, 4, 10**400), {"hogmt_flatten", "hogmt_hosvd", "dpc"}),  # L_t itself
         ],
@@ -391,6 +392,18 @@ class TestComplexity:
         rows = dict(complexity_estimate(*dims).rows())
         assert {name for name, v in rows.items() if v == math.inf} == past_range
         assert all(v > 0 and not math.isnan(v) for v in rows.values())
+
+    def test_no_exact_factorial_past_the_float_range(self, monkeypatch):
+        # 171! is past the float range; the exact factorial of 10**6 takes
+        # seconds, and its time and memory grow faster than the antenna count
+        factorial = math.factorial
+
+        def small_only(n):
+            assert n <= 170, f"factorial({n}) computed"
+            return factorial(n)
+
+        monkeypatch.setattr(math, "factorial", small_only)
+        assert complexity_estimate(10**6, 10**6, 2).dpc == math.inf
 
 
 def run_cli(*argv):

@@ -105,7 +105,7 @@ class TestModulateDemodulate:
         dims = (3, 20)
         bits = rng.integers(0, 2, size=sch.bits_per_symbol * 60, dtype=np.uint8)
         sig = modulate(bits, sch, dims)
-        assert sig.dims == dims
+        assert sig.grid.shape == dims
         back = demodulate(sig.grid, sch)
         np.testing.assert_array_equal(back, bits)
 
@@ -281,7 +281,7 @@ class TestRunBer:
         )
         (pt,) = rep.points
         want = theoretical_awgn_ber("qpsk", 6.0 - 10 * math.log10(2))
-        z = abs(pt.ber - want) / pt.mc_sigma
+        z = abs(pt.ber - want) / math.sqrt(pt.ber * (1.0 - pt.ber) / pt.bits)
         assert z < 3.0, f"ideal-link BER {pt.ber} vs theory {want}, z={z:.2f}"
 
     def test_noise_free_full_retention_is_error_free(self):
@@ -327,17 +327,6 @@ class TestRunBer:
         assert pt.modulation == "qam16"
         assert pt.snr_db == 3.0
         assert pt.bits > 0 and 0 <= pt.ber <= 1
-        assert pt.ci95 >= 0
-
-    def test_select_filters(self):
-        rep = run_ber(
-            fast_scenario(),
-            precoders=(parse_precoder("ideal"), parse_precoder("zf")),
-            snr_db=(2.0, 6.0), min_bits=20_000, seed=6, modulations=("qpsk",),
-        )
-        zf_pts = rep.select(precoder="zf")
-        assert len(zf_pts) == 2
-        assert all(p.precoder == "zf" for p in zf_pts)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -362,14 +351,6 @@ class TestRunBer:
             run_ber(
                 fast_scenario(), precoders=("ideal",), snr_db=(0.0,),
                 min_bits=bad, seed=0,
-            )
-
-    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
-    def test_non_integer_n_channels_rejected(self, bad):
-        with pytest.raises(ValidationError, match="n_channels"):
-            run_ber(
-                fast_scenario(), precoders=("ideal",), snr_db=(0.0,),
-                min_bits=20_000, seed=0, n_channels=bad,
             )
 
     def test_none_on_non_square_scenario_rejected(self, monkeypatch):
@@ -404,8 +385,10 @@ class TestRunBer:
                 )
 
 
-def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels):
+def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels=2):
     """Per-trial reference for run_ber: explicit solves, SVD and brute force.
+
+    run_ber draws two channels; a test that patches its count passes it here.
 
     Uses the documented substream keys (purpose 10 channel per channel,
     drawn once for the whole sweep; 11 bits and 12 unit noise per (first
@@ -482,23 +465,24 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels)
 class TestRunBerOracle:
     PRECODERS = ("hogmt(0.5)", "hogmt(1.0)", "zf", "zfdpc", "none", "ideal")
 
-    def test_matches_per_trial_oracle(self):
+    def test_matches_per_trial_oracle(self, monkeypatch):
         cfg = fast_scenario(mode="drift", doppler_max=0.2, doppler_drift=0.01,
                             delay_decay=1.0)
         kw = dict(
             precoders=self.PRECODERS, snr_db=(9.0, math.inf), min_bits=MIN_BITS_FLOOR,
-            seed=31, modulations=("qpsk", "qam16"), n_channels=3,
+            seed=31, modulations=("qpsk", "qam16"),
         )
+        monkeypatch.setattr(hogmt.linksim, "_N_CHANNELS", 3)  # a count other than two
         rep = run_ber(cfg, **kw)
-        want = _oracle_ber(cfg, **kw)
+        want = _oracle_ber(cfg, **kw, n_channels=3)
         assert len(rep.points) == len(want)
         for p in rep.points:
             bits, errors, tx = want[(p.snr_db, p.precoder, p.fraction, p.modulation)]
             assert (p.bits, p.errors) == (bits, errors), p
             assert p.tx_energy == pytest.approx(tx, rel=1e-9), p
-        inf_full = rep.select(precoder="hogmt", fraction=1.0)
+        inf_full = [p for p in rep.points if p.precoder == "hogmt" and p.fraction == 1.0]
         assert all(p.errors == 0 for p in inf_full if p.snr_db == math.inf)
-        assert any(p.errors > 0 for p in rep.select(precoder="zf"))
+        assert any(p.errors > 0 for p in rep.points if p.precoder == "zf")
 
     def test_matches_oracle_across_chunks(self):
         # 2x12 grids give chunks of 16384 // 24 = 682 trials; BPSK at 40k bits
@@ -507,7 +491,7 @@ class TestRunBerOracle:
         cfg = fast_scenario()
         kw = dict(
             precoders=("hogmt(0.5)", "zf", "ideal"), snr_db=(6.0,), min_bits=40_000,
-            seed=17, modulations=("bpsk",), n_channels=2,
+            seed=17, modulations=("bpsk",),
         )
         n_trials = math.ceil(40_000 / (cfg.users * cfg.time_symbols))
         assert len(range(0, n_trials, 2)) > (1 << 14) // (cfg.users * cfg.time_symbols)
@@ -528,7 +512,7 @@ class TestRunBerOracle:
         beside = run_ber(
             fast_scenario(), precoders=("hogmt(0.5)", "ideal", "zf", "zfdpc"), **kw
         )
-        assert list(alone.points) == beside.select(precoder="ideal")
+        assert list(alone.points) == [p for p in beside.points if p.precoder == "ideal"]
 
     def test_channels_drawn_once_per_sweep(self, monkeypatch):
         calls = {"generate_channel": 0, "hogmt_decompose": 0}
@@ -545,15 +529,16 @@ class TestRunBerOracle:
         rep = run_ber(
             fast_scenario(), precoders=("hogmt(0.5)", "hogmt(1.0)", "zf"),
             snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), min_bits=MIN_BITS_FLOOR, seed=4,
-            modulations=("qpsk", "qam16"), n_channels=2,
+            modulations=("qpsk", "qam16"),
         )
         assert len(rep.points) == 5 * 3 * 2
         assert calls == {"generate_channel": 2, "hogmt_decompose": 2}
 
-    def test_sweep_prefix_matches_shorter_sweep(self):
+    def test_sweep_prefix_matches_shorter_sweep(self, monkeypatch):
+        monkeypatch.setattr(hogmt.linksim, "_N_CHANNELS", 3)
         kw = dict(
             precoders=("hogmt(0.5)", "zf", "ideal"), min_bits=MIN_BITS_FLOOR,
-            seed=23, modulations=("bpsk", "qam16"), n_channels=3,
+            seed=23, modulations=("bpsk", "qam16"),
         )
         snrs = (0.0, 8.0, 16.0, math.inf)
         full = run_ber(fast_scenario(), snr_db=snrs, **kw)
@@ -561,10 +546,11 @@ class TestRunBerOracle:
             part = run_ber(fast_scenario(), snr_db=snrs[:k], **kw)
             assert [p for p in full.points if p.snr_db in snrs[:k]] == list(part.points)
 
-    def test_point_does_not_depend_on_other_snr_values(self):
+    def test_point_does_not_depend_on_other_snr_values(self, monkeypatch):
+        monkeypatch.setattr(hogmt.linksim, "_N_CHANNELS", 3)
         kw = dict(
             precoders=("hogmt(0.5)", "zf", "ideal"), min_bits=MIN_BITS_FLOOR,
-            seed=23, modulations=("bpsk", "qam16"), n_channels=3,
+            seed=23, modulations=("bpsk", "qam16"),
         )
         full = run_ber(fast_scenario(), snr_db=(0.0, 8.0, 16.0, math.inf), **kw)
         for snrs in ((math.inf, 16.0, 0.0, 8.0), (8.0,), (16.0, 0.0)):

@@ -360,24 +360,23 @@ class TestStationarityInterval:
         d = np.zeros((6, 6))
         d[:3, 3:] = 0.9
         d[3:, :3] = 0.9
-        series = CmdSeries(distances=d, window=2, side="tx")
+        series = CmdSeries(distances=d, window=2)
         rep = stationarity_interval(series, d0=0.2)
         np.testing.assert_array_equal(rep.intervals, [3, 3, 3, 3, 3, 3])
-        assert rep.threshold == 0.2
         assert rep.window == 2
 
     def test_run_stops_at_first_violation(self):
         d = np.zeros((5, 5))
         d[0, 2] = 0.5  # start 0 can only extend one step forward
         d[2, 0] = 0.5
-        series = CmdSeries(distances=d, window=2, side="rx")
+        series = CmdSeries(distances=d, window=2)
         rep = stationarity_interval(series, d0=0.2)
         assert rep.intervals[0] == 2
         # start 1 still sees d[1, j] = 0 everywhere, full span
         assert rep.intervals[1] == 5
 
     def test_threshold_validation(self):
-        series = CmdSeries(distances=np.zeros((3, 3)), window=2, side="tx")
+        series = CmdSeries(distances=np.zeros((3, 3)), window=2)
         with pytest.raises(ValidationError):
             stationarity_interval(series, d0=0.0)
         with pytest.raises(ValidationError):
@@ -401,7 +400,7 @@ class TestStationarityInterval:
         d[rng.uniform(size=n) < 0.2] = 0.5 * d0  # rows wholly below d0
         d[rng.uniform(size=n) < 0.2] = d0  # rows wholly at d0
         d[rng.uniform(size=n) < 0.2] = 1.0  # rows wholly at or above d0
-        series = CmdSeries(distances=d, window=2, side="tx")
+        series = CmdSeries(distances=d, window=2)
         got = stationarity_interval(series, d0).intervals
         np.testing.assert_array_equal(got, loop_intervals(d, d0))
 
