@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hogmt
 from hogmt import cli
 
@@ -143,23 +145,27 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert not unused
 
 
-def test_every_public_member_is_read_outside_the_tests():
+def _unread_members(api, sources) -> list[str]:
+    """Class.member of each public member of a class in ``api`` no source reads as an attribute."""
     # matched by attribute name: a name another class also reads passes
     read = {
         node.attr
-        for source in _outside_sources()
+        for source in sources
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    unread = [
+    return [
         f"{name}.{member}"
-        for name, obj in _public_api()
+        for name, obj in api
         if isinstance(obj, type)
         for member, declared in _public_members(obj).items()
         if member not in read
         and not (name in WRITTEN_WHOLE and isinstance(declared, dataclasses.Field))
     ]
-    assert not unread
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    assert not _unread_members(_public_api(), _outside_sources())
 
 
 def _passes(call: ast.Call, param: inspect.Parameter, index: int) -> bool:
@@ -171,18 +177,19 @@ def _passes(call: ast.Call, param: inspect.Parameter, index: int) -> bool:
     return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def test_every_option_is_passed_outside_the_tests():
-    # a defaulted parameter of an exported function or a public method
-    functions = [(name, obj) for name, obj in _public_api() if inspect.isfunction(obj)]
+def _unpassed_options(api, sources) -> list[str]:
+    """fn(param) of each defaulted parameter of a function or public method in ``api``
+    that no call in ``sources`` passes."""
+    functions = [(name, obj) for name, obj in api if inspect.isfunction(obj)]
     functions += [
         (f"{name}.{member}", method)
-        for name, cls in _public_api()
+        for name, cls in api
         if isinstance(cls, type)
         for member, method in _public_members(cls).items()
         if inspect.isfunction(method)
     ]
     calls = {}
-    for source in _outside_sources():
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -198,7 +205,60 @@ def test_every_option_is_passed_outside_the_tests():
             if p.default is not p.empty
             and not any(_passes(c, p, i) for c in calls.get(fn.__name__, ()))
         ]
-    assert not unpassed
+    return unpassed
+
+
+def test_every_option_is_passed_outside_the_tests():
+    # a defaulted parameter of an exported function or a public method
+    assert not _unpassed_options(_public_api(), _outside_sources())
+
+
+@dataclasses.dataclass(frozen=True)
+class _Probe:
+    """A public type for the guards to look at: two fields, a property and a method."""
+
+    shown: int
+    hidden: int
+    _private: int = 0
+
+    @property
+    def total(self):
+        return self.shown + self.hidden
+
+    def scaled(self, factor, offset=0.0, *, clip=None):
+        return self.total * factor + offset
+
+
+def _probe(a, b=1, c=2, *, d=3):
+    return a + b + c + d
+
+
+@pytest.mark.parametrize(
+    "name,source,unread",
+    [
+        ("Probe", "p.shown; p.total; p.scaled(2)", ["Probe.hidden"]),
+        ("Probe", "p.hidden = 1; print(p.shown, p.total, p.scaled)", ["Probe.hidden"]),
+        ("BerPoint", "p.scaled(2)", ["BerPoint.total"]),  # written whole: fields exempt
+    ],
+    ids=["unread-field", "stored-is-not-read", "written-whole"],
+)
+def test_member_guard_names_each_unread_member(name, source, unread):
+    assert _unread_members([(name, _Probe)], [source]) == unread
+
+
+@pytest.mark.parametrize(
+    "api,source,unpassed",
+    [
+        ([("_probe", _probe)], "_probe(0)", ["_probe(b)", "_probe(c)", "_probe(d)"]),
+        ([("_probe", _probe)], "_probe(0, 5, 6)", ["_probe(d)"]),  # d is keyword-only
+        ([("_probe", _probe)], "m._probe(0, c=1, d=2)", ["_probe(b)"]),
+        ([("_probe", _probe)], "_probe(*args, **kwargs)", []),
+        ([("Probe", _Probe)], "p.scaled(2, 0.5)", ["Probe.scaled(clip)"]),  # after self
+    ],
+    ids=["none", "positional", "keyword", "splats", "method"],
+)
+def test_option_guard_names_each_unpassed_option(api, source, unpassed):
+    assert _unpassed_options(api, [source]) == unpassed
 
 
 def test_readme_names_resolve():

@@ -574,6 +574,35 @@ class TestCtfFormat:
         if offset == 28:
             assert "payload" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {-1: complex(math.nan, 0.0)},
+            {-1: complex(0.0, math.inf)},
+            {-1: complex(-math.inf, 0.0)},
+            {0: complex(math.inf, 0.0), -1: complex(-math.inf, 0.0)},
+        ],
+        ids=["nan-last-real", "inf-last-imag", "minus-inf-last-real", "opposite-infinities"],
+    )
+    def test_non_finite_entry_anywhere_is_a_payload_error(self, tmp_path, entries):
+        path = tmp_path / "chan.ctf"
+        save_ctf(generate_channel(small_cfg(), 10), path)
+        raw = bytearray(path.read_bytes())
+        payload = np.frombuffer(raw, dtype="<c16", offset=28)
+        for index, value in entries.items():
+            payload[index] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="payload") as exc:
+            load_ctf(path)
+        assert exc.value.offset == 28
+
+    def test_payload_whose_sum_overflows_loads(self, tmp_path):
+        # every entry is finite but their sum is not, so the check goes entry by entry
+        values = np.full((2, 2, 4, 2), 1e308 - 1e308j)
+        path = tmp_path / "chan.ctf"
+        save_ctf(ImpulseResponse4D(values), path)
+        np.testing.assert_array_equal(load_ctf(path).values, values)
+
     def test_load_peaks_at_the_payload(self, tmp_path):
         # the payload is read once and checked in place, with no mask of its size
         rng = np.random.default_rng(0)

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -404,6 +405,20 @@ class TestComplexity:
 
         monkeypatch.setattr(math, "factorial", small_only)
         assert complexity_estimate(10**6, 10**6, 2).dpc == math.inf
+
+    @pytest.mark.parametrize("antennas", [2, 10, 100, 163])
+    def test_dpc_matches_the_exact_integer_count(self, antennas):
+        # with users = antennas = n, L_t ((n n)^3.5 + n n^2) n! is the integer
+        # L_t (n^7 + n^3) n!; at n = 163 it is just inside the float range
+        exact = 3 * (antennas**7 + antennas**3) * math.factorial(antennas)
+        est = complexity_estimate(antennas, antennas, 3)
+        assert est.dpc == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("antennas", [164, 170])
+    def test_dpc_past_the_float_range_before_171_reads_inf(self, antennas):
+        # n! itself is still a float here; the product with the other factors is not
+        assert (antennas**7 + antennas**3) * math.factorial(antennas) > sys.float_info.max
+        assert complexity_estimate(antennas, antennas, 1).dpc == math.inf
 
 
 def run_cli(*argv):

@@ -81,6 +81,43 @@ class TestSchemeTables:
                 assert bin(a ^ b).count("1") == 1, (name, a, b)
 
 
+def _gray_rank(label: int) -> int:
+    """Position of a Gray label in the Gray sequence: the XOR of all its right shifts."""
+    rank = 0
+    while label:
+        rank ^= label
+        label >>= 1
+    return rank
+
+
+class TestGrayAxis:
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
+    def test_level_of_each_label_is_set_by_its_gray_rank(self, n_bits):
+        m = 1 << n_bits
+        levels = hogmt.linksim._gray_pam_levels(n_bits)
+        assert levels.tolist() == [float(2 * _gray_rank(g) - (m - 1)) for g in range(m)]
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_axis_bit_errors_sum_every_level_pair(self, n_bits, sigma):
+        # the expected Hamming distance between the sent and the decided label,
+        # summed pair by pair over the decision bands of the sorted levels
+        from scipy.special import ndtr
+
+        levels = hogmt.linksim._gray_pam_levels(n_bits)
+        label = np.argsort(levels)  # label at each amplitude rank
+        lv = levels[label]
+        edges = np.concatenate([[-np.inf], (lv[:-1] + lv[1:]) / 2, [np.inf]])
+        want = sum(
+            (ndtr((edges[d + 1] - lv[s]) / sigma) - ndtr((edges[d] - lv[s]) / sigma))
+            * bin(int(label[s]) ^ int(label[d])).count("1")
+            for s in range(lv.size)
+            for d in range(lv.size)
+        ) / lv.size
+        got = hogmt.linksim._axis_bit_errors(levels, sigma)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 def _decision_edges():
     """Float midpoints of adjacent levels of every scheme and their neighbours."""
     edges = set()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hogmt import (
+    CoefficientSet,
     EigenDecomposition,
     ImpulseResponse4D,
     Kernel4D,
@@ -24,7 +25,7 @@ from hogmt.errors import (
     DimensionMismatchError,
     NumericalError,
 )
-from hogmt.precoding import hogmt_map, zf_map, zfdpc_map
+from hogmt.precoding import hogmt_map, retained_count, zf_map, zfdpc_map
 
 
 def identity_kernel(l_u, l_t, scale=1.0):
@@ -140,6 +141,29 @@ class TestHogmtPrecode:
         dec = hogmt_decompose(identity_kernel(2, 3))
         with pytest.raises(DimensionMismatchError):
             hogmt_precode(dec, SpaceTimeSignal(grid=np.ones((3, 3), dtype=complex)))
+
+
+class TestCoefficientSet:
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.75, 1.0])
+    def test_retained_counts_the_kept_modes(self, fraction):
+        rng = np.random.default_rng(8)
+        vals = rng.standard_normal((2, 4, 2, 4)) + 1j * rng.standard_normal((2, 4, 2, 4))
+        dec = hogmt_decompose(Kernel4D(vals))
+        _, coeffs = hogmt_precode(dec, random_signal(rng, (2, 4)), fraction)
+        assert coeffs.retained == retained_count(dec.sigmas, fraction)
+        assert coeffs.retained == coeffs.x_coeffs.size == coeffs.s_coeffs.size
+
+    def test_retained_is_read_from_the_coefficients(self):
+        coeffs = CoefficientSet(x_coeffs=[1j, 2j, 3j], s_coeffs=[1, 2, 3], dropped_energy=0)
+        assert coeffs.retained == 3
+        with pytest.raises(AttributeError):
+            coeffs.retained = 2
+        with pytest.raises(TypeError, match="retained"):
+            CoefficientSet(x_coeffs=[1j], s_coeffs=[1j], dropped_energy=0, retained=1)
+
+    def test_coefficient_arrays_of_unequal_length_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="equal length, got 2 and 3"):
+            CoefficientSet(x_coeffs=[1j, 2j], s_coeffs=[1, 2, 3], dropped_energy=0)
 
 
 class TestEnergyReport:
