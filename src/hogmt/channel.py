@@ -61,6 +61,7 @@ _CTF_MAGIC = b"HGMTCTF1"
 _CTF_VERSION = 1
 _CTF_HEADER = struct.Struct("<8s5I")  # magic, version, L_u, L_u', L_t, L_tau
 _MAX_CTF_ENTRIES = 1 << 40  # reject absurd declared sizes before allocating
+_PIPE_PIECE = 1 << 24  # most bytes load_ctf asks a pipe for in one read
 
 
 def _substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -274,7 +275,8 @@ def load_ctf(path) -> ImpulseResponse4D:
 
     The header is checked against the size of a regular file before the
     payload is read, so a malformed file costs no more memory than its
-    28-byte header.
+    28-byte header.  A pipe is read to at most one byte past the payload
+    the header declares.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CTF_HEADER.size)
@@ -313,12 +315,21 @@ def load_ctf(path) -> ImpulseResponse4D:
         if stat.S_ISREG(st.st_mode):
             actual = st.st_size - _CTF_HEADER.size
             payload = fh.read(expected) if actual == expected else b""
-        else:  # a pipe has no size until it is read to its end
-            payload = fh.read()
+            held = actual
+        else:
+            # a pipe has no size, so it is read up to one byte past the
+            # declared payload, a piece at a time: a stream that ends early
+            # or never ends costs at most one piece more than it delivered
+            pieces, left = [], expected + 1
+            while left and (piece := fh.read(min(left, _PIPE_PIECE))):
+                pieces.append(piece)
+                left -= len(piece)
+            payload = b"".join(pieces)  # a lone piece is kept, not copied
             actual = len(payload)
+            held = f"more than {expected}" if actual > expected else actual
         if actual != expected:
             raise FormatError(
-                f"payload holds {actual} bytes but dims {dims} require {expected}",
+                f"payload holds {held} bytes but dims {dims} require {expected}",
                 offset=_CTF_HEADER.size,
             )
     # read-only over immutable bytes, so ImpulseResponse4D keeps it uncopied

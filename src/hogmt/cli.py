@@ -50,7 +50,7 @@ from .linksim import (
     parse_precoder,
     run_ber,
 )
-from .precoding import _cumulative_normalized, energy_report, hogmt_precode
+from .precoding import energy_report, hogmt_precode
 from .stats import (
     GaussianPrototype,
     atomic_kernel,
@@ -269,6 +269,14 @@ def _fmt(x) -> str:
     return x if isinstance(x, str) else str(float(x))
 
 
+def _cumulative_normalized(values: np.ndarray) -> np.ndarray:
+    """Running sum of ``values`` over their total: ends at 1, or stays 0 for no total."""
+    total = float(values.sum())
+    if total <= 0.0:
+        return np.zeros_like(values)
+    return np.cumsum(values) / total
+
+
 def _csv(header: str, rows, footer: str | None = None) -> str:
     lines = [header]
     for row in rows:
@@ -322,12 +330,11 @@ def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
     s = modulate(bits, scheme, (l_u, l_t))
     x, coeffs = hogmt_precode(decomp, s, spec.fraction)
     r = energy_report(decomp, coeffs)
-    columns = (
-        r.gains, r.cost_energy, r.cancelled_energy, r.cum_gain, r.cum_cost, r.cum_cancelled
-    )
+    per_mode = (r.gains, r.cost_energy, r.cancelled_energy)
+    columns = (*per_mode, *map(_cumulative_normalized, per_mode))
     footer = (
-        f"# total_tx_energy={_fmt(r.total_tx_energy)} "
-        f"dropped_energy={_fmt(r.dropped_energy)}"
+        f"# total_tx_energy={_fmt(r.cost_energy.sum())} "
+        f"dropped_energy={_fmt(coeffs.dropped_energy)}"
     )
     return {
         "precoded.npy": lambda path: np.save(path, x.grid),
@@ -405,15 +412,15 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
         ),
     }
     for side in ("tx", "rx"):
-        series = cmd(first_h, side=side, window=cfg.stats.window)
-        dist = series.distances.tolist()  # Python floats: f"{d}" is _fmt(d)
+        distances = cmd(first_h, side=side, window=cfg.stats.window)
+        dist = distances.tolist()  # Python floats: f"{d}" is _fmt(d)
         rows = [f"{i},{j - i},{d}" for i, r in enumerate(dist) for j, d in enumerate(r)]
         outputs[f"cmd_{side}.csv"] = _csv("start,shift,d_corr", rows)
-        sr = stationarity_interval(series, cfg.stats.d0)
+        sr = stationarity_interval(distances, cfg.stats.d0)
         outputs[f"intervals_{side}.csv"] = _csv(
             "start,interval_symbols",
             enumerate(sr.intervals),
-            f"# d0={_fmt(cfg.stats.d0)} window={sr.window}",
+            f"# d0={_fmt(cfg.stats.d0)} window={cfg.stats.window}",
         )
     return outputs
 

@@ -100,25 +100,12 @@ class EnergyReport:
     For each retained mode: ``gains`` are the squared singular values,
     ``cost_energy[n] = |x_n|^2`` is what the transmitter spends and
     ``cancelled_energy[n] = |s_n|^2`` is what arrives, related by
-    cost * gain = cancelled.  Cumulative curves are normalized to end at 1
-    (or stay at 0 for an all-zero quantity).
+    cost * gain = cancelled.
     """
 
     gains: np.ndarray
     cost_energy: np.ndarray
     cancelled_energy: np.ndarray
-    cum_gain: np.ndarray
-    cum_cost: np.ndarray
-    cum_cancelled: np.ndarray
-    total_tx_energy: float
-    dropped_energy: float
-
-
-def _cumulative_normalized(values: np.ndarray) -> np.ndarray:
-    total = float(values.sum())
-    if total <= 0.0:
-        return np.zeros_like(values)
-    return np.cumsum(values) / total
 
 
 def retained_count(sigmas: np.ndarray, fraction: float) -> int:
@@ -188,18 +175,10 @@ def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyR
             f"coefficient set retains {n} modes but the decomposition has "
             f"only {decomp.n_modes}"
         )
-    gains = decomp.lambdas[:n]
-    cost = np.abs(coeffs.x_coeffs) ** 2
-    cancelled = np.abs(coeffs.s_coeffs) ** 2
     return EnergyReport(
-        gains=gains,
-        cost_energy=cost,
-        cancelled_energy=cancelled,
-        cum_gain=_cumulative_normalized(gains),
-        cum_cost=_cumulative_normalized(cost),
-        cum_cancelled=_cumulative_normalized(cancelled),
-        total_tx_energy=float(cost.sum()),
-        dropped_energy=coeffs.dropped_energy,
+        gains=decomp.lambdas[:n],
+        cost_energy=np.abs(coeffs.x_coeffs) ** 2,
+        cancelled_energy=np.abs(coeffs.s_coeffs) ** 2,
     )
 
 

@@ -35,7 +35,6 @@ from .kernels import (
 __all__ = [
     "GaussianPrototype",
     "StatsReport",
-    "CmdSeries",
     "StationarityReport",
     "tf_transfer",
     "spreading_function",
@@ -212,33 +211,10 @@ def stats_from_decomp(
 
 
 @dataclass(frozen=True)
-class CmdSeries:
-    """Pairwise correlation matrix distance between sliding-window starts.
-
-    distances[i, j] compares the windowed spatial correlation matrix at
-    start i with the one at start j; zero on the diagonal, bounded by 1.
-    """
-
-    distances: np.ndarray = field(metadata={"ndim": 2, "dtype": float})
-    window: int = field(metadata={"ge": 2})
-
-    def __post_init__(self):
-        checked_fields(self)
-        rows, cols = self.distances.shape
-        if rows != cols:
-            raise ValidationError(f"distance matrix must be square, got {(rows, cols)}")
-
-    @property
-    def n_starts(self) -> int:
-        return self.distances.shape[0]
-
-
-@dataclass(frozen=True)
 class StationarityReport:
     """Per-start stationarity intervals at a fixed distance threshold."""
 
     intervals: np.ndarray = field(metadata={"ndim": 1, "dtype": int})  # symbols, per start
-    window: int = field(metadata={"ge": 2})
 
     __post_init__ = checked_fields
 
@@ -263,12 +239,14 @@ def _window_correlations(h: ImpulseResponse4D, side: str, window: int) -> np.nda
     return rmats.reshape(n_starts, -1)
 
 
-def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
-    """Correlation matrix distance over sliding windows of the tap-summed channel.
+def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> np.ndarray:
+    """Read-only n x n correlation matrix distance between sliding-window starts.
 
-    side "tx" compares transmit-side correlation matrices mean(H^T conj(H)),
-    side "rx" receive-side mean(H H^H), where H(t) sums the delay taps.
-    d[i,j] = 1 - Re<R_i, R_j> / (||R_i|| ||R_j||), clipped into [0, 1].
+    Row and column i stand for the window of the tap-summed channel H(t)
+    that starts at symbol i, n = L_t - window + 1.  side "tx" compares
+    transmit-side correlation matrices mean(H^T conj(H)), side "rx"
+    receive-side mean(H H^H).  d[i,j] = 1 - Re<R_i, R_j> / (||R_i|| ||R_j||),
+    clipped into [0, 1]: zero on the diagonal.
     """
     if not (isinstance(side, str) and side in _SIDES):
         raise ValidationError(f"side must be one of {_SIDES}, got {side!r}")
@@ -292,28 +270,32 @@ def cmd(h: ImpulseResponse4D, side: str = "tx", window: int = 8) -> CmdSeries:
         block /= np.maximum(denom, tiny, out=denom)
         np.subtract(1.0, block, out=block)
     np.clip(dist, 0.0, 1.0, out=dist)
-    return CmdSeries(distances=_freeze(dist), window=window)
+    return _freeze(dist)
 
 
-def stationarity_interval(series: CmdSeries, d0: float) -> StationarityReport:
+def stationarity_interval(distances: np.ndarray, d0: float) -> StationarityReport:
     """Largest contiguous span around zero shift where the distance stays < d0.
 
-    For each window start i the span extends forward while d[i, i+k] < d0
-    and backward while d[i, i-k] < d0; the interval length in symbols counts
-    the start itself plus both runs.
+    ``distances`` is a square real matrix such as :func:`cmd` returns.  For
+    each window start i the span extends forward while d[i, i+k] < d0 and
+    backward while d[i, i-k] < d0; the interval length in symbols counts the
+    start itself plus both runs.
     """
+    distances = checked_array(distances, 2, "distances", dtype=float)
+    n, cols = distances.shape
+    if n != cols:
+        raise ValidationError(f"distances must be square, got shape {distances.shape}")
     d0 = checked_real(d0, "d0", gt=0, le=1)
-    n = series.n_starts
     # the crossings d >= d0, bordered by a row and a column of True that end
     # every run at the edge of the matrix
     crossed = np.ones((n + 1, n + 1), dtype=bool)
     inner = crossed[:n, :n]
-    np.greater_equal(series.distances, d0, out=inner)
+    np.greater_equal(distances, d0, out=inner)
     ahead = _runs_ahead(crossed)
     # the backward runs are the forward runs of the matrix turned by 180 degrees
     inner[...] = inner[::-1, ::-1]
     behind = _runs_ahead(crossed)[::-1]
-    return StationarityReport(intervals=1 + ahead + behind, window=series.window)
+    return StationarityReport(intervals=1 + ahead + behind)
 
 
 def _runs_ahead(crossed: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The public API contract: exported names and the names the benchmark traces."""
+"""The public API contract: exported names, and the names and calls of the benchmark."""
 
 import ast
 import contextlib
@@ -19,7 +19,8 @@ import hogmt
 from hogmt import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 README = ROOT / "README.md"
 
 # public names whose only callers are tests, each kept for a stated job
@@ -104,6 +105,37 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"hogmt.{module}"), name, None))
     ]
     assert tracing.TRACED and not missing
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark's ``workloads`` and ``tracing`` modules, imported as it imports them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("workloads"), importlib.import_module("tracing")
+    for name in ("workloads", "tracing"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", ["ber_sweep", "decompose_long", "stats_ensemble"])
+def test_perfbench_operation_passes_its_checks(perfbench, tmp_path, name):
+    # runs the call forms the benchmark pins, such as
+    # stationarity_interval(cmd(...)).intervals, traced as its --trace 1 phase is
+    workloads, tracing = perfbench
+    wl = workloads.WORKLOADS[name](1, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out, _ = wl.op(0)
+    finally:
+        tracer.uninstall()
+    checks = wl.check(out)
+    assert checks and all(checks), checks
+
+
+def test_perfbench_cli_pipeline_warms_up(perfbench, tmp_path):
+    # one in-process pass of every subcommand on the benchmark's config
+    workloads, _ = perfbench
+    workloads.WORKLOADS["cli_pipeline"](1, tmp_path).warmup()
 
 
 def test_import_does_not_load_scipy():

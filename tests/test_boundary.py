@@ -36,8 +36,7 @@ def valid_kwargs(cls):
         H.CoefficientSet: lambda: dict(
             x_coeffs=c(2), s_coeffs=c(2), dropped_energy=0.5
         ),
-        H.CmdSeries: lambda: dict(distances=rng.uniform(0, 1, (3, 3)), window=2),
-        H.StationarityReport: lambda: dict(intervals=np.array([1.0, 2.0, 3.0]), window=2),
+        H.StationarityReport: lambda: dict(intervals=np.array([1.0, 2.0, 3.0])),
     }[cls]()
 
 
@@ -50,7 +49,6 @@ FIELDS = [
     (H.EigenDecomposition, "phis"),
     (H.CoefficientSet, "x_coeffs"),
     (H.CoefficientSet, "s_coeffs"),
-    (H.CmdSeries, "distances"),
     (H.StationarityReport, "intervals"),
 ]
 FIELD_IDS = [f"{cls.__name__}.{field}" for cls, field in FIELDS]
@@ -128,10 +126,9 @@ class TestArrayFields:
 
 
 def test_fractional_entries_of_an_integer_field_rejected():
-    kw = dict(window=2)
     with pytest.raises(ValidationError, match=r"\bintervals\b.*fractional"):
-        H.StationarityReport(intervals=[1.5, 2.9], **kw)
-    stored = H.StationarityReport(intervals=[1.0, 2.0], **kw).intervals
+        H.StationarityReport(intervals=[1.5, 2.9])
+    stored = H.StationarityReport(intervals=[1.0, 2.0]).intervals
     assert stored.dtype == int and stored.tolist() == [1, 2]
 
 
@@ -232,7 +229,8 @@ def test_decompose_atomic_rejects_non_finite_entries(bad):
     lambda h: H.tf_transfer(h, 0, 0),
     lambda h: H.spreading_function(h, 0, 0),
     lambda h: H.atomic_kernel(H.tf_transfer(h, 0, 0), H.GaussianPrototype()),
-], ids=["tf_transfer", "spreading_function", "atomic_kernel"])
+    lambda h: H.cmd(h, window=2),
+], ids=["tf_transfer", "spreading_function", "atomic_kernel", "cmd"])
 def test_stats_stage_result_is_read_only(stage):
     result = stage(H.ImpulseResponse4D(np.ones((1, 1, 4, 2))))
     assert not result.flags.writeable
@@ -266,7 +264,21 @@ def test_nan_distances_never_reach_the_interval():
     d = np.zeros((3, 3))
     d[0, 1] = d[1, 0] = np.nan
     with pytest.raises(ValidationError, match="distances"):
-        H.stationarity_interval(H.CmdSeries(distances=d, window=2), 0.2)
+        H.stationarity_interval(d, 0.2)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param([[0.0, np.nan], [0.0, 0.0]], id="nan"),
+    pytest.param([[0.0, 0.0], [np.inf, 0.0]], id="inf"),
+    pytest.param([[-np.inf, 0.0], [0.0, 0.0]], id="-inf"),
+    pytest.param(np.zeros(3), id="1-D"),
+    pytest.param(np.zeros((3, 3, 1)), id="3-D"),
+    pytest.param([[0.0, 0.5j], [0.5, 0.0]], id="complex"),
+    pytest.param(np.zeros((3, 2)), id="non-square"),
+])
+def test_stationarity_interval_checks_its_distances(bad):
+    with pytest.raises(ValidationError, match=r"^distances\b"):
+        H.stationarity_interval(bad, 0.2)
 
 
 @pytest.mark.parametrize("field", ["spread_t", "spread_f"])
@@ -315,7 +327,7 @@ def ctx():
     return SimpleNamespace(
         cfg=cfg, h=h, kernel=kernel, decomp=H.hogmt_decompose(kernel),
         x=H.SpaceTimeSignal(np.ones((2, 4), dtype=complex)),
-        series=H.CmdSeries(distances=np.zeros((3, 3)), window=2),
+        distances=np.zeros((3, 3)),
     )
 
 
@@ -375,12 +387,8 @@ SCALARS = [
     ("GaussianPrototype.on_lattice.n_f", "n_f", "int", -1,
      lambda c, v: H.GaussianPrototype().on_lattice(4, v)),
     ("cmd.window", "window", "int", 5, lambda c, v: H.cmd(c.h, window=v)),
-    ("CmdSeries.window", "window", "int", 1,
-     lambda c, v: H.CmdSeries(distances=np.zeros((2, 2)), window=v)),
-    ("StationarityReport.window", "window", "int", -3,
-     lambda c, v: H.StationarityReport(intervals=[1], window=v)),
     ("stationarity_interval.d0", "d0", "real", 1.5,
-     lambda c, v: H.stationarity_interval(c.series, v)),
+     lambda c, v: H.stationarity_interval(c.distances, v)),
     ("SimConfig.min_bits", "min_bits", "int", H.MIN_BITS_FLOOR - 1,
      lambda c, v: SimConfig(min_bits=v)),
     ("SimConfig.seed", "seed", "int", -1, lambda c, v: SimConfig(seed=v)),

@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -663,6 +664,63 @@ class TestCtfFormat:
         with pytest.raises(FormatError, match="payload holds 3064 bytes") as exc:
             self._load_through_pipe(raw[:-8])
         assert exc.value.offset == 28
+
+    @pytest.mark.parametrize("piece", [1, 7])
+    def test_pipe_payload_read_in_pieces(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(channel_mod, "_PIPE_PIECE", piece)
+        h = generate_channel(small_cfg(), 10)
+        save_ctf(h, tmp_path / "chan.ctf")
+        raw = (tmp_path / "chan.ctf").read_bytes()  # 3072 bytes of payload
+        np.testing.assert_array_equal(self._load_through_pipe(raw).values, h.values)
+        with pytest.raises(FormatError, match="payload holds more than 3072 bytes"):
+            self._load_through_pipe(raw + b"x")
+        with pytest.raises(FormatError, match="payload holds 3064 bytes"):
+            self._load_through_pipe(raw[:-8])
+
+    def test_pipe_declaring_a_huge_payload_is_a_format_error(self):
+        # 16 TiB declared, none sent: the first piece is all that is asked
+        # for, so the short stream is reported instead of a MemoryError
+        header = struct.pack("<8s5I", b"HGMTCTF1", 1, 1024, 1024, 1024, 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload holds 0 bytes") as exc:
+                self._load_through_pipe(header)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == 28
+        assert peak < channel_mod._PIPE_PIECE + (1 << 20), peak
+
+    def test_pipe_is_read_to_one_byte_past_the_payload(self):
+        # a header declaring 4 KiB of payload, followed by 8 MiB: the excess
+        # shows at the first byte past the payload, so the rest stays unread
+        header = struct.pack("<8s5I", b"HGMTCTF1", 1, 2, 2, 16, 4)
+        r, w = os.pipe()
+
+        def write():
+            try:
+                os.write(w, header)
+                for _ in range(128):
+                    os.write(w, bytes(1 << 16))
+            except BrokenPipeError:
+                pass  # the reader closed its end
+            finally:
+                os.close(w)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload holds more than 4096 bytes") as exc:
+                load_ctf(f"/dev/fd/{r}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            os.close(r)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert exc.value.offset == 28
+        assert peak < 1 << 20, peak
 
     def test_delay_axis_longer_than_time_rejected(self, tmp_path):
         h = generate_channel(small_cfg(), 10)

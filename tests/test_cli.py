@@ -472,6 +472,46 @@ class TestCliPipeline:
         sigmas = [float(r.split(",")[1]) for r in lines[1:-1]]
         assert sigmas == sorted(sigmas, reverse=True)
 
+    def test_energy_csv_derives_its_curves_and_totals(self, tmp_path):
+        # the writer adds the cumulative columns and the footer totals to
+        # energy_report's per-mode columns
+        cfg = {**FAST, "sim": {**FAST["sim"], "precoder": "hogmt(0.5)"}}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        for sub in ("generate", "precode"):
+            assert run_cli(sub, "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+        lines = (out / "energy.csv").read_text().splitlines()
+        assert lines[0] == "n,gain,cost_energy,cancelled_energy,cum_gain,cum_cost,cum_cancelled"
+        table = np.array([[float(v) for v in row.split(",")] for row in lines[1:-1]])
+        np.testing.assert_array_equal(table[:, 0], np.arange(12))  # half of 24 modes
+        for col in (1, 2, 3):
+            values = table[:, col]
+            np.testing.assert_array_equal(table[:, col + 3], np.cumsum(values) / values.sum())
+        parts = dict(item.split("=") for item in lines[-1].lstrip("# ").split(" "))
+        assert float(parts["total_tx_energy"]) == pytest.approx(table[:, 2].sum(), rel=1e-12)
+        x = np.load(out / "precoded.npy")
+        assert float(parts["total_tx_energy"]) == pytest.approx(
+            np.sum(np.abs(x) ** 2), rel=1e-12
+        )
+        # the retained and the dropped projections carry the 24 unit-energy
+        # QPSK symbols between them
+        assert table[:, 3].sum() + float(parts["dropped_energy"]) == pytest.approx(
+            24.0, rel=1e-12
+        )
+
+    def test_intervals_footer_names_the_configured_window(self, tmp_path):
+        cfg = {**FAST, "stats": {"ensemble": 1, "window": 5, "d0": 0.3}}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert run_cli("stats", "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+        for side in ("tx", "rx"):
+            lines = (out / f"intervals_{side}.csv").read_text().splitlines()
+            assert lines[0] == "start,interval_symbols"
+            assert lines[-1] == "# d0=0.3 window=5"
+            assert len(lines) == 2 + 12 - 5 + 1  # one row per window start
+            cmd_rows = (out / f"cmd_{side}.csv").read_text().splitlines()[1:]
+            assert len(cmd_rows) == (12 - 5 + 1) ** 2
+
     def test_effective_config_reparses_identically(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)
         out = tmp_path / "o"

@@ -25,6 +25,7 @@ from hogmt.errors import (
     DimensionMismatchError,
     NumericalError,
 )
+from hogmt.cli import _cumulative_normalized
 from hogmt.precoding import hogmt_map, retained_count, zf_map, zfdpc_map
 
 
@@ -180,8 +181,9 @@ class TestEnergyReport:
         np.testing.assert_allclose(
             rep.cost_energy * rep.gains, rep.cancelled_energy, rtol=1e-12, atol=1e-300
         )
-        assert rep.total_tx_energy == pytest.approx(np.sum(np.abs(x.grid) ** 2), rel=1e-12)
-        assert rep.dropped_energy == coeffs.dropped_energy
+        # the transmit-side functions are orthonormal: what the modes cost is
+        # the energy of the transmitted grid
+        assert rep.cost_energy.sum() == pytest.approx(np.sum(np.abs(x.grid) ** 2), rel=1e-12)
 
     def test_cumulative_curves(self):
         rng = np.random.default_rng(8)
@@ -190,9 +192,22 @@ class TestEnergyReport:
         s = random_signal(rng, (1, 5))
         _, coeffs = hogmt_precode(dec, s)
         rep = energy_report(dec, coeffs)
-        for curve in (rep.cum_gain, rep.cum_cost, rep.cum_cancelled):
+        # the energy.csv columns cum_gain, cum_cost and cum_cancelled
+        for values in (rep.gains, rep.cost_energy, rep.cancelled_energy):
+            curve = _cumulative_normalized(values)
             assert np.all(np.diff(curve) >= -1e-15)
             assert curve[-1] == pytest.approx(1.0, rel=1e-12)
+
+    def test_cumulative_curve_of_no_energy_stays_zero(self):
+        # a zero data grid spends and delivers nothing: its energy.csv curves
+        # read 0, not 0/0
+        rng = np.random.default_rng(10)
+        vals = rng.standard_normal((1, 5, 1, 5)) + 1j * rng.standard_normal((1, 5, 1, 5))
+        dec = hogmt_decompose(Kernel4D(vals))
+        _, coeffs = hogmt_precode(dec, np.zeros((1, 5), dtype=complex))
+        rep = energy_report(dec, coeffs)
+        for values in (rep.cost_energy, rep.cancelled_energy):
+            np.testing.assert_array_equal(_cumulative_normalized(values), np.zeros(5))
 
     def test_parseval_on_full_retention(self):
         rng = np.random.default_rng(9)

@@ -13,7 +13,6 @@ from hogmt import (
     ScenarioConfig,
     atomic_kernel,
     cmd,
-    CmdSeries,
     decompose_atomic,
     generate_channel,
     spreading_function,
@@ -261,23 +260,28 @@ def two_phase_channel(l_t=16):
 class TestCmd:
     def test_constant_channel_zero_distance(self):
         h = chan(22, doppler_max=0.0, users=2, tx_antennas=2, time_symbols=16)
-        series = cmd(h, side="tx", window=4)
-        assert series.distances.max() <= 1e-12
+        assert cmd(h, side="tx", window=4).max() <= 1e-12
 
     def test_distances_bounded_and_zero_diagonal(self):
         h = chan(23, users=2, tx_antennas=2, time_symbols=24, doppler_max=0.2)
         for side in ("tx", "rx"):
-            series = cmd(h, side=side, window=6)
-            d = series.distances
+            d = cmd(h, side=side, window=6)
             assert d.min() >= 0.0 and d.max() <= 1.0
             assert np.abs(np.diag(d)).max() <= 1e-14
             np.testing.assert_allclose(d, d.T, atol=1e-14)
 
     def test_orthogonal_phases_reach_distance_one(self):
-        series = cmd(two_phase_channel(), side="tx", window=4)
+        d = cmd(two_phase_channel(), side="tx", window=4)
         # windows fully inside opposite halves share no correlation structure
-        assert series.distances[0, 12] == pytest.approx(1.0, abs=1e-12)
-        assert series.distances[0, 2] <= 1e-12
+        assert d[0, 12] == pytest.approx(1.0, abs=1e-12)
+        assert d[0, 2] <= 1e-12
+
+    @pytest.mark.parametrize("window", [2, 5, 16])
+    def test_returns_one_row_and_column_per_window_start(self, window):
+        d = cmd(chan(25, users=2, tx_antennas=2, time_symbols=16), window=window)
+        n = 16 - window + 1
+        assert d.shape == (n, n) and d.dtype == np.float64
+        assert d.flags.c_contiguous and not d.flags.writeable
 
     def test_parameter_validation(self):
         h = chan(24, users=2, tx_antennas=2, time_symbols=16)
@@ -295,7 +299,7 @@ class TestCmd:
         # the 4x4x2048 channel fills 2041 (window 8) rows in 32 blocks of
         # 63 or 64 rows; the 3x2x300 one fits one block
         h = CMD_CHANNELS[name]()
-        got = cmd(h, side=side, window=window).distances
+        got = cmd(h, side=side, window=window)
         flat = _window_correlations(h, side, window)
         norms = np.linalg.norm(flat, axis=1)
         tiny = np.finfo(float).tiny
@@ -322,18 +326,17 @@ class TestCmd:
             for j in range(n):
                 inner = np.real(np.vdot(corr[j], corr[i]))
                 want[i, j] = 1 - inner / (np.linalg.norm(corr[i]) * np.linalg.norm(corr[j]))
-        got = cmd(h, side=side, window=window).distances
+        got = cmd(h, side=side, window=window)
         np.testing.assert_allclose(got, np.clip(want, 0, 1), rtol=0, atol=1e-12)
 
     def test_peak_memory_is_bounded_by_the_result(self):
-        # the row blocks hold a few rows of Gram and norm products at a time,
-        # and the distances are not copied on the way into CmdSeries; a
-        # full complex Gram matrix alone is twice the result
+        # the row blocks hold a few rows of Gram and norm products at a time;
+        # a full complex Gram matrix alone is twice the result
         h = CMD_CHANNELS["switch"]()
         cmd(h, side="tx", window=8)
         tracemalloc.start()
         try:
-            out = cmd(h, side="tx", window=8).distances.nbytes
+            out = cmd(h, side="tx", window=8).nbytes
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -360,34 +363,31 @@ class TestStationarityInterval:
         d = np.zeros((6, 6))
         d[:3, 3:] = 0.9
         d[3:, :3] = 0.9
-        series = CmdSeries(distances=d, window=2)
-        rep = stationarity_interval(series, d0=0.2)
+        rep = stationarity_interval(d, d0=0.2)
         np.testing.assert_array_equal(rep.intervals, [3, 3, 3, 3, 3, 3])
-        assert rep.window == 2
 
     def test_run_stops_at_first_violation(self):
         d = np.zeros((5, 5))
         d[0, 2] = 0.5  # start 0 can only extend one step forward
         d[2, 0] = 0.5
-        series = CmdSeries(distances=d, window=2)
-        rep = stationarity_interval(series, d0=0.2)
+        rep = stationarity_interval(d, d0=0.2)
         assert rep.intervals[0] == 2
         # start 1 still sees d[1, j] = 0 everywhere, full span
         assert rep.intervals[1] == 5
 
     def test_threshold_validation(self):
-        series = CmdSeries(distances=np.zeros((3, 3)), window=2)
+        d = np.zeros((3, 3))
         with pytest.raises(ValidationError):
-            stationarity_interval(series, d0=0.0)
+            stationarity_interval(d, d0=0.0)
         with pytest.raises(ValidationError):
-            stationarity_interval(series, d0=1.5)
+            stationarity_interval(d, d0=1.5)
 
     def test_two_phase_channel_interval(self):
-        series = cmd(two_phase_channel(), side="tx", window=4)
-        rep = stationarity_interval(series, d0=0.2)
+        d = cmd(two_phase_channel(), side="tx", window=4)
+        rep = stationarity_interval(d, d0=0.2)
         # 13 starts; the first windows stay coherent until the straddling
         # windows push the distance over the threshold
-        assert rep.intervals[0] < series.n_starts
+        assert rep.intervals[0] < d.shape[0]
         assert rep.intervals.min() >= 1
 
     @pytest.mark.parametrize("seed", range(6))
@@ -400,8 +400,7 @@ class TestStationarityInterval:
         d[rng.uniform(size=n) < 0.2] = 0.5 * d0  # rows wholly below d0
         d[rng.uniform(size=n) < 0.2] = d0  # rows wholly at d0
         d[rng.uniform(size=n) < 0.2] = 1.0  # rows wholly at or above d0
-        series = CmdSeries(distances=d, window=2)
-        got = stationarity_interval(series, d0).intervals
+        got = stationarity_interval(d, d0).intervals
         np.testing.assert_array_equal(got, loop_intervals(d, d0))
 
     def test_matches_loop_oracle_on_block_switching_channel(self):
@@ -410,10 +409,23 @@ class TestStationarityInterval:
             users=4, tx_antennas=4, time_symbols=2048, min_delay_taps=2,
             max_delay_taps=2, mode="block", block_len=256, doppler_max=0.0,
         )
-        series = cmd(generate_channel(cfg, 4242), side="tx", window=8)
-        got = stationarity_interval(series, 0.2).intervals
-        np.testing.assert_array_equal(got, loop_intervals(series.distances, 0.2))
+        d = cmd(generate_channel(cfg, 4242), side="tx", window=8)
+        got = stationarity_interval(d, 0.2).intervals
+        np.testing.assert_array_equal(got, loop_intervals(d, 0.2))
         assert got.min() < got.max()  # the blocks do break the runs
+
+    def test_keeps_the_frozen_matrix_of_cmd(self):
+        # cmd's frozen result passes the distances check without a copy; a
+        # writeable matrix is copied, which shows that a copy would be seen
+        d = cmd(CMD_CHANNELS["switch"](), side="tx", window=8)
+        for distances, copied in ((d, False), (d.copy(), True)):
+            tracemalloc.start()
+            try:
+                stationarity_interval(distances, 0.2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (peak >= d.nbytes) == copied, (peak, d.nbytes)
 
 
 def loop_intervals(d, d0):
