@@ -64,6 +64,11 @@ _MAX_CTF_ENTRIES = 1 << 40  # reject absurd declared sizes before allocating
 _PIPE_PIECE = 1 << 24  # most bytes load_ctf asks a pipe for in one read
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: the budget every memory check compares against."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one logical substream of the master seed."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
@@ -273,10 +278,11 @@ def save_ctf(h: ImpulseResponse4D, path) -> None:
 def load_ctf(path) -> ImpulseResponse4D:
     """Read a CTF file, validating structure with byte-offset diagnostics.
 
-    The header is checked against the size of a regular file before the
-    payload is read, so a malformed file costs no more memory than its
-    28-byte header.  A pipe is read to at most one byte past the payload
-    the header declares.
+    The header is checked against the size of a regular file, and the
+    payload against physical memory, before the payload is read, so a
+    malformed or oversized file costs no more memory than its 28-byte
+    header.  A pipe is read to at most one byte past the payload the header
+    declares.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CTF_HEADER.size)
@@ -314,6 +320,12 @@ def load_ctf(path) -> ImpulseResponse4D:
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
             actual = st.st_size - _CTF_HEADER.size
+            if actual == expected and expected > (memory := _physical_memory()):
+                raise FormatError(
+                    f"payload of {expected} bytes declared by dims {dims} exceeds "
+                    f"the {memory} bytes of physical memory",
+                    offset=_CTF_HEADER.size,
+                )
             payload = fh.read(expected) if actual == expected else b""
             held = actual
         else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -33,6 +32,7 @@ from .channel import (
     _SEED_STATS_MEMBER,
     ScenarioConfig,
     _child_seed,
+    _physical_memory,
     _substream,
     generate_channel,
     load_ctf,
@@ -286,6 +286,41 @@ def _csv(header: str, rows, footer: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The SVD of a dense operator of b bytes peaks at 8.5 b: the operator, NumPy's
+# copy of it, U and Vh both in LAPACK's buffers and as returned (4 b) and
+# zgesdd's rwork of 5 min(rows, cols)**2 doubles (2.5 b).
+_SVD_PEAK = 8.5
+
+
+def _check_memory(nbytes: float, name: str, value: int, what: str) -> None:
+    """Reject a run whose ``what`` needs more than physical memory, naming ``name``.
+
+    Called before the arrays are allocated, so a rejected run allocates nothing.
+    """
+    memory = _physical_memory()
+    if nbytes > memory:
+        raise ValidationError(
+            f"{name} {value} needs {nbytes / 2**30:,.1f} GiB for {what}, more than "
+            f"the {memory / 2**30:,.1f} GiB of physical memory"
+        )
+
+
+def _check_channel_fits(dims, name: str) -> None:
+    """Reject a channel of ``dims`` (users, tx_antennas, time_symbols, taps)
+    whose kernel's SVD would not fit in memory; ``name`` names its time symbols.
+
+    One channel is held at a time, beside its kernel of (users * time_symbols)
+    * (tx_antennas * time_symbols) * 16 bytes and that kernel's SVD.
+    """
+    l_u, l_up, l_t, l_tau = dims
+    kernel = (l_u * l_t) * (l_up * l_t) * 16
+    _check_memory(
+        _SVD_PEAK * kernel + l_u * l_up * l_t * l_tau * 16, name, l_t,
+        "the kernel's SVD, 8.5 * (users * time_symbols) * (tx_antennas * "
+        "time_symbols) * 16 bytes, and the channel",
+    )
+
+
 # Every subcommand is a function (cfg, src) -> outputs, src being the CTF file
 # it may read.  ``outputs`` maps each output file name, in the order the run
 # reports them, to its CSV text or to a function that writes it to a path.
@@ -298,7 +333,10 @@ def _cmd_generate(cfg: RunConfig, src: Path) -> dict:
 
 def _decompose_ctf(src: Path):
     """Kernel of the channel stored at ``src`` and its decomposition."""
-    kernel = to_kernel(load_ctf(src))
+    h = load_ctf(src)
+    _check_channel_fits(h.dims, f"input CTF {src} time symbols")
+    kernel = to_kernel(h)
+    del h  # not needed beside the SVD
     return kernel, hogmt_decompose(kernel)
 
 
@@ -347,6 +385,10 @@ def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
 
 
 def _cmd_simulate(cfg: RunConfig, src: Path) -> dict:
+    sc = cfg.scenario
+    if parse_precoder(cfg.sim.precoder).kind != "ideal":  # the ideal link has no kernel
+        dims = (sc.users, sc.tx_antennas, sc.time_symbols, sc.max_delay_taps)
+        _check_channel_fits(dims, "scenario.time_symbols")
     report = run_ber(
         cfg.scenario,
         [cfg.sim.precoder],
@@ -367,20 +409,14 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
         )
     # checked before any channel is drawn.  The peak is the SVD of a member's
     # atomic kernel, an n x n complex matrix of n**2 * 16 bytes (n =
-    # time_symbols * max_delay_taps).  Beside the kernel it holds NumPy's copy
-    # of it, U and Vh both in LAPACK's buffers and as returned (4 kernels) and
-    # zgesdd's rwork of 5 n**2 doubles (2.5 kernels), while the ensemble's
+    # time_symbols * max_delay_taps), 8.5 kernels, while the ensemble's
     # running lsf sum, n**2 doubles, takes half a kernel: 9 kernels in all.
     # The cmd matrix, made after the SVDs, is at most half a kernel.
     l_t, l_tau = cfg.scenario.time_symbols, cfg.scenario.max_delay_taps
-    nbytes = 9 * (l_t * l_tau) ** 2 * 16
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > memory:
-        raise ConfigError(
-            f"scenario.time_symbols {l_t} needs {nbytes / 2**30:,.1f} GiB for the "
-            "atomic kernel and its SVD, 9 * (time_symbols * max_delay_taps)**2 * 16 "
-            f"bytes, more than the {memory / 2**30:,.1f} GiB of physical memory"
-        )
+    _check_memory(
+        (_SVD_PEAK + 0.5) * (l_t * l_tau) ** 2 * 16, "scenario.time_symbols", l_t,
+        "the atomic kernel and its SVD, 9 * (time_symbols * max_delay_taps)**2 * 16 bytes",
+    )
     proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
     channels = (
         generate_channel(cfg.scenario, _child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, m))

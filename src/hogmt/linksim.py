@@ -10,8 +10,11 @@ channels once for every SNR point, and per (chunk of trials, modulation)
 the data bits and unit-variance noise come from substreams shared by every
 precoder and every SNR point, so curves are paired sample-by-sample and
 across SNR.  Each precoder is one matrix per channel, built once per
-sweep; a chunk passes through each link once, and each SNR point only
-scales the noise, adds it and slices.  SNR is received-signal-referenced,
+sweep.  The sweep is channel-major: it builds one channel's links, runs
+every modulation's trials on that channel through them and releases them
+before it draws the next channel, so one decomposition is held at a time.
+A chunk passes through each link once, and each SNR point only scales the
+noise, adds it and slices.  SNR is received-signal-referenced,
 E_s / sigma_v^2 with E_s = 1; per-bit SNR for reference curves is
 E_s / (k * sigma_v^2) for k bits per symbol.
 """
@@ -385,6 +388,35 @@ def _chunk_draws(seed, mi, first, n, k, dims):
     return bits, ((normals[0] + 1j * normals[1]) / math.sqrt(2.0)).reshape(n, -1)
 
 
+def _run_channel(links, c, schemes, slicers, n_trials, scales, seed, dims, errors, tx_sum):
+    """Send trials c, c + _N_CHANNELS, ... of every modulation over one channel's links.
+
+    Adds into ``errors`` (precoder, modulation, SNR) and ``tx_sum``
+    (precoder, modulation).  Trials run in chunks of a number of trials that
+    only the scenario dims set.  Once this returns, nothing refers to the
+    links any more.
+    """
+    chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
+    for mi, (scheme, slicer) in enumerate(zip(schemes, slicers)):
+        k = scheme.bits_per_symbol
+        trials = range(c, n_trials[mi], _N_CHANNELS)
+        for lo in range(0, len(trials), chunk):
+            n = len(trials[lo : lo + chunk])
+            bits, unit_noise = _chunk_draws(seed, mi, trials[lo], n, k, dims)
+            sent = _labels(bits, k)
+            s = scheme.points[sent]  # (n, L_u * L_t), one flattened grid per trial
+            received = []
+            for pi, (flat, pmap) in enumerate(links):
+                x = s if pmap is None else s @ pmap.T
+                received.append((pi, x if flat is None else x @ flat.T))
+                tx_sum[pi, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
+            for si, scale in enumerate(scales):
+                noise = scale * unit_noise
+                for pi, r in received:
+                    got = slicer(r + noise)
+                    errors[pi, mi, si] += _POPCOUNT[got ^ sent].sum()
+
+
 def run_ber(
     scenario: ScenarioConfig,
     precoders,
@@ -400,13 +432,15 @@ def run_ber(
     block; trials rotate over two channel realizations, drawn once per
     sweep (keyed by channel index) and shared by every SNR point, precoder
     and modulation, as are the data bits and the noise of each trial, so
-    comparisons are paired.  Per channel, each precoder is built once as a
-    matrix P, and a precoder that cannot be built on a channel raises its
-    error (``DegenerateChannelError``, ``NumericalError``).  Each chunk of
-    trials draws its bits and unit noise once, from substreams keyed by its
-    first trial and modulation, and is precoded as S @ P.T and sent through
-    every link's kernel once; each SNR point then only scales the noise,
-    adds it and slices.  A point's counts therefore do not depend on the
+    comparisons are paired.  The loop runs channel by channel: channel c's
+    precoders are built once, each as a matrix P, every modulation's trials
+    c, c + 2, ... run on them, and they are released before channel c + 1
+    is drawn.  A precoder that cannot be built on a channel raises its error
+    (``DegenerateChannelError``, ``NumericalError``) and no report is
+    returned.  Each chunk of trials draws its bits and unit noise once, from
+    substreams keyed by its first trial and modulation, and is precoded as
+    S @ P.T and sent through every link's kernel once; each SNR point then
+    only scales the noise, adds it and slices.  A point's counts therefore do not depend on the
     other SNR values, and since the chunk size follows from the scenario
     dims alone, not on which precoders run beside each other either.
     """
@@ -436,36 +470,17 @@ def run_ber(
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
-    channels = []
-    for c in range(min(_N_CHANNELS, max(n_trials))):
-        ch_seed = _child_seed(seed, _SEED_BER_CHANNEL, c)
-        channels.append(_links(scenario, ch_seed, specs))
-
-    # trial t of a modulation runs on the links channels[t % _N_CHANNELS], in
-    # chunks of a number of trials that only the scenario dims set
-    chunk = max(1, _CHUNK_SYMBOLS // n_sym)
+    slicers = [_slicer(scheme) for scheme in schemes]
     errors = np.zeros((len(specs), len(schemes), len(snr_list)), dtype=np.int64)
     tx_sum = np.zeros((len(specs), len(schemes)))
-    for mi, scheme in enumerate(schemes):
-        k = scheme.bits_per_symbol
-        slicer = _slicer(scheme)
-        for c in range(min(_N_CHANNELS, n_trials[mi])):
-            trials = range(c, n_trials[mi], _N_CHANNELS)
-            for lo in range(0, len(trials), chunk):
-                n = len(trials[lo : lo + chunk])
-                bits, unit_noise = _chunk_draws(seed, mi, trials[lo], n, k, dims)
-                sent = _labels(bits, k)
-                s = scheme.points[sent]  # (n, L_u * L_t), one flattened grid per trial
-                received = []
-                for pi, (flat, pmap) in enumerate(channels[c]):
-                    x = s if pmap is None else s @ pmap.T
-                    received.append((pi, x if flat is None else x @ flat.T))
-                    tx_sum[pi, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
-                for si, scale in enumerate(scales):
-                    noise = scale * unit_noise
-                    for pi, r in received:
-                        got = slicer(r + noise)
-                        errors[pi, mi, si] += _POPCOUNT[got ^ sent].sum()
+    # channel-major: each channel's links are built, used by every modulation
+    # and released before the next channel is drawn, so one decomposition is
+    # alive at a time; each tx_sum cell still adds channel 0's chunks first
+    for c in range(min(_N_CHANNELS, max(n_trials))):
+        _run_channel(
+            _links(scenario, _child_seed(seed, _SEED_BER_CHANNEL, c), specs),
+            c, schemes, slicers, n_trials, scales, seed, dims, errors, tx_sum,
+        )
 
     points: list[BerPoint] = []
     for si, snr in enumerate(snr_list):

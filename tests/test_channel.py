@@ -677,6 +677,17 @@ class TestCtfFormat:
         with pytest.raises(FormatError, match="payload holds 3064 bytes"):
             self._load_through_pipe(raw[:-8])
 
+    def test_file_larger_than_memory_is_a_format_error(self, tmp_path, monkeypatch):
+        # a small physical memory is reported, so the rejected read allocates nothing
+        h = generate_channel(small_cfg(), 10)
+        save_ctf(h, tmp_path / "chan.ctf")  # 3072 bytes of payload
+        monkeypatch.setattr(channel_mod, "_physical_memory", lambda: 3071)
+        with pytest.raises(FormatError, match="exceeds the 3071 bytes") as exc:
+            load_ctf(tmp_path / "chan.ctf")
+        assert exc.value.offset == 28
+        monkeypatch.setattr(channel_mod, "_physical_memory", lambda: 3072)
+        np.testing.assert_array_equal(load_ctf(tmp_path / "chan.ctf").values, h.values)
+
     def test_pipe_declaring_a_huge_payload_is_a_format_error(self):
         # 16 TiB declared, none sent: the first piece is all that is asked
         # for, so the short stream is reported instead of a MemoryError

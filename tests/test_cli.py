@@ -688,6 +688,76 @@ def test_stats_memory_check_counts_the_svd(
     assert out.exists() == (code == 0)
 
 
+def test_simulate_size_that_cannot_fit_exits_1_before_any_work(tmp_path, capsys):
+    # the channel kernel alone would take (4 * 100000)**2 * 16 bytes = 2.3 TiB
+    scenario = dict(FAST["scenario"], users=4, tx_antennas=4, time_symbols=100_000)
+    cfg_path = write_config(tmp_path, {"scenario": scenario, "sim": FAST["sim"]})
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = run_cli("simulate", "--config", str(cfg_path), "--out", str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: scenario.time_symbols 100000 needs")
+    assert not out.exists()
+    assert peak < 2**20, peak  # no channel was drawn
+
+
+# FAST's 2x2x12 channel with 2 taps: 8.5 kernels of (2 * 12)**2 * 16 bytes for
+# the kernel's SVD, and the 2 * 2 * 12 * 2 * 16 bytes of the channel
+FAST_CHANNEL_BUDGET = 8.5 * 24**2 * 16 + 2 * 2 * 12 * 2 * 16
+
+
+@pytest.mark.parametrize("precoder,memory,code", [
+    ("hogmt", FAST_CHANNEL_BUDGET - 1, 1),
+    ("zf", FAST_CHANNEL_BUDGET - 1, 1),
+    ("hogmt", FAST_CHANNEL_BUDGET, 0),
+    ("ideal", 1, 0),  # the ideal link builds no kernel
+])
+def test_simulate_memory_check_counts_one_channel(
+    tmp_path, capsys, monkeypatch, precoder, memory, code
+):
+    # a small physical memory is reported, so the rejected runs allocate nothing
+    monkeypatch.setattr("hogmt.cli._physical_memory", lambda: memory)
+    sim = dict(FAST["sim"], precoder=precoder)
+    cfg_path = write_config(tmp_path, {"scenario": FAST["scenario"], "sim": sim})
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out), "--quiet") == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: scenario.time_symbols 12 needs")
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("sub", ["decompose", "precode"])
+@pytest.mark.parametrize("memory,code", [(FAST_CHANNEL_BUDGET - 1, 1), (FAST_CHANNEL_BUDGET, 0)])
+def test_stored_channel_memory_check(tmp_path, capsys, monkeypatch, sub, memory, code):
+    cfg_path = write_config(tmp_path, FAST)
+    ctf = tmp_path / "channel.ctf"
+    assert run_cli("generate", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet") == 0
+    monkeypatch.setattr("hogmt.cli._physical_memory", lambda: memory)
+    out = tmp_path / "o"
+    assert run_cli(sub, "--config", str(cfg_path), "--out", str(out), "--quiet", str(ctf)) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input CTF {ctf} time symbols 12 needs"), err
+    assert out.exists() == (code == 0)
+
+
+def test_stored_channel_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a payload that cannot be read into memory is a file problem, found
+    # before the read
+    cfg_path = write_config(tmp_path, FAST)
+    assert run_cli("generate", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet") == 0
+    monkeypatch.setattr("hogmt.channel._physical_memory", lambda: 1535)
+    ctf = str(tmp_path / "channel.ctf")
+    assert run_cli("decompose", "--config", str(cfg_path), "--out", str(tmp_path / "o"), ctf) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the 1535 bytes of physical memory (at byte offset 28)" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 class TestCliExitCodes:
     def test_config_error_is_1(self, tmp_path):
         path = write_config(tmp_path, {"scenario": {"bogus_key": 1}})

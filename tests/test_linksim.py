@@ -1,6 +1,7 @@
 """Tests for modulation tables, AWGN reference curves and the BER driver."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -612,18 +613,46 @@ class TestRunBerOracle:
         assert errors[0] > errors[-2] > 0 and errors[-1] == 0
 
     def test_degenerate_precoder_raises(self, monkeypatch):
-        # a precoder that cannot be built fails the sweep, not a NaN row
-        def all_zero_sigmas(kernel):
-            d = hogmt_decompose(kernel)
-            return EigenDecomposition(
-                sigmas=np.zeros_like(d.sigmas), psis=d.psis, phis=d.phis,
-                source_dims=d.source_dims,
-            )
+        # a precoder that cannot be built fails the sweep, not a NaN row,
+        # also when only channel 1's decomposition is degenerate
+        calls = []
 
-        monkeypatch.setattr(hogmt.linksim, "hogmt_decompose", all_zero_sigmas)
-        with pytest.raises(DegenerateChannelError):
-            run_ber(
-                fast_scenario(), precoders=("hogmt(1.0)", "zf", "ideal"),
-                snr_db=(6.0, 12.0), min_bits=MIN_BITS_FLOOR, seed=8,
-                modulations=("qpsk",),
-            )
+        def zero_sigmas_from(first_bad):
+            def decompose(kernel):
+                d = hogmt_decompose(kernel)
+                calls.append(kernel.dims)
+                if len(calls) <= first_bad:
+                    return d
+                return EigenDecomposition(
+                    sigmas=np.zeros_like(d.sigmas), psis=d.psis, phis=d.phis,
+                    source_dims=d.source_dims,
+                )
+            return decompose
+
+        for first_bad in (0, 1):
+            calls.clear()
+            monkeypatch.setattr(hogmt.linksim, "hogmt_decompose", zero_sigmas_from(first_bad))
+            with pytest.raises(DegenerateChannelError):
+                run_ber(
+                    fast_scenario(), precoders=("hogmt(1.0)", "zf", "ideal"),
+                    snr_db=(6.0, 12.0), min_bits=MIN_BITS_FLOOR, seed=8,
+                    modulations=("qpsk", "bpsk"),
+                )
+            assert len(calls) == first_bad + 1  # one decomposition per channel
+
+    def test_sweep_holds_one_channel_at_a_time(self):
+        # 4x4x128: each channel's kernel, eigenfunctions and precoding matrix
+        # are (4 * 128)**2 * 16 bytes each; holding both channels' links at
+        # once reaches about 7 kernels, one channel at a time about 5
+        sc = ScenarioConfig(
+            users=4, tx_antennas=4, time_symbols=128, min_delay_taps=1,
+            max_delay_taps=4, mode="drift", doppler_max=0.05, doppler_drift=0.002,
+        )
+        kernel = (4 * 128) ** 2 * 16
+        tracemalloc.start()
+        try:
+            run_ber(sc, ("hogmt",), (10.0,), MIN_BITS_FLOOR, seed=1, modulations=("qam16",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * kernel, peak / kernel
