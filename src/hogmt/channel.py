@@ -69,6 +69,50 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# The SVD of a dense operator of b bytes peaks at 8.5 b: the operator, NumPy's
+# copy of it, U and Vh both in LAPACK's buffers and as returned (4 b) and
+# zgesdd's rwork of 5 min(rows, cols)**2 doubles (2.5 b).
+_SVD_PEAK = 8.5
+
+
+def _check_memory(nbytes: float, subject: str, what: str) -> None:
+    """Reject ``what`` before it is allocated if it needs more than physical
+    memory; ``subject`` names the sizes at fault and their values."""
+    if nbytes > (memory := _physical_memory()):
+        gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf  # past the float range
+        raise ValidationError(
+            f"{subject} needs {gib:,.1f} GiB for {what}, more than "
+            f"the {memory / 2**30:,.1f} GiB of physical memory"
+        )
+
+
+def _check_channel_fits(dims, name: str) -> None:
+    """Reject a channel of ``dims`` (users, tx_antennas, time_symbols, taps) whose
+    kernel's SVD, beside it, would not fit; ``name`` names its time symbols."""
+    l_u, l_up, l_t, l_tau = dims
+    _check_memory(
+        _SVD_PEAK * (l_u * l_t) * (l_up * l_t) * 16 + l_u * l_up * l_t * l_tau * 16,
+        f"{name} {l_t}", "the kernel's SVD, 8.5 * (users * time_symbols) * (tx_antennas "
+        "* time_symbols) * 16 bytes, and the channel",
+    )
+
+
+def _draw_need(cfg: ScenarioConfig) -> tuple[int, str, str]:
+    """:func:`_check_memory`'s arguments for a channel draw.  It peaks at four
+    channels of 16 bytes an entry, 256 bytes per (user, antenna, tap, block) of
+    sinusoid draws and five arrays of 128 bytes per (antenna, tap, symbol) of
+    one user's sinusoid phases."""
+    names = ["users", "tx_antennas", "time_symbols", "max_delay_taps"]
+    names += ["block_len"] * (cfg.mode == "block")
+    l_u, l_up, l_t, l_tau, *_ = dims = tuple(getattr(cfg, f) for f in names)
+    blocks = math.ceil(l_t / cfg.block_len) if cfg.mode == "block" else 1
+    return (
+        64 * l_u * l_up * l_t * l_tau + 256 * l_u * l_up * l_tau * blocks
+        + 640 * l_up * l_tau * l_t,
+        f"scenario ({', '.join(names)}) = {dims}", "the channel draw",
+    )
+
+
 def _substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one logical substream of the master seed."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
@@ -193,9 +237,12 @@ def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     max_delay_taps] of shape (L_u, L_u').  Antenna columns are mixed by the
     Cholesky factor of the spatial_corr^|du'| correlation matrix, and the
     first ``spread`` taps of a pair follow the normalized exponential power
-    profile exp(-delay_decay * tau); its other taps are zero.
+    profile exp(-delay_decay * tau); its other taps are zero.  A scenario
+    whose draw would not fit in physical memory raises ``ValidationError``
+    naming its dims before anything is drawn.
     """
     seed = checked_int(seed, "seed", ge=0, lt=2**64)
+    _check_memory(*_draw_need(cfg))
     l_u, l_up = cfg.users, cfg.tx_antennas
     l_t, l_tau = cfg.time_symbols, cfg.max_delay_taps
     draws = (l_u, l_up, l_tau)

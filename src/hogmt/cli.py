@@ -31,8 +31,11 @@ from .channel import (
     _SEED_CLI_BITS,
     _SEED_STATS_MEMBER,
     ScenarioConfig,
+    _SVD_PEAK,
+    _check_channel_fits,
+    _check_memory,
     _child_seed,
-    _physical_memory,
+    _draw_need,
     _substream,
     generate_channel,
     load_ctf,
@@ -66,7 +69,6 @@ __all__ = [
     "SimConfig",
     "StatsConfig",
     "OutConfig",
-    "ComplexityEstimate",
     "parse_config",
     "complexity_estimate",
     "main",
@@ -203,24 +205,8 @@ def parse_config(path) -> RunConfig:
     return config_from_mapping(raw)
 
 
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    """Operation-count estimates of the three precoding strategies."""
-
-    hogmt_flatten: float
-    hogmt_hosvd: float
-    dpc: float
-
-    def rows(self) -> list[tuple[str, float]]:
-        return [
-            ("hogmt_flatten", self.hogmt_flatten),
-            ("hogmt_hosvd", self.hogmt_hosvd),
-            ("dpc", self.dpc),
-        ]
-
-
-def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
-    """Closed-form operation counts for the three precoding strategies.
+def complexity_estimate(l_u: int, l_up: int, l_t: int) -> dict[str, float]:
+    """Closed-form operation counts for the three precoding strategies, by name.
 
     hogmt_flatten: SVD of the flattened kernel, L_u * L_u'^2 * L_t^3.
     hogmt_hosvd: higher-order SVD route, ((L_u + L_u' + 2 L_t)/4)^5 +
@@ -249,7 +235,7 @@ def complexity_estimate(l_u: int, l_up: int, l_t: int) -> ComplexityEstimate:
         * ((float(l_u) * l_up) ** 3.5 + float(l_u) * float(l_up) ** 2)
         * float(math.factorial(l_up))
     )
-    return ComplexityEstimate(hogmt_flatten=flatten, hogmt_hosvd=hosvd, dpc=dpc)
+    return {"hogmt_flatten": flatten, "hogmt_hosvd": hosvd, "dpc": dpc}
 
 
 def _or_inf(count) -> float:
@@ -262,8 +248,6 @@ def _or_inf(count) -> float:
 
 def _fmt(x) -> str:
     """Stable cell formatting: shortest roundtrip repr for floats, str as is."""
-    if isinstance(x, (bool, np.bool_)):
-        raise ValueError("no boolean columns in CSV outputs")
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return x if isinstance(x, str) else str(float(x))
@@ -284,41 +268,6 @@ def _csv(header: str, rows, footer: str | None = None) -> str:
     if footer is not None:
         lines.append(footer)
     return "\n".join(lines) + "\n"
-
-
-# The SVD of a dense operator of b bytes peaks at 8.5 b: the operator, NumPy's
-# copy of it, U and Vh both in LAPACK's buffers and as returned (4 b) and
-# zgesdd's rwork of 5 min(rows, cols)**2 doubles (2.5 b).
-_SVD_PEAK = 8.5
-
-
-def _check_memory(nbytes: float, name: str, value: int, what: str) -> None:
-    """Reject a run whose ``what`` needs more than physical memory, naming ``name``.
-
-    Called before the arrays are allocated, so a rejected run allocates nothing.
-    """
-    memory = _physical_memory()
-    if nbytes > memory:
-        raise ValidationError(
-            f"{name} {value} needs {nbytes / 2**30:,.1f} GiB for {what}, more than "
-            f"the {memory / 2**30:,.1f} GiB of physical memory"
-        )
-
-
-def _check_channel_fits(dims, name: str) -> None:
-    """Reject a channel of ``dims`` (users, tx_antennas, time_symbols, taps)
-    whose kernel's SVD would not fit in memory; ``name`` names its time symbols.
-
-    One channel is held at a time, beside its kernel of (users * time_symbols)
-    * (tx_antennas * time_symbols) * 16 bytes and that kernel's SVD.
-    """
-    l_u, l_up, l_t, l_tau = dims
-    kernel = (l_u * l_t) * (l_up * l_t) * 16
-    _check_memory(
-        _SVD_PEAK * kernel + l_u * l_up * l_t * l_tau * 16, name, l_t,
-        "the kernel's SVD, 8.5 * (users * time_symbols) * (tx_antennas * "
-        "time_symbols) * 16 bytes, and the channel",
-    )
 
 
 # Every subcommand is a function (cfg, src) -> outputs, src being the CTF file
@@ -367,11 +316,10 @@ def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
     )
     s = modulate(bits, scheme, (l_u, l_t))
     x, coeffs = hogmt_precode(decomp, s, spec.fraction)
-    r = energy_report(decomp, coeffs)
-    per_mode = (r.gains, r.cost_energy, r.cancelled_energy)
+    per_mode = energy_report(decomp, coeffs)  # gains, cost, cancelled
     columns = (*per_mode, *map(_cumulative_normalized, per_mode))
     footer = (
-        f"# total_tx_energy={_fmt(r.cost_energy.sum())} "
+        f"# total_tx_energy={_fmt(per_mode[1].sum())} "
         f"dropped_energy={_fmt(coeffs.dropped_energy)}"
     )
     return {
@@ -385,18 +333,9 @@ def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
 
 
 def _cmd_simulate(cfg: RunConfig, src: Path) -> dict:
-    sc = cfg.scenario
-    if parse_precoder(cfg.sim.precoder).kind != "ideal":  # the ideal link has no kernel
-        dims = (sc.users, sc.tx_antennas, sc.time_symbols, sc.max_delay_taps)
-        _check_channel_fits(dims, "scenario.time_symbols")
-    report = run_ber(
-        cfg.scenario,
-        [cfg.sim.precoder],
-        list(cfg.sim.snr_db),
-        cfg.sim.min_bits,
-        cfg.sim.seed,
-        modulations=[cfg.sim.modulation],
-    )
+    sim = cfg.sim
+    report = run_ber(cfg.scenario, [sim.precoder], list(sim.snr_db), sim.min_bits, sim.seed,
+                     modulations=[sim.modulation])
     header = ",".join(f.name for f in fields(BerPoint))
     return {"ber.csv": _csv(header, map(astuple, report.points))}
 
@@ -407,16 +346,24 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
             f"stats.window must be <= scenario.time_symbols, got {cfg.stats.window} > "
             f"{cfg.scenario.time_symbols}"
         )
-    # checked before any channel is drawn.  The peak is the SVD of a member's
-    # atomic kernel, an n x n complex matrix of n**2 * 16 bytes (n =
-    # time_symbols * max_delay_taps), 8.5 kernels, while the ensemble's
-    # running lsf sum, n**2 doubles, takes half a kernel: 9 kernels in all.
-    # The cmd matrix, made after the SVDs, is at most half a kernel.
-    l_t, l_tau = cfg.scenario.time_symbols, cfg.scenario.max_delay_taps
-    _check_memory(
-        (_SVD_PEAK + 0.5) * (l_t * l_tau) ** 2 * 16, "scenario.time_symbols", l_t,
-        "the atomic kernel and its SVD, 9 * (time_symbols * max_delay_taps)**2 * 16 bytes",
-    )
+    # checked before any channel is drawn: the largest of three stages must fit.
+    # A member's atomic kernel is n x n complex (n = time_symbols * max_delay_taps);
+    # its SVD takes 8.5 kernels, the running lsf sum half a kernel and the cmd
+    # distance matrix at most that.  A member's draw; and cmd's window
+    # correlations, three arrays of time_symbols * L'**2 complex entries, L' the
+    # user or antenna count of the side
+    sc = cfg.scenario
+    l_t, l_side = sc.time_symbols, max(sc.users, sc.tx_antennas)
+    needs = [
+        ((_SVD_PEAK + 0.5) * (l_t * sc.max_delay_taps) ** 2 * 16,
+         f"scenario.time_symbols {l_t}",
+         "the atomic kernel and its SVD, 9 * (time_symbols * max_delay_taps)**2 * 16 bytes"),
+        _draw_need(sc),
+        (3 * l_t * l_side**2 * 16,
+         f"scenario (users, tx_antennas, time_symbols) = {(sc.users, sc.tx_antennas, l_t)}",
+         "cmd's window correlations, 48 * time_symbols * max(users, tx_antennas)**2 bytes"),
+    ]
+    _check_memory(*max(needs, key=lambda need: need[0]))
     proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
     channels = (
         generate_channel(cfg.scenario, _child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, m))
@@ -468,7 +415,7 @@ def _cmd_complexity(cfg: RunConfig, src: Path) -> dict:
         f"operation counts for users={sc.users} tx_antennas={sc.tx_antennas} "
         f"time_symbols={sc.time_symbols}"
     )
-    for name, count in est.rows():
+    for name, count in est.items():
         print(f"  {name:<14} {_fmt(count)}")
     return {}
 

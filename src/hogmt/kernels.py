@@ -125,6 +125,14 @@ def checked_int(value, name: str, *, ge=None, le=None, lt=np.inf) -> int:
     return int(value)
 
 
+def checked_shape(value, name: str, ndim: int) -> tuple[int, ...]:
+    """``value``, a tuple, list or 1-D array of ``ndim`` ints >= 1, as a tuple."""
+    arrayed = isinstance(value, np.ndarray) and value.ndim == 1
+    if not (isinstance(value, (tuple, list)) or arrayed) or len(value) != ndim:
+        raise ValidationError(f"{name} must be a sequence of {ndim} integers, got {value!r}")
+    return tuple(checked_int(d, name, ge=1) for d in value)
+
+
 _NUMBER_CHECKS = {"int": checked_int, "float": checked_real}
 
 
@@ -219,10 +227,7 @@ class EigenDecomposition:
                 f"mode counts disagree: {n} sigmas, {psis.shape[0]} psis, "
                 f"{phis.shape[0]} phis"
             )
-        name = "EigenDecomposition.source_dims"
-        d = tuple(checked_int(x, name, ge=1) for x in self.source_dims)
-        if len(d) != 4:
-            raise ValidationError("source_dims must be a 4-tuple")
+        d = checked_shape(self.source_dims, "EigenDecomposition.source_dims", 4)
         if psis.shape[1:] != d[:2] or phis.shape[1:] != d[2:]:
             raise DimensionMismatchError(
                 f"eigenfunction grids {psis.shape[1:]}/{phis.shape[1:]} do not "

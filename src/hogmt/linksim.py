@@ -33,6 +33,8 @@ from .channel import (
     _SEED_BER_NOISE,
     ScenarioConfig,
     SpaceTimeSignal,
+    _check_channel_fits,
+    _check_memory,
     _child_seed,
     _substream,
     generate_channel,
@@ -44,6 +46,7 @@ from .kernels import (
     checked_fields,
     checked_int,
     checked_real,
+    checked_shape,
     flatten_kernel,
     hogmt_decompose,
 )
@@ -72,6 +75,11 @@ _CHUNK_SYMBOLS = 1 << 14
 
 # channel realizations per sweep: trial t runs on channel t % _N_CHANNELS
 _N_CHANNELS = 2
+
+# bytes per data symbol of a chunk, beside 16 per precoder's received values:
+# bits (<= 6), unit noise (16), labels (8), symbols (16), one SNR point's noise
+# and noisy copy (32) and the slicer's decisions and error counts (<= 40)
+_CHUNK_BYTES_PER_SYMBOL = 118
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(64)])  # labels have <= 6 bits
 
@@ -205,7 +213,7 @@ def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
     if bits.dtype.kind not in "biuf" or not np.all((bits == 0) | (bits == 1)):
         raise ValidationError("bits must be 0 or 1")
     k = scheme.bits_per_symbol
-    dims = tuple(checked_int(d, "dims", ge=1) for d in dims)
+    dims = checked_shape(dims, "dims", 2)
     n_sym = dims[0] * dims[1]
     if bits.size != k * n_sym:
         raise ValidationError(
@@ -443,6 +451,9 @@ def run_ber(
     only scales the noise, adds it and slices.  A point's counts therefore do not depend on the
     other SNR values, and since the chunk size follows from the scenario
     dims alone, not on which precoders run beside each other either.
+    Before anything is drawn, a scenario whose channel kernel's SVD (every
+    precoder but ``ideal``) or one trial's arrays would not fit in physical
+    memory raises ``ValidationError`` naming ``scenario.time_symbols``.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -469,6 +480,16 @@ def run_ber(
         )
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]
+    # checked before anything is drawn; the ideal link builds no kernel.  A
+    # chunk is one trial once n_sym >= _CHUNK_SYMBOLS, at most that many below
+    if any(sp.kind != "ideal" for sp in specs):
+        _check_channel_fits((scenario.users, scenario.tx_antennas, scenario.time_symbols,
+                             scenario.max_delay_taps), "scenario.time_symbols")
+    _check_memory(
+        (_CHUNK_BYTES_PER_SYMBOL + 16 * len(specs)) * n_sym,
+        f"scenario.time_symbols {dims[1]}", "one trial's bits, noise and received "
+        f"values, ({_CHUNK_BYTES_PER_SYMBOL} + 16 * precoders) * users * time_symbols bytes",
+    )
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
     slicers = [_slicer(scheme) for scheme in schemes]
     errors = np.zeros((len(specs), len(schemes), len(snr_list)), dtype=np.int64)

@@ -45,7 +45,6 @@ from .kernels import (
 
 __all__ = [
     "CoefficientSet",
-    "EnergyReport",
     "retained_count",
     "hogmt_map",
     "zf_map",
@@ -67,12 +66,13 @@ _FRACTION_RANGE = {"gt": 0, "le": 1}
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Per-mode precoding coefficients and data projections.
+    """Per-mode precoding coefficients and data projections: the precode output.
 
-    ``x_coeffs[n] * sigma_n == s_coeffs[n]`` for every retained mode;
-    ``dropped_energy`` is the summed squared projection magnitude of the
-    modes excluded by truncation or the sigma floor, which upper-bounds the
-    energy of the unreconstructed part of the data grid.
+    ``x_coeffs[n] * sigma_n == s_coeffs[n]`` for every retained mode, so
+    their length is the retained mode count; ``dropped_energy`` is the
+    summed squared projection magnitude of the modes excluded by truncation
+    or the sigma floor, which upper-bounds the energy of the unreconstructed
+    part of the data grid.
     """
 
     x_coeffs: np.ndarray = field(metadata={"ndim": 1})
@@ -86,26 +86,6 @@ class CoefficientSet:
             raise DimensionMismatchError(
                 f"coefficient arrays must have equal length, got {n_x} and {n_s}"
             )
-
-    @property
-    def retained(self) -> int:
-        """Number of retained modes."""
-        return self.x_coeffs.size
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Per-mode energy accounting of a precoding operation.
-
-    For each retained mode: ``gains`` are the squared singular values,
-    ``cost_energy[n] = |x_n|^2`` is what the transmitter spends and
-    ``cancelled_energy[n] = |s_n|^2`` is what arrives, related by
-    cost * gain = cancelled.
-    """
-
-    gains: np.ndarray
-    cost_energy: np.ndarray
-    cancelled_energy: np.ndarray
 
 
 def retained_count(sigmas: np.ndarray, fraction: float) -> int:
@@ -144,9 +124,7 @@ def hogmt_map(decomp: EigenDecomposition, fraction: float = 1.0) -> np.ndarray:
 
 
 def hogmt_precode(
-    decomp: EigenDecomposition,
-    s: SpaceTimeSignal | np.ndarray,
-    fraction: float = 1.0,
+    decomp: EigenDecomposition, s: SpaceTimeSignal | np.ndarray, fraction: float = 1.0
 ) -> tuple[SpaceTimeSignal, CoefficientSet]:
     """Precode a data grid through a channel decomposition.
 
@@ -167,19 +145,20 @@ def hogmt_precode(
     return SpaceTimeSignal(grid=x.reshape(decomp.source_dims[2:])), coeffs
 
 
-def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> EnergyReport:
-    """Energy accounting for a coefficient set produced by :func:`hogmt_precode`."""
-    n = coeffs.retained
+def energy_report(decomp: EigenDecomposition, coeffs: CoefficientSet) -> tuple[np.ndarray, ...]:
+    """Per retained mode of :func:`hogmt_precode`'s ``coeffs``: (gains, cost, cancelled).
+
+    ``gains`` are the squared singular values, ``cost[n] = |x_n|^2`` is what
+    the transmitter spends and ``cancelled[n] = |s_n|^2`` is what arrives,
+    related by cost * gain = cancelled.
+    """
+    n = coeffs.x_coeffs.size
     if n > decomp.n_modes:
         raise DimensionMismatchError(
             f"coefficient set retains {n} modes but the decomposition has "
             f"only {decomp.n_modes}"
         )
-    return EnergyReport(
-        gains=decomp.lambdas[:n],
-        cost_energy=np.abs(coeffs.x_coeffs) ** 2,
-        cancelled_energy=np.abs(coeffs.s_coeffs) ** 2,
-    )
+    return decomp.lambdas[:n], np.abs(coeffs.x_coeffs) ** 2, np.abs(coeffs.s_coeffs) ** 2
 
 
 def zf_map(h: ImpulseResponse4D) -> np.ndarray:

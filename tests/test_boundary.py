@@ -336,7 +336,8 @@ def _scenario(field):
 
 
 # (id, name the error must carry, kind, one out-of-range value or None, call).
-# kind "int" or "real"; "real+inf" admits +inf, the noiseless SNR.
+# kind "int" or "real"; "real+inf" admits +inf, the noiseless SNR; "shape" is a
+# whole shape argument, a sequence of ints, and the value is one of a wrong length.
 SCALARS = [
     *[
         (f"ScenarioConfig.{f}", f, "int", 0, _scenario(f))
@@ -358,6 +359,13 @@ SCALARS = [
     ("generate_channel.seed", "seed", "int", -1, lambda c, v: H.generate_channel(c.cfg, v)),
     ("modulate.dims", "dims", "int", 0,
      lambda c, v: H.modulate(np.zeros(4), "bpsk", (v, 2))),
+    ("modulate.dims.shape", "dims", "shape", (4,),
+     lambda c, v: H.modulate(np.zeros(8), "qpsk", v)),
+    ("EigenDecomposition.source_dims.shape", "source_dims", "shape", (1, 2, 1),
+     lambda c, v: H.EigenDecomposition(
+         sigmas=[2.0, 1.0], psis=np.ones((2, 1, 2)), phis=np.ones((2, 1, 2)),
+         source_dims=v,
+     )),
     ("theoretical_awgn_ber.snr_per_bit_db", "snr_per_bit_db", "real+inf", None,
      lambda c, v: H.theoretical_awgn_ber("qpsk", v)),
     ("PrecoderSpec.fraction", "fraction", "real", 1.5, lambda c, v: H.PrecoderSpec("hogmt", v)),
@@ -408,6 +416,8 @@ SCALARS = [
 
 
 def _bad_values(kind, outside):
+    if kind == "shape":  # a scalar, a non-number, a string, nothing, a wrong length
+        return [4, np.nan, "12", None, outside]
     values = [np.nan, -np.inf, True, "1"]
     values += [np.inf] if kind != "real+inf" else []
     values += [2.5] if kind == "int" else []

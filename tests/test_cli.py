@@ -6,6 +6,7 @@ import io
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -16,7 +17,15 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hogmt import MIN_BITS_FLOOR, PrecoderSpec, load_ctf, parse_precoder
+import hogmt
+from hogmt import (
+    MIN_BITS_FLOOR,
+    ImpulseResponse4D,
+    PrecoderSpec,
+    load_ctf,
+    parse_precoder,
+    save_ctf,
+)
 from hogmt.cli import (
     OutConfig,
     RunConfig,
@@ -359,22 +368,22 @@ class TestConfigRanges:
 class TestComplexity:
     def test_degenerate_size_values(self):
         est = complexity_estimate(1, 1, 1)
-        assert est.hogmt_flatten == 1.0
-        assert est.hogmt_hosvd == 2.0
-        assert est.dpc == 2.0
+        assert est["hogmt_flatten"] == 1.0
+        assert est["hogmt_hosvd"] == 2.0
+        assert est["dpc"] == 2.0
 
     def test_flatten_term_cubic_in_time(self):
         a = complexity_estimate(2, 2, 64)
         b = complexity_estimate(2, 2, 128)
-        assert b.hogmt_flatten / a.hogmt_flatten == pytest.approx(8.0)
+        assert b["hogmt_flatten"] / a["hogmt_flatten"] == pytest.approx(8.0)
 
     def test_flatten_reference_value(self):
         # 2 * 2^2 * 64^3
-        assert complexity_estimate(2, 2, 64).hogmt_flatten == 2097152.0
+        assert complexity_estimate(2, 2, 64)["hogmt_flatten"] == 2097152.0
 
     def test_dpc_blows_up_at_scale(self):
         est = complexity_estimate(10, 10, 2000)
-        assert est.dpc / est.hogmt_flatten > 1e3
+        assert est["dpc"] / est["hogmt_flatten"] > 1e3
 
     def test_warns_when_users_fewer_than_antennas(self):
         with pytest.warns(UserWarning):
@@ -390,7 +399,7 @@ class TestComplexity:
         ],
     )
     def test_counts_past_float_range_read_inf(self, dims, past_range):
-        rows = dict(complexity_estimate(*dims).rows())
+        rows = complexity_estimate(*dims)
         assert {name for name, v in rows.items() if v == math.inf} == past_range
         assert all(v > 0 and not math.isnan(v) for v in rows.values())
 
@@ -404,7 +413,7 @@ class TestComplexity:
             return factorial(n)
 
         monkeypatch.setattr(math, "factorial", small_only)
-        assert complexity_estimate(10**6, 10**6, 2).dpc == math.inf
+        assert complexity_estimate(10**6, 10**6, 2)["dpc"] == math.inf
 
     @pytest.mark.parametrize("antennas", [2, 10, 100, 163])
     def test_dpc_matches_the_exact_integer_count(self, antennas):
@@ -412,13 +421,13 @@ class TestComplexity:
         # L_t (n^7 + n^3) n!; at n = 163 it is just inside the float range
         exact = 3 * (antennas**7 + antennas**3) * math.factorial(antennas)
         est = complexity_estimate(antennas, antennas, 3)
-        assert est.dpc == pytest.approx(float(exact), rel=1e-12)
+        assert est["dpc"] == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("antennas", [164, 170])
     def test_dpc_past_the_float_range_before_171_reads_inf(self, antennas):
         # n! itself is still a float here; the product with the other factors is not
         assert (antennas**7 + antennas**3) * math.factorial(antennas) > sys.float_info.max
-        assert complexity_estimate(antennas, antennas, 1).dpc == math.inf
+        assert complexity_estimate(antennas, antennas, 1)["dpc"] == math.inf
 
 
 def run_cli(*argv):
@@ -708,19 +717,23 @@ def test_simulate_size_that_cannot_fit_exits_1_before_any_work(tmp_path, capsys)
 # FAST's 2x2x12 channel with 2 taps: 8.5 kernels of (2 * 12)**2 * 16 bytes for
 # the kernel's SVD, and the 2 * 2 * 12 * 2 * 16 bytes of the channel
 FAST_CHANNEL_BUDGET = 8.5 * 24**2 * 16 + 2 * 2 * 12 * 2 * 16
+# one trial of one precoder on FAST's 2 x 12 data grid: 118 + 16 bytes a symbol
+FAST_TRIAL_BUDGET = (118 + 16) * 2 * 12
 
 
 @pytest.mark.parametrize("precoder,memory,code", [
     ("hogmt", FAST_CHANNEL_BUDGET - 1, 1),
     ("zf", FAST_CHANNEL_BUDGET - 1, 1),
     ("hogmt", FAST_CHANNEL_BUDGET, 0),
-    ("ideal", 1, 0),  # the ideal link builds no kernel
+    # the ideal link builds no kernel; its trials are budgeted all the same
+    ("ideal", FAST_TRIAL_BUDGET - 1, 1),
+    ("ideal", FAST_TRIAL_BUDGET, 0),
 ])
 def test_simulate_memory_check_counts_one_channel(
     tmp_path, capsys, monkeypatch, precoder, memory, code
 ):
     # a small physical memory is reported, so the rejected runs allocate nothing
-    monkeypatch.setattr("hogmt.cli._physical_memory", lambda: memory)
+    monkeypatch.setattr("hogmt.channel._physical_memory", lambda: memory)
     sim = dict(FAST["sim"], precoder=precoder)
     cfg_path = write_config(tmp_path, {"scenario": FAST["scenario"], "sim": sim})
     out = tmp_path / "o"
@@ -736,7 +749,7 @@ def test_stored_channel_memory_check(tmp_path, capsys, monkeypatch, sub, memory,
     cfg_path = write_config(tmp_path, FAST)
     ctf = tmp_path / "channel.ctf"
     assert run_cli("generate", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet") == 0
-    monkeypatch.setattr("hogmt.cli._physical_memory", lambda: memory)
+    monkeypatch.setattr("hogmt.channel._physical_memory", lambda: memory)
     out = tmp_path / "o"
     assert run_cli(sub, "--config", str(cfg_path), "--out", str(out), "--quiet", str(ctf)) == code
     if code:
@@ -756,6 +769,100 @@ def test_stored_channel_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert "exceeds the 1535 bytes of physical memory (at byte offset 28)" in err, err
     assert not (tmp_path / "o").exists()
+
+
+# FAST's 2x2x12 draw with 2 taps: four channels of 16 bytes an entry, 256
+# bytes per (user, antenna, tap, block) and 640 per (antenna, tap, symbol)
+FAST_DRAW_BUDGET = 64 * 2 * 2 * 12 * 2 + 256 * 2 * 2 * 2 + 640 * 2 * 2 * 12
+FAST_DRAW = "error: scenario (users, tx_antennas, time_symbols, max_delay_taps) = (2, 2, 12, 2)"
+
+
+@pytest.mark.parametrize("mode,memory,code,message", [
+    ("wssus", FAST_DRAW_BUDGET - 1, 1, FAST_DRAW + " needs"),
+    ("wssus", FAST_DRAW_BUDGET, 0, ""),
+    # with block_len 1 each of the 12 symbols is a block of its own draws
+    ("block", FAST_DRAW_BUDGET + 256 * 2 * 2 * 2 * 11 - 1, 1,
+     "error: scenario (users, tx_antennas, time_symbols, max_delay_taps, block_len) "
+     "= (2, 2, 12, 2, 1) needs"),
+    ("block", FAST_DRAW_BUDGET + 256 * 2 * 2 * 2 * 11, 0, ""),
+])
+def test_generate_memory_check_counts_the_draw(
+    tmp_path, capsys, monkeypatch, mode, memory, code, message
+):
+    # a small physical memory is reported, so the rejected runs allocate nothing
+    monkeypatch.setattr("hogmt.channel._physical_memory", lambda: memory)
+    scenario = dict(FAST["scenario"], mode=mode, block_len=1)
+    cfg_path = write_config(tmp_path, {"scenario": scenario})
+    out = tmp_path / "o"
+    assert run_cli("generate", "--config", str(cfg_path), "--out", str(out), "--quiet") == code
+    assert capsys.readouterr().err.startswith(message)
+    assert out.exists() == (code == 0)
+
+
+# (scenario, bytes of the largest of stats' three stages, how its error starts)
+STATS_LARGEST_STAGE = [
+    # the draw: 64 * 8 * 8 * 16 + 256 * 8 * 8 + 640 * 8 * 16 bytes, beside
+    # 9 * 16**2 * 16 for the atomic kernel and 3 * 16 * 8**2 * 16 for cmd
+    ({"users": 8, "tx_antennas": 8}, 64 * 8 * 8 * 16 + 256 * 8 * 8 + 640 * 8 * 16,
+     "error: scenario (users, tx_antennas, time_symbols, max_delay_taps) = (8, 8, 16, 1) needs"),
+    # cmd: 3 * 16 * 64**2 * 16 bytes, beside 737,280 for the draw
+    ({"users": 1, "tx_antennas": 64}, 3 * 16 * 64**2 * 16,
+     "error: scenario (users, tx_antennas, time_symbols) = (1, 64, 16) needs"),
+]
+
+
+@pytest.mark.parametrize("scenario,budget,message", STATS_LARGEST_STAGE,
+                         ids=["draw", "cmd"])
+@pytest.mark.parametrize("short", [1, 0])
+def test_stats_memory_check_counts_its_largest_stage(
+    tmp_path, capsys, monkeypatch, scenario, budget, message, short
+):
+    monkeypatch.setattr("hogmt.channel._physical_memory", lambda: budget - short)
+    scenario = dict(scenario, time_symbols=16, min_delay_taps=1, max_delay_taps=1)
+    cfg_path = write_config(tmp_path, {"scenario": scenario})
+    out = tmp_path / "o"
+    code = run_cli("stats", "--config", str(cfg_path), "--out", str(out), "--quiet")
+    assert code == short
+    assert capsys.readouterr().err.startswith(message if short else "")
+    assert out.exists() == (not short)
+
+
+def _unfittable_runs(tmp_path):
+    """(subcommand, config, input CTF or None) of runs whose first allocation,
+    unchecked, would fail outright: every one needs TiBs."""
+    wide = {"scenario": {"users": 100_000, "tx_antennas": 100_000}}
+    long = {"scenario": {"users": 4, "tx_antennas": 4, "time_symbols": 100_000}}
+    ideal = {"scenario": {"time_symbols": 10**10}, "sim": {"precoder": "ideal"}}
+    # a stored 1x1x500000 channel, 8 MB, whose kernel would take 3.6 TiB
+    ctf = tmp_path / "long.ctf"
+    save_ctf(ImpulseResponse4D(np.ones((1, 1, 500_000, 1), dtype=complex)), ctf)
+    return [
+        ("generate", wide, None),
+        ("generate", {"scenario": {"users": 10**400}}, None),  # past the float range
+        ("decompose", {}, ctf),
+        ("precode", {}, ctf),
+        ("simulate", long, None),
+        ("simulate", ideal, None),
+        ("stats", wide, None),
+    ]
+
+
+def test_every_file_writing_subcommand_rejects_an_unfittable_size(tmp_path):
+    # each in a process of its own, as a user runs it: one error line, no traceback
+    env = dict(os.environ)
+    src = str(Path(hogmt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for i, (sub, mapping, ctf) in enumerate(_unfittable_runs(tmp_path)):
+        cfg_path = write_config(tmp_path, mapping, name=f"run{i}.yaml")
+        out = tmp_path / f"o{i}"
+        argv = [sys.executable, "-m", "hogmt.cli", sub, "--config", str(cfg_path),
+                "--out", str(out), *([str(ctf)] if ctf else [])]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1, (sub, proc.stderr)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (sub, proc.stderr)
+        assert "Traceback" not in proc.stderr and " needs " in lines[0], (sub, lines)
+        assert not out.exists()
 
 
 class TestCliExitCodes:

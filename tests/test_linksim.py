@@ -656,3 +656,24 @@ class TestRunBerOracle:
         finally:
             tracemalloc.stop()
         assert peak < 6 * kernel, peak / kernel
+
+    @pytest.mark.parametrize("precoder,time_symbols,stage", [
+        # the kernel alone would take (4 * 100000)**2 * 16 bytes = 2.3 TiB
+        ("hogmt", 100_000, "the kernel's SVD"),
+        # no kernel; one trial's 4 * 10**10 bits would take 149 GiB
+        ("ideal", 10**10, "one trial's bits"),
+    ])
+    def test_size_that_cannot_fit_raises_before_any_work(self, precoder, time_symbols, stage):
+        # the library call carries the same cap and message as hogmt simulate
+        sc = ScenarioConfig(users=4, tx_antennas=4, time_symbols=time_symbols)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as info:
+                run_ber(sc, (precoder,), (10.0,), MIN_BITS_FLOOR, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = str(info.value)
+        assert message.startswith(f"scenario.time_symbols {time_symbols} needs"), message
+        assert f"GiB for {stage}" in message, message
+        assert peak < 2**20, peak  # nothing was drawn
