@@ -319,7 +319,7 @@ def save_ctf(h: ImpulseResponse4D, path) -> None:
     payload = np.ascontiguousarray(h.values).astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes(order="C"))
+        fh.write(payload)  # from the array's buffer, without a copy
 
 
 def load_ctf(path) -> ImpulseResponse4D:

@@ -246,13 +246,6 @@ def _or_inf(count) -> float:
         return math.inf
 
 
-def _fmt(x) -> str:
-    """Stable cell formatting: shortest roundtrip repr for floats, str as is."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return x if isinstance(x, str) else str(float(x))
-
-
 def _cumulative_normalized(values: np.ndarray) -> np.ndarray:
     """Running sum of ``values`` over their total: ends at 1, or stays 0 for no total."""
     total = float(values.sum())
@@ -261,18 +254,30 @@ def _cumulative_normalized(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values) / total
 
 
-def _csv(header: str, rows, footer: str | None = None) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(row if isinstance(row, str) else ",".join(map(_fmt, row)))
-    if footer is not None:
-        lines.append(footer)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows, footer: str | None = None):
+    """Writer of a CSV file: ``header``, a line per row (a tuple of Python
+    scalars, each cell its ``str``: a float's shortest round trip), then
+    ``footer``.  Rows are formatted as they are written, so no text is held."""
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+
+    def write(path: Path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(line % row for row in rows)
+            if footer is not None:
+                fh.write(footer + "\n")
+
+    return write
+
+
+def _cells(grid: np.ndarray):
+    """(i, j, value) for each entry of a 2-D array, one row of floats at a time."""
+    return ((i, j, v) for i, r in enumerate(grid) for j, v in enumerate(r.tolist()))
 
 
 # Every subcommand is a function (cfg, src) -> outputs, src being the CTF file
 # it may read.  ``outputs`` maps each output file name, in the order the run
-# reports them, to its CSV text or to a function that writes it to a path.
+# reports them, to a function that writes it to a path.
 
 
 def _cmd_generate(cfg: RunConfig, src: Path) -> dict:
@@ -294,10 +299,8 @@ def _cmd_decompose(cfg: RunConfig, src: Path) -> dict:
     sig_sq = decomp.sigmas**2
     total = float(sig_sq.sum())
     cum = _cumulative_normalized(sig_sq)
-    rows = [(n, *pair) for n, pair in enumerate(zip(decomp.sigmas, cum))]
-    footer = (
-        f"# sum_sigma_sq={_fmt(total)} kernel_frob_sq={_fmt(kernel.frob_norm ** 2)}"
-    )
+    rows = ((n, *pair) for n, pair in enumerate(zip(decomp.sigmas.tolist(), cum.tolist())))
+    footer = f"# sum_sigma_sq={total} kernel_frob_sq={kernel.frob_norm ** 2}"
     return {"eigen.csv": _csv("n,sigma,cumulative_fraction", rows, footer)}
 
 
@@ -319,14 +322,14 @@ def _cmd_precode(cfg: RunConfig, src: Path) -> dict:
     per_mode = energy_report(decomp, coeffs)  # gains, cost, cancelled
     columns = (*per_mode, *map(_cumulative_normalized, per_mode))
     footer = (
-        f"# total_tx_energy={_fmt(per_mode[1].sum())} "
-        f"dropped_energy={_fmt(coeffs.dropped_energy)}"
+        f"# total_tx_energy={float(per_mode[1].sum())} "
+        f"dropped_energy={coeffs.dropped_energy}"
     )
     return {
         "precoded.npy": lambda path: np.save(path, x.grid),
         "energy.csv": _csv(
             "n,gain,cost_energy,cancelled_energy,cum_gain,cum_cost,cum_cancelled",
-            [(n, *row) for n, row in enumerate(zip(*columns))],
+            ((n, *row) for n, row in enumerate(zip(*(c.tolist() for c in columns)))),
             footer,
         ),
     }
@@ -377,16 +380,12 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
     )
     report = stats_from_decomp(None, ensemble=members)
     outputs = {
-        "stats_scattering.csv": _csv(
-            "tau,nu,value", [(*i, v) for i, v in np.ndenumerate(report.scattering)]
-        ),
-        "stats_path_gain.csv": _csv(
-            "t,f,value", [(*i, v) for i, v in np.ndenumerate(report.path_gain)]
-        ),
+        "stats_scattering.csv": _csv("tau,nu,value", _cells(report.scattering)),
+        "stats_path_gain.csv": _csv("t,f,value", _cells(report.path_gain)),
         "stats_summary.csv": _csv(
             "quantity,value",
             [
-                ("total_gain", report.total_gain),
+                ("total_gain", float(report.total_gain)),
                 ("ensemble_size", report.ensemble_size),
                 ("scattering_sum", float(report.scattering.sum())),
                 ("path_gain_sum", float(report.path_gain.sum())),
@@ -396,14 +395,14 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
     }
     for side in ("tx", "rx"):
         distances = cmd(first_h, side=side, window=cfg.stats.window)
-        dist = distances.tolist()  # Python floats: f"{d}" is _fmt(d)
-        rows = [f"{i},{j - i},{d}" for i, r in enumerate(dist) for j, d in enumerate(r)]
-        outputs[f"cmd_{side}.csv"] = _csv("start,shift,d_corr", rows)
+        outputs[f"cmd_{side}.csv"] = _csv(
+            "start,shift,d_corr", ((i, j - i, d) for i, j, d in _cells(distances))
+        )
         sr = stationarity_interval(distances, cfg.stats.d0)
         outputs[f"intervals_{side}.csv"] = _csv(
             "start,interval_symbols",
-            enumerate(sr.intervals),
-            f"# d0={_fmt(cfg.stats.d0)} window={cfg.stats.window}",
+            enumerate(sr.intervals.tolist()),
+            f"# d0={cfg.stats.d0} window={cfg.stats.window}",
         )
     return outputs
 
@@ -416,7 +415,7 @@ def _cmd_complexity(cfg: RunConfig, src: Path) -> dict:
         f"time_symbols={sc.time_symbols}"
     )
     for name, count in est.items():
-        print(f"  {name:<14} {_fmt(count)}")
+        print(f"  {name:<14} {count}")
     return {}
 
 
@@ -496,14 +495,10 @@ def _dispatch(args) -> int:
     if not outputs:  # a stdout-only run leaves the output directory as it was
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in outputs.items():
-        target = out_dir / name
-        if isinstance(data, str):
-            target.write_text(data, encoding="utf-8")
-        else:
-            data(target)
+    for name, write in outputs.items():
+        write(out_dir / name)
         if not args.quiet:
-            print(f"wrote {target}")
+            print(f"wrote {out_dir / name}")
     manifest = {
         "subcommand": args.subcommand,
         "seed": cfg.sim.seed,

@@ -453,7 +453,9 @@ def run_ber(
     dims alone, not on which precoders run beside each other either.
     Before anything is drawn, a scenario whose channel kernel's SVD (every
     precoder but ``ideal``) or one trial's arrays would not fit in physical
-    memory raises ``ValidationError`` naming ``scenario.time_symbols``.
+    memory raises ``ValidationError`` naming ``scenario.time_symbols``; a
+    ``none`` (data grid sent as is) or ``zfdpc`` (square per-instant inverses)
+    precoder with users != tx_antennas raises ``DimensionMismatchError``.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -472,11 +474,11 @@ def run_ber(
     scales = [math.sqrt(_noise_variance(v)) for v in snr_list]
     min_bits = checked_real(min_bits, "min_bits", ge=MIN_BITS_FLOOR)
     seed = checked_int(seed, "seed", ge=0, lt=2**64)
-    if scenario.users != scenario.tx_antennas and any(sp.kind == "none" for sp in specs):
+    square = [sp.kind for sp in specs if sp.kind in ("none", "zfdpc")]
+    if scenario.users != scenario.tx_antennas and square:
         raise DimensionMismatchError(
-            "precoder 'none' sends the data grid as is, so it needs users == "
-            f"tx_antennas, got users={scenario.users}, "
-            f"tx_antennas={scenario.tx_antennas}"
+            f"precoder {square[0]!r} needs users == tx_antennas, got "
+            f"users={scenario.users}, tx_antennas={scenario.tx_antennas}"
         )
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]

@@ -620,6 +620,21 @@ class TestCtfFormat:
         np.testing.assert_array_equal(back.values, h.values)
         assert peak < h.values.nbytes * (1 + 1 / 32), peak
 
+    def test_save_writes_the_payload_without_a_copy(self, tmp_path):
+        # the payload goes to the file from the array's own buffer
+        rng = np.random.default_rng(3)
+        shape = (4, 4, 1024, 8)  # 2 MiB of payload
+        h = ImpulseResponse4D(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        path = tmp_path / "chan.ctf"
+        tracemalloc.start()
+        try:
+            save_ctf(h, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < h.values.nbytes / 64, peak
+        np.testing.assert_array_equal(load_ctf(path).values, h.values)
+
     @pytest.mark.parametrize(
         "header,offset",
         [

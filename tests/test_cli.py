@@ -26,6 +26,7 @@ from hogmt import (
     parse_precoder,
     save_ctf,
 )
+from hogmt.channel import _SEED_STATS_MEMBER, _child_seed
 from hogmt.cli import (
     OutConfig,
     RunConfig,
@@ -521,6 +522,44 @@ class TestCliPipeline:
             cmd_rows = (out / f"cmd_{side}.csv").read_text().splitlines()[1:]
             assert len(cmd_rows) == (12 - 5 + 1) ** 2
 
+    def test_csv_cells_round_trip_the_library_values(self, tmp_path):
+        # every float is written as its shortest round trip, so float(cell)
+        # gives back the library's value exactly
+        cfg_path = write_config(tmp_path, FAST)
+        out = tmp_path / "o"
+        for sub in ("generate", "decompose", "stats"):
+            assert run_cli(sub, "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+        cfg = parse_config(cfg_path)
+
+        def table(name):
+            lines = (out / name).read_text().splitlines()
+            return [row.split(",") for row in lines[1:] if not row.startswith("#")]
+
+        decomp = hogmt.hogmt_decompose(
+            hogmt.to_kernel(hogmt.generate_channel(cfg.scenario, cfg.sim.seed))
+        )
+        assert [float(r[1]) for r in table("eigen.csv")] == decomp.sigmas.tolist()
+
+        seeds = [_child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, m)
+                 for m in range(cfg.stats.ensemble)]
+        members = [hogmt.generate_channel(cfg.scenario, seed) for seed in seeds]
+        dist = hogmt.cmd(members[0], "tx", cfg.stats.window)
+        rows = table("cmd_tx.csv")
+        assert len(rows) == dist.size
+        for start, shift, value in rows:
+            i, j = int(start), int(start) + int(shift)
+            assert float(value) == dist[i, j], (i, j)
+
+        proto = hogmt.GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
+        report = hogmt.stats_from_decomp(None, ensemble=[
+            hogmt.decompose_atomic(hogmt.atomic_kernel(hogmt.tf_transfer(h, 0, 0), proto))
+            for h in members
+        ])
+        rows = table("stats_scattering.csv")
+        assert len(rows) == report.scattering.size
+        for tau, nu, value in rows:
+            assert float(value) == report.scattering[int(tau), int(nu)], (tau, nu)
+
     def test_effective_config_reparses_identically(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)
         out = tmp_path / "o"
@@ -695,6 +734,23 @@ def test_stats_memory_check_counts_the_svd(
     if code:
         assert err.startswith(f"error: scenario.time_symbols {time_symbols} needs")
     assert out.exists() == (code == 0)
+
+
+def test_stats_peaks_below_its_largest_budgeted_stage(tmp_path):
+    # 9 atomic kernels of 256**2 * 16 bytes is the largest stage the check
+    # counts; each cmd_*.csv, 249**2 rows, is written as its rows are formatted
+    scenario = {"users": 1, "tx_antennas": 1, "time_symbols": 256,
+                "min_delay_taps": 1, "max_delay_taps": 1, "mode": "wssus"}
+    cfg_path = write_config(tmp_path, {"scenario": scenario})
+    tracemalloc.start()
+    try:
+        code = run_cli("stats", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                       "--quiet")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 9 * 256**2 * 16, peak
 
 
 def test_simulate_size_that_cannot_fit_exits_1_before_any_work(tmp_path, capsys):
@@ -927,13 +983,14 @@ class TestCliExitCodes:
         assert err.startswith("error: sim.snr_db") and "Traceback" not in err
         assert not (out / "ber.csv").exists()
 
-    def test_none_on_non_square_scenario_is_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["none", "zfdpc"])
+    def test_none_on_non_square_scenario_is_1(self, tmp_path, capsys, kind):
         scenario = {"users": 2, "tx_antennas": 3, "time_symbols": 8, "max_delay_taps": 2}
-        path = write_config(tmp_path, {"scenario": scenario, "sim": {"precoder": "none"}})
+        path = write_config(tmp_path, {"scenario": scenario, "sim": {"precoder": kind}})
         out = tmp_path / "o"
         assert run_cli("simulate", "--config", str(path), "--out", str(out), "--quiet") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: precoder 'none'") and "Traceback" not in err
+        assert err.startswith(f"error: precoder '{kind}'") and "Traceback" not in err
         assert "users" in err and "tx_antennas" in err
         assert not out.exists()
 

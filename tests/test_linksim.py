@@ -391,15 +391,18 @@ class TestRunBer:
                 min_bits=bad, seed=0,
             )
 
-    def test_none_on_non_square_scenario_rejected(self, monkeypatch):
-        # "none" sends the users x time grid from tx_antennas antennas
+    @pytest.mark.parametrize("kind", ["none", "zfdpc"])
+    def test_none_on_non_square_scenario_rejected(self, monkeypatch, kind):
+        # "none" sends the users x time grid from tx_antennas antennas, and
+        # "zfdpc" inverts square per-instant matrices; either is rejected
+        # before the hogmt link beside it is built
         def no_draw(*args):
             raise AssertionError("a channel was drawn")
 
         monkeypatch.setattr(hogmt.linksim, "generate_channel", no_draw)
         cfg = ScenarioConfig(users=2, tx_antennas=3, time_symbols=8, max_delay_taps=2)
-        with pytest.raises(DimensionMismatchError, match="none") as exc:
-            run_ber(cfg, ["none"], [10.0], 10_000, seed=1)
+        with pytest.raises(DimensionMismatchError, match=kind) as exc:
+            run_ber(cfg, ["hogmt", kind], [10.0], 10_000, seed=1)
         assert "users=2" in str(exc.value) and "tx_antennas=3" in str(exc.value)
 
     def test_non_square_scenario_precodes(self):
