@@ -327,9 +327,9 @@ def load_ctf(path) -> ImpulseResponse4D:
 
     The header is checked against the size of a regular file, and the
     payload against physical memory, before the payload is read, so a
-    malformed or oversized file costs no more memory than its 28-byte
-    header.  A pipe is read to at most one byte past the payload the header
-    declares.
+    malformed file or an oversized file or pipe costs no more memory than
+    its 28-byte header.  Either is read to at most one byte past the
+    payload the header declares.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CTF_HEADER.size)
@@ -365,28 +365,27 @@ def load_ctf(path) -> ImpulseResponse4D:
             )
         expected = n_entries * 16
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            actual = st.st_size - _CTF_HEADER.size
-            if actual == expected and expected > (memory := _physical_memory()):
+        regular = stat.S_ISREG(st.st_mode)
+        held = st.st_size - _CTF_HEADER.size if regular else expected
+        if held == expected:
+            if expected > (memory := _physical_memory()):
                 raise FormatError(
                     f"payload of {expected} bytes declared by dims {dims} exceeds "
                     f"the {memory} bytes of physical memory",
                     offset=_CTF_HEADER.size,
                 )
-            payload = fh.read(expected) if actual == expected else b""
-            held = actual
-        else:
-            # a pipe has no size, so it is read up to one byte past the
-            # declared payload, a piece at a time: a stream that ends early
-            # or never ends costs at most one piece more than it delivered
+            # read up to one byte past the declared payload: a regular file
+            # in one piece, a pipe, which has no size, a piece at a time, so
+            # a stream that ends early or never ends costs at most one piece
+            # more than it delivered
+            step = expected + 1 if regular else _PIPE_PIECE
             pieces, left = [], expected + 1
-            while left and (piece := fh.read(min(left, _PIPE_PIECE))):
+            while left and (piece := fh.read(min(left, step))):
                 pieces.append(piece)
                 left -= len(piece)
             payload = b"".join(pieces)  # a lone piece is kept, not copied
-            actual = len(payload)
-            held = f"more than {expected}" if actual > expected else actual
-        if actual != expected:
+            held = len(payload) if len(payload) <= expected else f"more than {expected}"
+        if held != expected:
             raise FormatError(
                 f"payload holds {held} bytes but dims {dims} require {expected}",
                 offset=_CTF_HEADER.size,

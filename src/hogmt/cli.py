@@ -6,8 +6,8 @@ emits a precoded grid plus energy accounting, simulate runs BER sweeps,
 stats emits second-order statistics and stationarity metrics, complexity
 prints operation-count estimates and writes nothing.  Every other run
 re-emits its effective configuration and a manifest naming the seed and
-output files, so any result can be reproduced byte-for-byte from those two
-files.
+output files, so any result can be reproduced from those two files, byte
+for byte at the same BLAS thread count.
 
 Exit codes: 0 success, 1 configuration/validation problem, 2 file or I/O
 problem, 3 numerical failure.
@@ -35,7 +35,6 @@ from .channel import (
     _check_channel_fits,
     _check_memory,
     _child_seed,
-    _draw_need,
     _substream,
     generate_channel,
     load_ctf,
@@ -349,19 +348,18 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
             f"stats.window must be <= scenario.time_symbols, got {cfg.stats.window} > "
             f"{cfg.scenario.time_symbols}"
         )
-    # checked before any channel is drawn: the largest of three stages must fit.
-    # A member's atomic kernel is n x n complex (n = time_symbols * max_delay_taps);
-    # its SVD takes 8.5 kernels, the running lsf sum half a kernel and the cmd
-    # distance matrix at most that.  A member's draw; and cmd's window
-    # correlations, three arrays of time_symbols * L'**2 complex entries, L' the
-    # user or antenna count of the side
+    # checked before any channel is drawn (generate_channel budgets each draw):
+    # the larger of two stages must fit.  A member's atomic kernel is n x n
+    # complex (n = time_symbols * max_delay_taps); its SVD takes 8.5 kernels, the
+    # running lsf sum half a kernel and the cmd distance matrix at most that.
+    # cmd's window correlations, three arrays of time_symbols * L'**2 complex
+    # entries, L' the user or antenna count of the side
     sc = cfg.scenario
     l_t, l_side = sc.time_symbols, max(sc.users, sc.tx_antennas)
     needs = [
         ((_SVD_PEAK + 0.5) * (l_t * sc.max_delay_taps) ** 2 * 16,
          f"scenario.time_symbols {l_t}",
          "the atomic kernel and its SVD, 9 * (time_symbols * max_delay_taps)**2 * 16 bytes"),
-        _draw_need(sc),
         (3 * l_t * l_side**2 * 16,
          f"scenario (users, tx_antennas, time_symbols) = {(sc.users, sc.tx_antennas, l_t)}",
          "cmd's window correlations, 48 * time_symbols * max(users, tx_antennas)**2 bytes"),
@@ -450,7 +448,7 @@ def _epilog() -> str:
             "",
             "every run writes effective_config.yaml and manifest.yaml into the output",
             "directory; rerunning a subcommand from those files reproduces its outputs",
-            "byte for byte.",
+            "byte for byte at the same BLAS thread count.",
         ]
     )
 

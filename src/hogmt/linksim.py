@@ -164,24 +164,31 @@ def _labels(bits: np.ndarray, k: int) -> np.ndarray:
     return bits.reshape(bits.shape[:-1] + (-1, k)) @ weights
 
 
+def _axis_regions(levels: np.ndarray):
+    """Decision regions of one axis: the Gray label at each amplitude rank,
+    the levels in rank order, and the midpoints of adjacent levels a < b as
+    ``mid + err == (a + b) / 2`` exactly (two-sum, then an exact halving)."""
+    order = np.argsort(levels)
+    ranked = levels[order]
+    lo, hi = ranked[:-1], ranked[1:]
+    total = lo + hi
+    hi_part = total - lo
+    err = ((lo - (total - hi_part)) + (hi - hi_part)) / 2
+    return order, ranked, total / 2, err
+
+
 def _axis_slicer(levels: np.ndarray):
     """Nearest-level decision on one axis, returning the level's Gray label.
 
-    A value v lies above the midpoint of adjacent levels a < b iff
-    v - (a + b) / 2 > 0.  With (a + b) / 2 == mid + err exactly (two-sum,
-    then an exact halving), v - mid is exact wherever it is close to err
-    (Sterbenz), so comparing it with err decides exactly, also for values
-    far outside the constellation.  An exact tie needs err == 0, which for
-    these symmetric levels happens only at 0; it goes to the lower level,
-    which there carries the lower label (reflected Gray code), as an argmin
-    over the label-ordered points would pick.
+    A value v lies above the midpoint of adjacent levels iff v - (mid + err)
+    > 0, and v - mid is exact wherever it is close to err (Sterbenz), so
+    comparing it with err decides exactly, also for values far outside the
+    constellation.  An exact tie needs err == 0, which for these symmetric
+    levels happens only at 0; it goes to the lower level, which there
+    carries the lower label (reflected Gray code), as an argmin over the
+    label-ordered points would pick.
     """
-    order = np.argsort(levels)
-    lo, hi = levels[order[:-1]], levels[order[1:]]
-    total = lo + hi
-    hi_part = total - lo
-    mid = total / 2
-    err = ((lo - (total - hi_part)) + (hi - hi_part)) / 2
+    order, _, mid, err = _axis_regions(levels)
     pairs = list(zip(mid.tolist(), err.tolist()))
 
     def decide(v):
@@ -250,22 +257,14 @@ def _axis_bit_errors(levels: np.ndarray, sigma: float) -> float:
     """Expected bit errors per axis use for Gray PAM in Gaussian noise.
 
     Exact: sums decision-band probabilities times Hamming distances over
-    every (sent, decided) level pair.
+    every (sent, decided) level pair, with the slicer's decision regions.
     """
     from scipy.special import ndtr  # here, so that importing hogmt skips SciPy
-    order = np.argsort(levels)
-    sorted_lv = levels[order]
-    thresholds = 0.5 * (sorted_lv[:-1] + sorted_lv[1:])
-    m = levels.size
-    total = 0.0
-    for si in range(m):
-        upper = np.concatenate([ndtr((thresholds - sorted_lv[si]) / sigma), [1.0]])
-        lower = np.concatenate([[0.0], upper[:-1]])
-        band = upper - lower
-        ham = _POPCOUNT[order[si] ^ order]
-        for di in np.flatnonzero(ham):
-            total += band[di] * ham[di]
-    return total / m
+    order, ranked, mid, _ = _axis_regions(levels)
+    # band[s, d]: probability that the level of rank s is decided as rank d
+    below = ndtr((mid - ranked[:, None]) / sigma)
+    band = np.diff(below, axis=1, prepend=0.0, append=1.0)
+    return float((band * _POPCOUNT[order[:, None] ^ order]).sum()) / levels.size
 
 
 def theoretical_awgn_ber(scheme, snr_per_bit_db: float) -> float:

@@ -692,24 +692,32 @@ class TestCtfFormat:
         with pytest.raises(FormatError, match="payload holds 3064 bytes"):
             self._load_through_pipe(raw[:-8])
 
-    def test_file_larger_than_memory_is_a_format_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("through_pipe", [False, True], ids=["file", "pipe"])
+    def test_file_larger_than_memory_is_a_format_error(
+        self, tmp_path, monkeypatch, through_pipe
+    ):
         # a small physical memory is reported, so the rejected read allocates nothing
         h = generate_channel(small_cfg(), 10)
-        save_ctf(h, tmp_path / "chan.ctf")  # 3072 bytes of payload
+        path = tmp_path / "chan.ctf"
+        save_ctf(h, path)  # 3072 bytes of payload
+
+        def load():
+            return self._load_through_pipe(path.read_bytes()) if through_pipe else load_ctf(path)
+
         monkeypatch.setattr(channel_mod, "_physical_memory", lambda: 3071)
         with pytest.raises(FormatError, match="exceeds the 3071 bytes") as exc:
-            load_ctf(tmp_path / "chan.ctf")
+            load()
         assert exc.value.offset == 28
         monkeypatch.setattr(channel_mod, "_physical_memory", lambda: 3072)
-        np.testing.assert_array_equal(load_ctf(tmp_path / "chan.ctf").values, h.values)
+        np.testing.assert_array_equal(load().values, h.values)
 
     def test_pipe_declaring_a_huge_payload_is_a_format_error(self):
-        # 16 TiB declared, none sent: the first piece is all that is asked
-        # for, so the short stream is reported instead of a MemoryError
+        # 16 TiB declared, none sent: the header meets the memory check, so
+        # nothing is read and no MemoryError is raised
         header = struct.pack("<8s5I", b"HGMTCTF1", 1, 1024, 1024, 1024, 1024)
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="payload holds 0 bytes") as exc:
+            with pytest.raises(FormatError, match="exceeds the .* bytes of physical memory") as exc:
                 self._load_through_pipe(header)
             _, peak = tracemalloc.get_traced_memory()
         finally:
