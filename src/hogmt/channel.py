@@ -86,13 +86,17 @@ def _check_memory(nbytes: float, subject: str, what: str) -> None:
         )
 
 
-def _check_channel_fits(dims, name: str) -> None:
-    """Reject a channel of ``dims`` (users, tx_antennas, time_symbols, taps) whose
-    kernel's SVD, beside it, would not fit; ``name`` names its time symbols."""
+def _check_channel_fits(dims, name: str, matrices: int = 0) -> None:
+    """Reject a channel of ``dims`` (users, tx_antennas, time_symbols, taps) if the
+    larger of two phases would not fit beside it: the kernel's SVD (8.5 kernels) or
+    the kernel, its two eigenfunction arrays, one temporary and ``matrices``
+    precoding matrices (4 + matrices kernels); ``name`` names its time symbols."""
     l_u, l_up, l_t, l_tau = dims
+    kernels, stage = max((_SVD_PEAK, "the kernel's SVD"), (
+        4 + matrices, f"the kernel, its eigenfunctions and {matrices} precoding matrices"))
     _check_memory(
-        _SVD_PEAK * (l_u * l_t) * (l_up * l_t) * 16 + l_u * l_up * l_t * l_tau * 16,
-        f"{name} {l_t}", "the kernel's SVD, 8.5 * (users * time_symbols) * (tx_antennas "
+        kernels * (l_u * l_t) * (l_up * l_t) * 16 + l_u * l_up * l_t * l_tau * 16,
+        f"{name} {l_t}", f"{stage}, {kernels} * (users * time_symbols) * (tx_antennas "
         "* time_symbols) * 16 bytes, and the channel",
     )
 

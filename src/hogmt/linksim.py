@@ -1,9 +1,9 @@
 """Modulation, AWGN reference curves, and Monte-Carlo BER sweeps.
 
-Constellations are Gray-mapped with unit average energy, built as separable
-per-axis Gray PAM (one axis for BPSK).  Demodulation slices each axis on its
-own against the midpoints of adjacent levels, which for these separable
-constellations is exactly the minimum-distance decision.
+A constellation is one Gray-PAM axis of unit average symbol energy, used on
+the in-phase axis alone (BPSK) or on both (square QAM).  Demodulation slices
+each axis on its own against the midpoints of adjacent levels, which for
+these separable constellations is exactly the minimum-distance decision.
 
 The BER engine compares precoders on identical footing: a sweep draws its
 channels once for every SNR point, and per (chunk of trials, modulation)
@@ -99,51 +99,39 @@ def _gray_pam_levels(n_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModulationScheme:
-    """Gray-mapped unit-energy constellation with separable axes.
+    """Gray-mapped unit-energy constellation: one Gray-PAM axis used ``axes`` times.
 
-    ``points[label]`` is the symbol whose bit label (MSB first) splits into
-    ``i_bits`` in-phase bits followed by ``q_bits`` quadrature bits.
+    ``levels[label]`` is the axis level of a Gray label; ``points[label]`` is the
+    symbol of a bit label (MSB first): the in-phase label, then the quadrature one.
     """
 
     name: str
-    i_bits: int
-    q_bits: int
-    points: np.ndarray
-    i_levels: np.ndarray  # normalized per-axis levels indexed by axis Gray label
-    q_levels: np.ndarray  # empty for single-axis schemes
+    axis_bits: int = field(metadata={"ge": 1})
+    axes: int = field(metadata={"ge": 1, "le": 2})  # 1: in-phase only, 2: square QAM
+    levels: np.ndarray = field(metadata={"ndim": 1, "dtype": float})
+    points: np.ndarray = field(metadata={"ndim": 1})
+
+    __post_init__ = checked_fields
 
     @property
     def bits_per_symbol(self) -> int:
-        return self.i_bits + self.q_bits
+        return self.axes * self.axis_bits
 
 
-def _build_scheme(name: str, i_bits: int, q_bits: int) -> ModulationScheme:
-    i_lv = _gray_pam_levels(i_bits)
-    q_lv = _gray_pam_levels(q_bits) if q_bits else np.zeros(1)
-    mean_energy = np.mean(i_lv**2) + (np.mean(q_lv**2) if q_bits else 0.0)
-    scale = math.sqrt(mean_energy)
-    i_lv = i_lv / scale
-    q_lv = q_lv / scale
-    k = i_bits + q_bits
-    labels = np.arange(1 << k)
-    i_label = labels >> q_bits
-    q_label = labels & ((1 << q_bits) - 1)
-    points = i_lv[i_label] + 1j * q_lv[q_label]
-    return ModulationScheme(
-        name=name,
-        i_bits=i_bits,
-        q_bits=q_bits,
-        points=points,
-        i_levels=i_lv,
-        q_levels=q_lv if q_bits else np.empty(0),
-    )
+def _build_scheme(name: str, axis_bits: int, axes: int) -> ModulationScheme:
+    levels = _gray_pam_levels(axis_bits)
+    levels = levels / math.sqrt(axes * np.mean(levels**2))
+    labels = np.arange(1 << (axes * axis_bits))  # in-phase label, then quadrature label
+    points = levels[labels >> (axes - 1) * axis_bits] + (
+        1j * levels[labels & ((1 << axis_bits) - 1)] if axes == 2 else 0j)
+    return ModulationScheme(name, axis_bits, axes, levels, points)
 
 
 SCHEMES: dict[str, ModulationScheme] = {
-    "bpsk": _build_scheme("bpsk", 1, 0),
-    "qpsk": _build_scheme("qpsk", 1, 1),
+    "bpsk": _build_scheme("bpsk", 1, 1),
+    "qpsk": _build_scheme("qpsk", 1, 2),
     "qam16": _build_scheme("qam16", 2, 2),
-    "qam64": _build_scheme("qam64", 3, 3),
+    "qam64": _build_scheme("qam64", 3, 2),
 }
 
 
@@ -202,11 +190,10 @@ def _axis_slicer(levels: np.ndarray):
 
 def _slicer(scheme: ModulationScheme):
     """Minimum-distance symbol labels of complex values, one axis at a time."""
-    decide_i = _axis_slicer(scheme.i_levels)
-    if not scheme.q_bits:
-        return lambda r: decide_i(r.real)
-    decide_q = _axis_slicer(scheme.q_levels)
-    return lambda r: (decide_i(r.real) << scheme.q_bits) | decide_q(r.imag)
+    decide = _axis_slicer(scheme.levels)
+    if scheme.axes == 1:
+        return lambda r: decide(r.real)
+    return lambda r: (decide(r.real) << scheme.axis_bits) | decide(r.imag)
 
 
 def modulate(bits, scheme, dims: tuple[int, int]) -> SpaceTimeSignal:
@@ -285,10 +272,7 @@ def theoretical_awgn_ber(scheme, snr_per_bit_db: float) -> float:
         return 0.0
     # a linear SNR that underflows to 0 is the infinite-noise limit
     sigma = math.sqrt(1.0 / (2.0 * k * gamma_b)) if gamma_b > 0.0 else math.inf
-    total = _axis_bit_errors(scheme.i_levels, sigma)
-    if scheme.q_bits:
-        total += _axis_bit_errors(scheme.q_levels, sigma)
-    return total / k
+    return scheme.axes * _axis_bit_errors(scheme.levels, sigma) / k
 
 
 _PRECODER_RE = re.compile(r"^hogmt\(([^)]*)\)$")
@@ -450,9 +434,9 @@ def run_ber(
     only scales the noise, adds it and slices.  A point's counts therefore do not depend on the
     other SNR values, and since the chunk size follows from the scenario
     dims alone, not on which precoders run beside each other either.
-    Before anything is drawn, a scenario whose channel kernel's SVD (every
-    precoder but ``ideal``) or one trial's arrays would not fit in physical
-    memory raises ``ValidationError`` naming ``scenario.time_symbols``; a
+    Before anything is drawn, a scenario whose kernel's SVD or precoding
+    matrices (any precoder but ``ideal``) or one trial's arrays would not fit
+    in physical memory raises ``ValidationError`` naming ``scenario.time_symbols``; a
     ``none`` (data grid sent as is) or ``zfdpc`` (square per-instant inverses)
     precoder with users != tx_antennas raises ``DimensionMismatchError``.
     """
@@ -481,11 +465,13 @@ def run_ber(
         )
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]
-    # checked before anything is drawn; the ideal link builds no kernel.  A
-    # chunk is one trial once n_sym >= _CHUNK_SYMBOLS, at most that many below
+    # checked before anything is drawn; the ideal link builds no kernel, a link
+    # holds one matrix per hogmt, zf or zfdpc precoder, and a chunk is one
+    # trial once n_sym >= _CHUNK_SYMBOLS, at most that many below
     if any(sp.kind != "ideal" for sp in specs):
         _check_channel_fits((scenario.users, scenario.tx_antennas, scenario.time_symbols,
-                             scenario.max_delay_taps), "scenario.time_symbols")
+                             scenario.max_delay_taps), "scenario.time_symbols",
+                            sum(sp.kind not in ("none", "ideal") for sp in specs))
     _check_memory(
         (_CHUNK_BYTES_PER_SYMBOL + 16 * len(specs)) * n_sym,
         f"scenario.time_symbols {dims[1]}", "one trial's bits, noise and received "

@@ -37,6 +37,9 @@ def valid_kwargs(cls):
             x_coeffs=c(2), s_coeffs=c(2), dropped_energy=0.5
         ),
         H.StationarityReport: lambda: dict(intervals=np.array([1.0, 2.0, 3.0])),
+        H.ModulationScheme: lambda: dict(
+            name="bpsk", axis_bits=1, axes=1, levels=np.array([-1.0, 1.0]), points=c(2)
+        ),
     }[cls]()
 
 
@@ -50,6 +53,8 @@ FIELDS = [
     (H.CoefficientSet, "x_coeffs"),
     (H.CoefficientSet, "s_coeffs"),
     (H.StationarityReport, "intervals"),
+    (H.ModulationScheme, "levels"),
+    (H.ModulationScheme, "points"),
 ]
 FIELD_IDS = [f"{cls.__name__}.{field}" for cls, field in FIELDS]
 
@@ -169,6 +174,64 @@ def test_array_over_immutable_bytes_is_kept_and_over_a_bytearray_copied():
 def test_empty_grid_rejected():
     with pytest.raises(ValidationError, match="dims >= 1"):
         H.SpaceTimeSignal(grid=np.zeros((0, 4), dtype=complex))
+
+
+def _kernel(shape, value=1.0):
+    return H.Kernel4D(np.full(shape, value, dtype=complex))
+
+
+def _eigen(sigmas, n_psis):
+    return H.EigenDecomposition(
+        sigmas=sigmas, psis=np.ones((n_psis, 1, 2)), phis=np.ones((len(sigmas), 1, 2)),
+        source_dims=(1, 2, 1, 2),
+    )
+
+
+_SQUARE = H.ScenarioConfig(users=2, tx_antennas=2, time_symbols=4)
+
+# (id, error, message, call): arguments that each pass their own checks but
+# not together, each rejected with the error and message that name why
+INCONSISTENT = [
+    ("ImpulseResponse4D-taps", ValidationError,
+     r"delay taps \(3\) must not exceed time symbols \(2\)",
+     lambda: H.ImpulseResponse4D(np.ones((1, 1, 2, 3)))),
+    ("EigenDecomposition-mode-counts", DimensionMismatchError,
+     "mode counts disagree: 2 sigmas, 1 psis, 2 phis", lambda: _eigen([2.0, 1.0], 1)),
+    ("EigenDecomposition-negative-sigma", ValidationError,
+     "sigmas must be nonnegative", lambda: _eigen([1.0, -1.0], 2)),
+    ("duality_residual-empty", ValidationError, "duality residual of an empty decomposition",
+     lambda: H.duality_residual(_kernel((1, 2, 1, 2)),
+                                H.hogmt_decompose(_kernel((1, 2, 1, 2), 0.0)))),
+    ("duality_residual-dims", DimensionMismatchError,
+     r"decomposition dims \(1, 3, 1, 3\) do not match kernel dims \(1, 2, 1, 2\)",
+     lambda: H.duality_residual(_kernel((1, 2, 1, 2)), H.hogmt_decompose(_kernel((1, 3, 1, 3))))),
+    ("energy_report-modes", DimensionMismatchError,
+     "coefficient set retains 2 modes but the decomposition has only 1",
+     lambda: H.energy_report(
+         H.hogmt_decompose(_kernel((1, 2, 1, 2))),
+         H.CoefficientSet(x_coeffs=[1j, 2j], s_coeffs=[1, 2], dropped_energy=0),
+     )),
+    ("zfdpc_map-non-square", DimensionMismatchError,
+     "dirty-paper baseline needs square per-instant matrices, got 2x3",
+     lambda: H.zfdpc_map(H.ImpulseResponse4D(np.ones((2, 3, 4, 1))))),
+    ("stats_from_decomp-empty-member", ValidationError,
+     "ensemble contains an empty decomposition",
+     lambda: H.stats_from_decomp(None, ensemble=[_eigen([], 0)])),
+    ("run_ber-no-precoder", ValidationError, "need at least one precoder",
+     lambda: H.run_ber(_SQUARE, [], [0.0], 10_000, seed=1)),
+    ("run_ber-no-modulation", ValidationError, "need at least one modulation",
+     lambda: H.run_ber(_SQUARE, "ideal", [0.0], 10_000, seed=1, modulations=[])),
+    ("run_ber-no-snr-point", ValidationError, "need at least one SNR point",
+     lambda: H.run_ber(_SQUARE, "ideal", [], 10_000, seed=1)),
+]
+
+
+@pytest.mark.parametrize("error,message,call", [case[1:] for case in INCONSISTENT],
+                         ids=[case[0] for case in INCONSISTENT])
+def test_inconsistent_arguments_rejected(error, message, call):
+    with pytest.raises(error, match=f"^{message}$") as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_sum_overflow_is_no_non_finite_entry():
@@ -366,6 +429,10 @@ SCALARS = [
          sigmas=[2.0, 1.0], psis=np.ones((2, 1, 2)), phis=np.ones((2, 1, 2)),
          source_dims=v,
      )),
+    ("ModulationScheme.axis_bits", "axis_bits", "int", 0,
+     lambda c, v: H.ModulationScheme("x", v, 1, [-1.0, 1.0], [-1.0, 1.0])),
+    ("ModulationScheme.axes", "axes", "int", 3,
+     lambda c, v: H.ModulationScheme("x", 1, v, [-1.0, 1.0], [-1.0, 1.0])),
     ("theoretical_awgn_ber.snr_per_bit_db", "snr_per_bit_db", "real+inf", None,
      lambda c, v: H.theoretical_awgn_ber("qpsk", v)),
     ("PrecoderSpec.fraction", "fraction", "real", 1.5, lambda c, v: H.PrecoderSpec("hogmt", v)),

@@ -965,6 +965,20 @@ class TestCliExitCodes:
         assert run_cli("decompose", "--config", str(cfg_path), "--out", str(out), "--quiet") == 3
         assert "SVD did not converge" in capsys.readouterr().err
 
+    def test_svd_that_does_not_converge_is_3(self, tmp_path, monkeypatch, capsys):
+        # LAPACK's failure reaches the exit code through the kernels layer
+        cfg_path = write_config(tmp_path, FAST)
+        out = tmp_path / "o"
+        assert run_cli("generate", "--config", str(cfg_path), "--out", str(out), "--quiet") == 0
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        assert run_cli("decompose", "--config", str(cfg_path), "--out", str(out), "--quiet") == 3
+        err = capsys.readouterr().err
+        assert "SVD failed to converge on a (24, 24) matrix: SVD did not converge" in err, err
+
     @pytest.mark.parametrize(
         "mapping", [{"scenario": {"doppler_drift": math.nan}}, {"sim": {"snr_db": [math.nan]}}]
     )

@@ -14,7 +14,7 @@ from hogmt import (
     hogmt_decompose,
     reconstruct,
 )
-from hogmt.errors import DimensionMismatchError, ValidationError
+from hogmt.errors import DimensionMismatchError, NumericalError, ValidationError
 from hogmt.precoding import retained_count
 
 
@@ -165,6 +165,15 @@ class TestDecomposition:
     def test_grid_pairs_rejects_an_empty_dim(self, shape):
         with pytest.raises(ValidationError, match="^operator must have all dims >= 1"):
             decompose_grid_pairs(np.zeros(shape, dtype=complex))
+
+    def test_svd_failure_is_a_numerical_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        with pytest.raises(NumericalError, match=r"^SVD failed to converge on a \(6, 6\) ") as info:
+            decompose_grid_pairs(np.ones((2, 3, 2, 3)))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestApplyKernel:

@@ -62,22 +62,32 @@ class TestSchemeTables:
         got = {complex(round(p.real * math.sqrt(2)), round(p.imag * math.sqrt(2))) for p in pts}
         assert got == want
 
+    @pytest.mark.parametrize("name", ["bpsk", "qpsk", "qam16", "qam64"])
+    @pytest.mark.parametrize("table", ["levels", "points"])
+    def test_shared_tables_are_read_only(self, name, table):
+        # SCHEMES is shared by the whole process: a write would move every
+        # later caller's curve and slicer
+        before = theoretical_awgn_ber(name, 5.0)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(get_scheme(name), table)[:] = 0
+        assert theoretical_awgn_ber(name, 5.0) == before
+
     def test_qam16_levels(self):
         sch = get_scheme("qam16")
         np.testing.assert_allclose(
-            np.sort(sch.i_levels), np.array([-3, -1, 1, 3]) / math.sqrt(10), rtol=1e-14
+            np.sort(sch.levels), np.array([-3, -1, 1, 3]) / math.sqrt(10), rtol=1e-14
         )
 
     def test_gray_labels_differ_in_one_bit(self):
         # sweeping a level axis in amplitude order flips exactly one bit
         for name in ("qam16", "qam64"):
             sch = get_scheme(name)
-            order = np.argsort(sch.i_levels)
-            labels = order  # index in i_levels is the per-axis gray label
+            order = np.argsort(sch.levels)
+            labels = order  # index in levels is the per-axis gray label
             # decode label -> position: adjacent positions must be gray
             inv = np.empty_like(order)
             inv[order] = np.arange(order.size)
-            seq = [int(x) for x in np.argsort(sch.i_levels)]
+            seq = [int(x) for x in np.argsort(sch.levels)]
             for a, b in zip(seq, seq[1:]):
                 assert bin(a ^ b).count("1") == 1, (name, a, b)
 
@@ -123,7 +133,7 @@ def _decision_edges():
     """Float midpoints of adjacent levels of every scheme and their neighbours."""
     edges = set()
     for name in ("bpsk", "qpsk", "qam16", "qam64"):
-        lv = np.sort(get_scheme(name).i_levels)
+        lv = np.sort(get_scheme(name).levels)
         for mid in (lv[:-1] + lv[1:]) / 2:
             edges.update((mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)))
     return sorted(float(e) for e in edges)
@@ -224,11 +234,11 @@ class TestTheoreticalCurves:
         k = sch.bits_per_symbol
         gamma = 10.0 ** (gamma_db / 10.0)
         sigma = math.sqrt(1.0 / (2.0 * k * gamma))
-        levels = np.sort(sch.i_levels)
-        inv = np.argsort(np.argsort(sch.i_levels))
+        levels = np.sort(sch.levels)
+        inv = np.argsort(np.argsort(sch.levels))
 
         def labels_of(idx):
-            return int(np.flatnonzero(np.isclose(np.sort(sch.i_levels)[idx], sch.i_levels))[0])
+            return int(np.flatnonzero(np.isclose(np.sort(sch.levels)[idx], sch.levels))[0])
 
         m = levels.size
         # decision boundaries are midpoints between neighbours
@@ -680,3 +690,25 @@ class TestRunBerOracle:
         assert message.startswith(f"scenario.time_symbols {time_symbols} needs"), message
         assert f"GiB for {stage}" in message, message
         assert peak < 2**20, peak  # nothing was drawn
+
+    def test_precoding_matrices_are_budgeted_beside_the_kernel(self, monkeypatch):
+        # after the SVD a link holds the kernel, its two eigenfunction arrays,
+        # one matrix per precoder and one hogmt_map temporary: with 8 matrices
+        # that is 12 kernels, more than the SVD's 8.5
+        kernel, channel = 24**2 * 16, 2 * 2 * 12 * 2 * 16  # fast_scenario: 2x2x12, 2 taps
+        old, new = 8.5 * kernel + channel, 12 * kernel + channel
+        monkeypatch.setattr("hogmt.channel._physical_memory", lambda: (old + new) // 2)
+        fractions = [f"hogmt({f})" for f in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as info:
+                run_ber(fast_scenario(), fractions, (10.0,), MIN_BITS_FLOOR, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = str(info.value)
+        assert message.startswith("scenario.time_symbols 12 needs"), message
+        assert "the kernel, its eigenfunctions and 8 precoding matrices" in message, message
+        assert peak < 2**20, peak  # nothing was drawn
+        # four matrices stay within the SVD's budget
+        run_ber(fast_scenario(), fractions[:4], (10.0,), MIN_BITS_FLOOR, seed=1)
