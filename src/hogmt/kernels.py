@@ -12,8 +12,10 @@ the precoder).
 
 from __future__ import annotations
 
+import functools
 import numbers
-from contextlib import suppress
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,6 +52,33 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
         link.flags.writeable = False
         link = link.base
     return arr
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with NumPy, or None."""
+    import ctypes  # here, so that importing hogmt skips the lookup
+    import glob
+    for so in glob.glob(f"{os.path.dirname(np.__file__)}/../numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(so)
+        fns = [getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set")]
+        if all(fns):
+            fns[0].restype, fns[0].argtypes = ctypes.c_int, []
+            fns[1].restype, fns[1].argtypes = None, [ctypes.c_int]
+            return fns
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Run a block (or, as a decorator, a function) with OpenBLAS at ``n`` threads and
+    restore the count after it, also on an exception; a no-op without that library."""
+    get, put = _openblas_threads() or (lambda: None, lambda n: None)
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _is_frozen(arr: np.ndarray) -> bool:

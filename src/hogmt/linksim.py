@@ -10,13 +10,16 @@ channels once for every SNR point, and per (chunk of trials, modulation)
 the data bits and unit-variance noise come from substreams shared by every
 precoder and every SNR point, so curves are paired sample-by-sample and
 across SNR.  Each precoder is one matrix per channel, built once per
-sweep.  The sweep is channel-major: it builds one channel's links, runs
-every modulation's trials on that channel through them and releases them
-before it draws the next channel, so one decomposition is held at a time.
-A chunk passes through each link once, and each SNR point only scales the
-noise, adds it and slices.  SNR is received-signal-referenced,
-E_s / sigma_v^2 with E_s = 1; per-bit SNR for reference curves is
-E_s / (k * sigma_v^2) for k bits per symbol.
+sweep; hogmt(f) depends on f only through its retained mode count, so
+precoders keeping as many modes, or of one other kind, share one link,
+sent, sliced and counted once and credited to each.  The sweep is
+channel-major: it builds one channel's links, runs every modulation's
+trials on that channel through them and releases them before it draws the
+next channel, so one decomposition is held at a time.  A chunk passes
+through each link once, on one BLAS thread (the SVD keeps the library's
+count), and each SNR point only scales the noise, adds it and slices.
+SNR is received-signal-referenced, E_s / sigma_v^2 with E_s = 1; per-bit
+SNR for reference curves is E_s / (k * sigma_v^2) for k bits per symbol.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .channel import (
 )
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (
+    _blas_threads,
     checked_array,
     checked_fields,
     checked_int,
@@ -50,7 +54,7 @@ from .kernels import (
     flatten_kernel,
     hogmt_decompose,
 )
-from .precoding import _FRACTION_RANGE, hogmt_map, zf_map, zfdpc_map
+from .precoding import _FRACTION_RANGE, hogmt_map, retained_count, zf_map, zfdpc_map
 
 __all__ = [
     "MIN_BITS_FLOOR",
@@ -81,8 +85,6 @@ _N_CHANNELS = 2
 # and noisy copy (32) and the slicer's decisions and error counts (<= 40)
 _CHUNK_BYTES_PER_SYMBOL = 118
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(64)])  # labels have <= 6 bits
-
 
 def _gray_pam_levels(n_bits: int) -> np.ndarray:
     """Unnormalized PAM levels indexed by the Gray label (MSB first).
@@ -111,7 +113,11 @@ class ModulationScheme:
     levels: np.ndarray = field(metadata={"ndim": 1, "dtype": float})
     points: np.ndarray = field(metadata={"ndim": 1})
 
-    __post_init__ = checked_fields
+    def __post_init__(self):
+        checked_fields(self)
+        for name, bits in (("levels", self.axis_bits), ("points", self.bits_per_symbol)):
+            if (got := getattr(self, name).size) != 1 << bits:
+                raise ValidationError(f"ModulationScheme.{name} needs {2**bits} values, got {got}")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -165,18 +171,19 @@ def _axis_regions(levels: np.ndarray):
     return order, ranked, total / 2, err
 
 
-def _axis_slicer(levels: np.ndarray):
-    """Nearest-level decision on one axis, returning the level's Gray label.
+def _slicer(scheme: ModulationScheme):
+    """Minimum-distance symbol labels of complex values, one axis at a time.
 
-    A value v lies above the midpoint of adjacent levels iff v - (mid + err)
-    > 0, and v - mid is exact wherever it is close to err (Sterbenz), so
-    comparing it with err decides exactly, also for values far outside the
-    constellation.  An exact tie needs err == 0, which for these symmetric
-    levels happens only at 0; it goes to the lower level, which there
-    carries the lower label (reflected Gray code), as an argmin over the
-    label-ordered points would pick.
+    Each axis decides the nearest level's Gray label.  A value v lies above
+    the midpoint of adjacent levels iff v - (mid + err) > 0, and v - mid is
+    exact wherever it is close to err (Sterbenz), so comparing it with err
+    decides exactly, also for values far outside the constellation.  An
+    exact tie needs err == 0, which for these symmetric levels happens only
+    at 0; it goes to the lower level, which there carries the lower label
+    (reflected Gray code), as an argmin over the label-ordered points would
+    pick.
     """
-    order, _, mid, err = _axis_regions(levels)
+    order, _, mid, err = _axis_regions(scheme.levels)
     pairs = list(zip(mid.tolist(), err.tolist()))
 
     def decide(v):
@@ -185,12 +192,6 @@ def _axis_slicer(levels: np.ndarray):
             rank += v - m > e
         return order[rank]
 
-    return decide
-
-
-def _slicer(scheme: ModulationScheme):
-    """Minimum-distance symbol labels of complex values, one axis at a time."""
-    decide = _axis_slicer(scheme.levels)
     if scheme.axes == 1:
         return lambda r: decide(r.real)
     return lambda r: (decide(r.real) << scheme.axis_bits) | decide(r.imag)
@@ -251,7 +252,7 @@ def _axis_bit_errors(levels: np.ndarray, sigma: float) -> float:
     # band[s, d]: probability that the level of rank s is decided as rank d
     below = ndtr((mid - ranked[:, None]) / sigma)
     band = np.diff(below, axis=1, prepend=0.0, append=1.0)
-    return float((band * _POPCOUNT[order[:, None] ^ order]).sum()) / levels.size
+    return float((band * np.bitwise_count(order[:, None] ^ order)).sum()) / levels.size
 
 
 def theoretical_awgn_ber(scheme, snr_per_bit_db: float) -> float:
@@ -344,26 +345,27 @@ class BerReport:
 
 
 def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
-    """Each precoder's (flattened kernel, precoding matrix) on one channel draw.
-
-    The ideal link has no kernel, and "none"/"ideal" have no matrix.
-    """
+    """The distinct links of one channel draw, each (flattened kernel,
+    precoding matrix, indices of the specs using it): hogmt(f) depends on f
+    only through its retained mode count, so specs keeping as many modes
+    share a link, as do specs of one other kind.  The ideal link has no
+    kernel, and "none"/"ideal" have no matrix."""
     if all(sp.kind == "ideal" for sp in specs):
-        return [(None, None)] * len(specs)
+        return [(None, None, list(range(len(specs))))]
     h = generate_channel(cfg, seed)
     kernel = to_kernel(h)
     flat = flatten_kernel(kernel)
-    needs_decomp = any(sp.kind == "hogmt" for sp in specs)
-    decomp = hogmt_decompose(kernel) if needs_decomp else None
-    links = []
-    for spec in specs:
-        if spec.kind == "hogmt":
-            pmap = hogmt_map(decomp, spec.fraction)
-        else:
+    decomp = hogmt_decompose(kernel) if any(sp.kind == "hogmt" for sp in specs) else None
+    links = {}
+    for pi, spec in enumerate(specs):
+        hogmt = spec.kind == "hogmt"
+        key = retained_count(decomp.sigmas, spec.fraction) if hogmt else spec.kind
+        if key not in links:
             build = {"zf": zf_map, "zfdpc": zfdpc_map}.get(spec.kind)
-            pmap = build(h) if build else None
-        links.append((None if spec.kind == "ideal" else flat, pmap))
-    return links
+            pmap = hogmt_map(decomp, spec.fraction) if hogmt else build(h) if build else None
+            links[key] = (None if spec.kind == "ideal" else flat, pmap, [])
+        links[key][2].append(pi)
+    return list(links.values())
 
 
 def _chunk_draws(seed, mi, first, n, k, dims):
@@ -379,13 +381,14 @@ def _chunk_draws(seed, mi, first, n, k, dims):
     return bits, ((normals[0] + 1j * normals[1]) / math.sqrt(2.0)).reshape(n, -1)
 
 
+@_blas_threads(1)
 def _run_channel(links, c, schemes, slicers, n_trials, scales, seed, dims, errors, tx_sum):
     """Send trials c, c + _N_CHANNELS, ... of every modulation over one channel's links.
 
-    Adds into ``errors`` (precoder, modulation, SNR) and ``tx_sum``
-    (precoder, modulation).  Trials run in chunks of a number of trials that
-    only the scenario dims set.  Once this returns, nothing refers to the
-    links any more.
+    Adds each link's counts into ``errors`` (precoder, modulation, SNR) and
+    ``tx_sum`` (precoder, modulation) of each precoder using it, in chunks of
+    a number of trials that only the scenario dims set, on one BLAS thread
+    (the products are small).  Once this returns, nothing refers to the links.
     """
     chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
     for mi, (scheme, slicer) in enumerate(zip(schemes, slicers)):
@@ -397,15 +400,14 @@ def _run_channel(links, c, schemes, slicers, n_trials, scales, seed, dims, error
             sent = _labels(bits, k)
             s = scheme.points[sent]  # (n, L_u * L_t), one flattened grid per trial
             received = []
-            for pi, (flat, pmap) in enumerate(links):
+            for flat, pmap, pis in links:
                 x = s if pmap is None else s @ pmap.T
-                received.append((pi, x if flat is None else x @ flat.T))
-                tx_sum[pi, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
+                received.append((pis, x if flat is None else x @ flat.T))
+                tx_sum[pis, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
             for si, scale in enumerate(scales):
                 noise = scale * unit_noise
-                for pi, r in received:
-                    got = slicer(r + noise)
-                    errors[pi, mi, si] += _POPCOUNT[got ^ sent].sum()
+                for pis, r in received:
+                    errors[pis, mi, si] += int(np.bitwise_count(slicer(r + noise) ^ sent).sum())
 
 
 def run_ber(
@@ -420,25 +422,20 @@ def run_ber(
 
     Noise variance per point is 10**(-snr_db/10), referencing the received
     signal (unit symbol energy).  Each trial spans one (users, time_symbols)
-    block; trials rotate over two channel realizations, drawn once per
-    sweep (keyed by channel index) and shared by every SNR point, precoder
-    and modulation, as are the data bits and the noise of each trial, so
-    comparisons are paired.  The loop runs channel by channel: channel c's
-    precoders are built once, each as a matrix P, every modulation's trials
-    c, c + 2, ... run on them, and they are released before channel c + 1
-    is drawn.  A precoder that cannot be built on a channel raises its error
+    block; trials c, c + 2, ... run on channel c, drawn once per sweep and
+    keyed by c, and each chunk of trials draws its bits and unit noise once,
+    keyed by its first trial and modulation, so SNR points, precoders and
+    modulations are paired as the module docstring describes.  A point's
+    counts depend neither on the other SNR values nor, since the chunk size
+    follows from the scenario dims alone, on which precoders run beside it.
+    A precoder that cannot be built on a channel raises its error
     (``DegenerateChannelError``, ``NumericalError``) and no report is
-    returned.  Each chunk of trials draws its bits and unit noise once, from
-    substreams keyed by its first trial and modulation, and is precoded as
-    S @ P.T and sent through every link's kernel once; each SNR point then
-    only scales the noise, adds it and slices.  A point's counts therefore do not depend on the
-    other SNR values, and since the chunk size follows from the scenario
-    dims alone, not on which precoders run beside each other either.
-    Before anything is drawn, a scenario whose kernel's SVD or precoding
-    matrices (any precoder but ``ideal``) or one trial's arrays would not fit
-    in physical memory raises ``ValidationError`` naming ``scenario.time_symbols``; a
-    ``none`` (data grid sent as is) or ``zfdpc`` (square per-instant inverses)
-    precoder with users != tx_antennas raises ``DimensionMismatchError``.
+    returned.  Before anything is drawn, a scenario whose kernel's SVD or
+    precoding matrices (any precoder but ``ideal``) or one trial's arrays
+    would not fit in physical memory raises ``ValidationError`` naming
+    ``scenario.time_symbols``; a ``none`` (data grid sent as is) or
+    ``zfdpc`` (square per-instant inverses) precoder with users !=
+    tx_antennas raises ``DimensionMismatchError``.
     """
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
@@ -465,9 +462,9 @@ def run_ber(
         )
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]
-    # checked before anything is drawn; the ideal link builds no kernel, a link
-    # holds one matrix per hogmt, zf or zfdpc precoder, and a chunk is one
-    # trial once n_sym >= _CHUNK_SYMBOLS, at most that many below
+    # checked before anything is drawn; the ideal link builds no kernel, the
+    # links hold at most one matrix per hogmt, zf or zfdpc precoder, and a chunk
+    # is one trial once n_sym >= _CHUNK_SYMBOLS, at most that many below
     if any(sp.kind != "ideal" for sp in specs):
         _check_channel_fits((scenario.users, scenario.tx_antennas, scenario.time_symbols,
                              scenario.max_delay_taps), "scenario.time_symbols",
@@ -481,9 +478,7 @@ def run_ber(
     slicers = [_slicer(scheme) for scheme in schemes]
     errors = np.zeros((len(specs), len(schemes), len(snr_list)), dtype=np.int64)
     tx_sum = np.zeros((len(specs), len(schemes)))
-    # channel-major: each channel's links are built, used by every modulation
-    # and released before the next channel is drawn, so one decomposition is
-    # alive at a time; each tx_sum cell still adds channel 0's chunks first
+    # channel-major (see the module docstring): each cell adds channel 0's chunks first
     for c in range(min(_N_CHANNELS, max(n_trials))):
         _run_channel(
             _links(scenario, _child_seed(seed, _SEED_BER_CHANNEL, c), specs),

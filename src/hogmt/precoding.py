@@ -165,20 +165,21 @@ def zf_map(h: ImpulseResponse4D) -> np.ndarray:
     """Per-instant spatial zero-forcing baseline.
 
     Inverts the tap-summed matrix at each time symbol (pseudo-inverse when
-    singular, with a warning).  Delay taps are ignored, so temporal and
-    joint interference pass through untouched.
+    singular, with a warning), from one SVD by ``np.linalg.pinv``'s formula
+    and ``matrix_rank``'s tolerance.  Delay taps are ignored, so temporal
+    and joint interference pass through untouched.
     """
     mats = _instant_matrices(h)
-    ranks = np.linalg.matrix_rank(mats)
-    deficient = int(np.count_nonzero(ranks < min(mats.shape[1:])))
-    if deficient:
-        warnings.warn(
-            f"{deficient} of {mats.shape[0]} per-instant matrices are "
-            "rank-deficient; pseudo-inverse used",
-            stacklevel=2,
-        )
     l_t, l_u, l_up = mats.shape
-    return _banded(np.linalg.pinv(mats)[np.newaxis]).reshape(l_up * l_t, l_u * l_t)
+    u, s, vt = np.linalg.svd(mats.conjugate(), full_matrices=False)
+    top = s.max(axis=-1, keepdims=True)
+    ranks = np.count_nonzero(s > top * (max(l_u, l_up) * np.finfo(float).eps), axis=-1)
+    if deficient := int(np.count_nonzero(ranks < min(l_u, l_up))):
+        warnings.warn(f"{deficient} of {l_t} per-instant matrices are rank-deficient; "
+                      "pseudo-inverse used", stacklevel=2)
+    s = np.divide(1, s, where=s > 1e-15 * top, out=np.zeros_like(s))
+    pinv = np.swapaxes(vt, -1, -2) @ (s[..., np.newaxis] * np.swapaxes(u, -1, -2))
+    return _banded(pinv[np.newaxis]).reshape(l_up * l_t, l_u * l_t)
 
 
 def zfdpc_map(h: ImpulseResponse4D) -> np.ndarray:

@@ -14,7 +14,9 @@ from hogmt import (
     hogmt_decompose,
     reconstruct,
 )
+from hogmt import kernels
 from hogmt.errors import DimensionMismatchError, NumericalError, ValidationError
+from hogmt.kernels import _blas_threads
 from hogmt.precoding import retained_count
 
 
@@ -275,3 +277,47 @@ class TestReconstructShapes:
         dec = decompose_grid_pairs(mat.reshape(2, 3, 2, 4))
         with pytest.raises(DimensionMismatchError):
             reconstruct(dec)
+
+
+class TestBlasThreads:
+    @staticmethod
+    def fake_library(monkeypatch, count):
+        state = {"n": count}
+        monkeypatch.setattr(kernels, "_openblas_threads",
+                            lambda: (lambda: state["n"], lambda n: state.update(n=n)))
+        return state
+
+    def test_sets_the_count_and_restores_it(self, monkeypatch):
+        state = self.fake_library(monkeypatch, 3)
+        with _blas_threads(1):
+            assert state["n"] == 1
+        assert state["n"] == 3
+
+    def test_restores_the_count_after_an_exception(self, monkeypatch):
+        state = self.fake_library(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="inside"):
+            with _blas_threads(1):
+                raise RuntimeError("inside")
+        assert state["n"] == 3
+
+    def test_does_nothing_without_the_symbols(self, monkeypatch):
+        real = kernels._openblas_threads()
+        count = real[0] if real else (lambda: None)
+        before = count()
+        monkeypatch.setattr(kernels, "_openblas_threads", lambda: None)
+        with _blas_threads(7):
+            assert count() == before
+        assert count() == before
+
+    def test_pins_the_bundled_openblas(self):
+        real = kernels._openblas_threads()
+        if real is None:
+            pytest.skip("this NumPy bundles no OpenBLAS")
+        get, _ = real
+        before = get()
+        with _blas_threads(1):
+            assert get() == 1
+            with _blas_threads(2):
+                assert get() == 2
+            assert get() == 1
+        assert get() == before

@@ -31,6 +31,7 @@ from hogmt.errors import (
     DimensionMismatchError,
     ValidationError,
 )
+from hogmt.precoding import hogmt_map, retained_count
 
 
 class TestSchemeTables:
@@ -71,6 +72,14 @@ class TestSchemeTables:
         with pytest.raises(ValueError, match="read-only"):
             getattr(get_scheme(name), table)[:] = 0
         assert theoretical_awgn_ber(name, 5.0) == before
+
+    def test_fields_must_agree(self):
+        # 2 axis bits on 2 axes need 4 levels and 16 points
+        with pytest.raises(ValidationError, match="ModulationScheme.levels needs 4 values, got 2"):
+            hogmt.linksim.ModulationScheme("bad", 2, 2, [-1.0, 1.0], [1j])
+        qam16 = get_scheme("qam16")
+        with pytest.raises(ValidationError, match="ModulationScheme.points needs 16 values, got 8"):
+            hogmt.linksim.ModulationScheme("bad", 2, 2, qam16.levels, qam16.points[:8])
 
     def test_qam16_levels(self):
         sch = get_scheme("qam16")
@@ -332,6 +341,17 @@ class TestRunBer:
         z = abs(pt.ber - want) / math.sqrt(pt.ber * (1.0 - pt.ber) / pt.bits)
         assert z < 3.0, f"ideal-link BER {pt.ber} vs theory {want}, z={z:.2f}"
 
+    def test_hand_built_qam256_is_on_the_awgn_curve(self):
+        # 8-bit labels, past the built-in schemes; 5 sigma as perfbench's check
+        qam256 = hogmt.linksim._build_scheme("qam256", 4, 2)
+        rep = run_ber(fast_scenario(), ("hogmt", "ideal"), (20.0,), MIN_BITS_FLOOR, seed=3,
+                      modulations=(qam256,))
+        (_, pt) = rep.points
+        theory = theoretical_awgn_ber(qam256, 20.0 - 10 * math.log10(8))
+        se = math.sqrt(max(theory, 1.0 / pt.bits) * (1.0 - theory) / pt.bits)
+        assert (pt.precoder, pt.modulation) == ("ideal", "qam256") and pt.errors > 0
+        assert abs(pt.ber - theory) <= 5.0 * se, (pt.ber, theory)
+
     def test_noise_free_full_retention_is_error_free(self):
         rep = run_ber(
             fast_scenario(), precoders=(parse_precoder("hogmt(1.0)"),),
@@ -511,6 +531,66 @@ def _oracle_ber(cfg, precoders, snr_db, min_bits, seed, modulations, n_channels=
                     n_trials * k * n_sym, errors, tx / n_trials
                 )
     return out
+
+
+# the acceptance criteria 4-6 scenario, 48 modes per channel
+CRITERIA_SCENARIO = ScenarioConfig(
+    users=4, tx_antennas=4, time_symbols=12, min_delay_taps=4, max_delay_taps=4,
+    mode="drift", doppler_max=0.2, doppler_drift=0.01, delay_decay=0.5,
+)
+
+
+class TestSharedLinks:
+    """hogmt(f) depends on f only through its retained mode count, so specs
+    keeping as many modes share one link per channel."""
+
+    KW = dict(snr_db=(0.0, 10.0, 20.0), min_bits=MIN_BITS_FLOOR, seed=777,
+              modulations=("bpsk", "qam16"))
+
+    def test_equal_counts_give_equal_rows(self):
+        # ceil(0.99 * 48) = 48: hogmt(0.99) keeps every mode hogmt(1.0) keeps
+        specs = ("hogmt(0.99)", "hogmt(1.0)", "hogmt")
+        shared = run_ber(CRITERIA_SCENARIO, specs, **self.KW)
+        alone = run_ber(CRITERIA_SCENARIO, ("hogmt(1.0)",), **self.KW)
+
+        def rows(points):
+            return [(p.snr_db, p.modulation, p.bits, p.errors, p.ber, p.tx_energy)
+                    for p in points]
+
+        n_mod = len(self.KW["modulations"])
+        per_spec = [rows(p for j, p in enumerate(shared.points) if j // n_mod % 3 == i)
+                    for i in range(3)]
+        assert per_spec[0] == per_spec[1] == per_spec[2] == rows(alone.points)
+        assert any(p.errors > 0 for p in alone.points)
+
+    def test_one_map_per_channel_and_retained_count(self, monkeypatch):
+        kept = []
+
+        def counted(decomp, fraction=1.0):
+            kept.append(retained_count(decomp.sigmas, fraction))
+            return hogmt_map(decomp, fraction)
+
+        monkeypatch.setattr(hogmt.linksim, "hogmt_map", counted)
+        # ceil(0.49 * 48) = ceil(0.5 * 48) = 24 and ceil(0.99 * 48) = 48
+        run_ber(CRITERIA_SCENARIO, ("hogmt(0.49)", "hogmt(0.99)", "zf", "hogmt(0.5)",
+                                    "hogmt(1.0)"), **self.KW)
+        assert kept == [24, 48, 24, 48]
+
+    def test_chunk_pass_runs_on_one_blas_thread(self, monkeypatch):
+        state, set_to, decomposed_at = {"n": 2}, [], []
+
+        def put(n):
+            set_to.append(n)
+            state["n"] = n
+
+        def decompose(kernel):
+            decomposed_at.append(state["n"])
+            return hogmt_decompose(kernel)
+
+        monkeypatch.setattr(hogmt.kernels, "_openblas_threads", lambda: (lambda: state["n"], put))
+        monkeypatch.setattr(hogmt.linksim, "hogmt_decompose", decompose)
+        run_ber(fast_scenario(), ("hogmt", "zf"), **self.KW)
+        assert set_to == [1, 2, 1, 2] and decomposed_at == [2, 2]
 
 
 class TestRunBerOracle:

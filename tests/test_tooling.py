@@ -59,6 +59,13 @@ def test_artifact_digests_repeat_and_name_every_artifact(tmp_path):
     assert not any(name.endswith("effective_config.yaml") for name in files)
 
 
+def test_ber_sweep_digest_repeats():
+    tool = _digests_module()
+    line = tool.ber_sweep_line()
+    assert line == tool.ber_sweep_line()
+    assert line.startswith("ber_sweep run_ber/points ") and len(line.split()[-1]) == 64
+
+
 def test_artifact_digests_needs_a_hogmt_tree(tmp_path, capsys):
     tool = _digests_module()
     assert tool.main([]) == 2

@@ -10,8 +10,12 @@ runs generate, decompose, precode, simulate, stats and complexity in-process
 through ``hogmt.cli.main`` on three configs, and prints one sorted line per
 config, file and digest: each ``.ctf``, ``.csv`` and ``.npy`` file and
 ``manifest.yaml`` that a subcommand writes or rewrites, and the complexity
-stdout.  The first line states ``OPENBLAS_NUM_THREADS``, because the bytes
-depend on the BLAS thread count.  Compare two trees with
+stdout.  One more line digests the ``BerPoint`` values of a ``run_ber`` call
+shaped like perfbench's ``ber_sweep`` (the criteria 4-6 scenario, all five
+precoders, four modulations, the nine points of 0-20 dB, a fixed seed), the
+only call here in which two precoders share a link.  The first line states
+``OPENBLAS_NUM_THREADS``, because the bytes depend on the BLAS thread count.
+Compare two trees with
 
     diff <(python tools/artifact_digests.py A) <(python tools/artifact_digests.py B)
 
@@ -55,6 +59,20 @@ CONFIGS = {
     "defaults": {},
 }
 
+# perfbench's ber_sweep call, all nine SNR points at once
+BER_SWEEP = {
+    "scenario": {
+        "users": 4, "tx_antennas": 4, "time_symbols": 12, "min_delay_taps": 4,
+        "max_delay_taps": 4, "mode": "drift", "doppler_max": 0.2, "doppler_drift": 0.01,
+        "delay_decay": 0.5,
+    },
+    "precoders": ("hogmt(0.99)", "hogmt(1.0)", "zf", "zfdpc", "ideal"),
+    "snr_db": tuple(2.5 * i for i in range(9)),
+    "min_bits": 10_000,
+    "seed": 777,
+    "modulations": ("bpsk", "qpsk", "qam16", "qam64"),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -89,6 +107,17 @@ def digest_lines(configs: dict, workdir: Path) -> list[str]:
     return sorted(lines)
 
 
+def ber_sweep_line() -> str:
+    """``ber_sweep run_ber/points digest``: the repr of every BER point's values."""
+    import dataclasses
+
+    import hogmt
+
+    kw = dict(BER_SWEEP, scenario=hogmt.ScenarioConfig(**BER_SWEEP["scenario"]))
+    points = [dataclasses.astuple(p) for p in hogmt.run_ber(**kw).points]
+    return f"ber_sweep run_ber/points {_sha256(repr(points).encode())}"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -104,7 +133,7 @@ def main(argv=None) -> int:
     print(f"importing hogmt from {Path(hogmt.__file__).parent}", file=sys.stderr)
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}")
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(digest_lines(CONFIGS, Path(tmp))))
+        print("\n".join(sorted(digest_lines(CONFIGS, Path(tmp)) + [ber_sweep_line()])))
     return 0
 
 
