@@ -1,9 +1,10 @@
 """Modulation, AWGN reference curves, and Monte-Carlo BER sweeps.
 
 A constellation is one Gray-PAM axis of unit average symbol energy, used on
-the in-phase axis alone (BPSK) or on both (square QAM).  Demodulation slices
-each axis on its own against the midpoints of adjacent levels, which for
-these separable constellations is exactly the minimum-distance decision.
+the in-phase axis alone (BPSK) or on both (square QAM), and built from those
+bit counts alone.  Demodulation slices each axis on its own against the
+midpoints of adjacent levels, exactly the minimum-distance decision for
+these separable constellations, whose AWGN curve sums the same bands.
 
 The BER engine compares precoders on identical footing: a sweep draws its
 channels once for every SNR point, and per (chunk of trials, modulation)
@@ -46,6 +47,7 @@ from .channel import (
 from .errors import DimensionMismatchError, ValidationError
 from .kernels import (
     _blas_threads,
+    _freeze,
     checked_array,
     checked_fields,
     checked_int,
@@ -80,65 +82,55 @@ _CHUNK_SYMBOLS = 1 << 14
 # channel realizations per sweep: trial t runs on channel t % _N_CHANNELS
 _N_CHANNELS = 2
 
-# bytes per data symbol of a chunk, beside 16 per precoder's received values:
-# bits (<= 6), unit noise (16), labels (8), symbols (16), one SNR point's noise
-# and noisy copy (32) and the slicer's decisions and error counts (<= 40)
-_CHUNK_BYTES_PER_SYMBOL = 118
-
-
-def _gray_pam_levels(n_bits: int) -> np.ndarray:
-    """Unnormalized PAM levels indexed by the Gray label (MSB first).
-
-    Rank i of the Gray sequence has label i ^ (i >> 1) and level 2*i - (M-1),
-    so adjacent levels differ in exactly one label bit.
-    """
-    m = 1 << n_bits
-    i = np.arange(m)
-    levels = np.empty(m, dtype=float)
-    levels[i ^ (i >> 1)] = 2 * i - (m - 1)
-    return levels
+# bytes per data symbol of a chunk, beside one per bit of the sweep's largest
+# bits_per_symbol and 16 per precoder's received values: unit noise (16),
+# labels (8), symbols (16), one SNR point's noise and noisy copy (32) and the
+# slicer's decisions and error counts (<= 40)
+_CHUNK_BYTES_PER_SYMBOL = 112
 
 
 @dataclass(frozen=True)
 class ModulationScheme:
     """Gray-mapped unit-energy constellation: one Gray-PAM axis used ``axes`` times.
 
-    ``levels[label]`` is the axis level of a Gray label; ``points[label]`` is the
-    symbol of a bit label (MSB first): the in-phase label, then the quadrature one.
+    The read-only tables follow from the bit counts.  ``levels[label]`` is the
+    axis level of a Gray label: rank i of the Gray sequence has label
+    i ^ (i >> 1) and level 2*i - (M-1), scaled to unit mean symbol energy, so
+    adjacent levels differ in exactly one label bit.  ``points[label]`` is
+    the symbol of a bit label (MSB first): the in-phase label, then the
+    quadrature one.
     """
 
     name: str
-    axis_bits: int = field(metadata={"ge": 1})
+    # 8 bits an axis cap the point table at 2**16 symbols (1 MiB), so a
+    # derived table always fits; 1024-QAM takes 5
+    axis_bits: int = field(metadata={"ge": 1, "le": 8})
     axes: int = field(metadata={"ge": 1, "le": 2})  # 1: in-phase only, 2: square QAM
-    levels: np.ndarray = field(metadata={"ndim": 1, "dtype": float})
-    points: np.ndarray = field(metadata={"ndim": 1})
 
     def __post_init__(self):
         checked_fields(self)
-        for name, bits in (("levels", self.axis_bits), ("points", self.bits_per_symbol)):
-            if (got := getattr(self, name).size) != 1 << bits:
-                raise ValidationError(f"ModulationScheme.{name} needs {2**bits} values, got {got}")
+        m = 1 << self.axis_bits
+        i = np.arange(m)
+        levels = np.empty(m, dtype=float)
+        levels[i ^ (i >> 1)] = 2 * i - (m - 1)
+        levels /= math.sqrt(self.axes * np.mean(levels**2))
+        labels = np.arange(1 << self.bits_per_symbol)  # in-phase label, then quadrature label
+        points = levels[labels >> (self.axes - 1) * self.axis_bits] + (
+            1j * levels[labels & (m - 1)] if self.axes == 2 else 0j)
+        object.__setattr__(self, "levels", _freeze(levels))
+        object.__setattr__(self, "points", _freeze(points))
 
     @property
     def bits_per_symbol(self) -> int:
         return self.axes * self.axis_bits
 
 
-def _build_scheme(name: str, axis_bits: int, axes: int) -> ModulationScheme:
-    levels = _gray_pam_levels(axis_bits)
-    levels = levels / math.sqrt(axes * np.mean(levels**2))
-    labels = np.arange(1 << (axes * axis_bits))  # in-phase label, then quadrature label
-    points = levels[labels >> (axes - 1) * axis_bits] + (
-        1j * levels[labels & ((1 << axis_bits) - 1)] if axes == 2 else 0j)
-    return ModulationScheme(name, axis_bits, axes, levels, points)
-
-
-SCHEMES: dict[str, ModulationScheme] = {
-    "bpsk": _build_scheme("bpsk", 1, 1),
-    "qpsk": _build_scheme("qpsk", 1, 2),
-    "qam16": _build_scheme("qam16", 2, 2),
-    "qam64": _build_scheme("qam64", 3, 2),
-}
+SCHEMES: dict[str, ModulationScheme] = {s.name: s for s in (
+    ModulationScheme("bpsk", 1, 1),
+    ModulationScheme("qpsk", 1, 2),
+    ModulationScheme("qam16", 2, 2),
+    ModulationScheme("qam64", 3, 2),
+)}
 
 
 def get_scheme(name) -> ModulationScheme:
@@ -246,12 +238,16 @@ def _axis_bit_errors(levels: np.ndarray, sigma: float) -> float:
 
     Exact: sums decision-band probabilities times Hamming distances over
     every (sent, decided) level pair, with the slicer's decision regions.
+    A band above the sent level is a difference of upper tails, any other
+    one of lower tails, so none rounds to 0 as 1 - (1 - eps).
     """
     from scipy.special import ndtr  # here, so that importing hogmt skips SciPy
     order, ranked, mid, _ = _axis_regions(levels)
     # band[s, d]: probability that the level of rank s is decided as rank d
-    below = ndtr((mid - ranked[:, None]) / sigma)
-    band = np.diff(below, axis=1, prepend=0.0, append=1.0)
+    z = (mid - ranked[:, None]) / sigma
+    below = np.diff(ndtr(z), axis=1, prepend=0.0, append=1.0)
+    above = -np.diff(ndtr(-z), axis=1, prepend=1.0, append=0.0)
+    band = np.where(np.tri(levels.size, dtype=bool), below, above)  # below: d <= s
     return float((band * np.bitwise_count(order[:, None] ^ order)).sum()) / levels.size
 
 
@@ -260,7 +256,7 @@ def theoretical_awgn_ber(scheme, snr_per_bit_db: float) -> float:
 
     Per-axis nearest-level decisions are the true minimum-distance rule for
     these separable constellations, so the band-probability sum is exact,
-    not a nearest-neighbor approximation.
+    not a nearest-neighbor approximation, in both tails.
     """
     scheme = get_scheme(scheme)
     k = scheme.bits_per_symbol
@@ -469,10 +465,11 @@ def run_ber(
         _check_channel_fits((scenario.users, scenario.tx_antennas, scenario.time_symbols,
                              scenario.max_delay_taps), "scenario.time_symbols",
                             sum(sp.kind not in ("none", "ideal") for sp in specs))
+    k_max = max(sc.bits_per_symbol for sc in schemes)
     _check_memory(
-        (_CHUNK_BYTES_PER_SYMBOL + 16 * len(specs)) * n_sym,
-        f"scenario.time_symbols {dims[1]}", "one trial's bits, noise and received "
-        f"values, ({_CHUNK_BYTES_PER_SYMBOL} + 16 * precoders) * users * time_symbols bytes",
+        (_CHUNK_BYTES_PER_SYMBOL + k_max + 16 * len(specs)) * n_sym,
+        f"scenario.time_symbols {dims[1]}", "one trial's bits, noise and received values, "
+        f"({_CHUNK_BYTES_PER_SYMBOL} + {k_max} bits + 16 * precoders) * users * time_symbols bytes",
     )
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
     slicers = [_slicer(scheme) for scheme in schemes]

@@ -37,9 +37,6 @@ def valid_kwargs(cls):
             x_coeffs=c(2), s_coeffs=c(2), dropped_energy=0.5
         ),
         H.StationarityReport: lambda: dict(intervals=np.array([1.0, 2.0, 3.0])),
-        H.ModulationScheme: lambda: dict(
-            name="bpsk", axis_bits=1, axes=1, levels=np.array([-1.0, 1.0]), points=c(2)
-        ),
     }[cls]()
 
 
@@ -53,8 +50,6 @@ FIELDS = [
     (H.CoefficientSet, "x_coeffs"),
     (H.CoefficientSet, "s_coeffs"),
     (H.StationarityReport, "intervals"),
-    (H.ModulationScheme, "levels"),
-    (H.ModulationScheme, "points"),
 ]
 FIELD_IDS = [f"{cls.__name__}.{field}" for cls, field in FIELDS]
 
@@ -430,9 +425,12 @@ SCALARS = [
          source_dims=v,
      )),
     ("ModulationScheme.axis_bits", "axis_bits", "int", 0,
-     lambda c, v: H.ModulationScheme("x", v, 1, [-1.0, 1.0], [-1.0, 1.0])),
+     lambda c, v: H.ModulationScheme("x", v, 1)),
+    # past 8 bits an axis the derived point table would outgrow 2**16 symbols
+    ("ModulationScheme.axis_bits.max", "axis_bits", "int", 9,
+     lambda c, v: H.ModulationScheme("x", v, 2)),
     ("ModulationScheme.axes", "axes", "int", 3,
-     lambda c, v: H.ModulationScheme("x", 1, v, [-1.0, 1.0], [-1.0, 1.0])),
+     lambda c, v: H.ModulationScheme("x", 1, v)),
     ("theoretical_awgn_ber.snr_per_bit_db", "snr_per_bit_db", "real+inf", None,
      lambda c, v: H.theoretical_awgn_ber("qpsk", v)),
     ("PrecoderSpec.fraction", "fraction", "real", 1.5, lambda c, v: H.PrecoderSpec("hogmt", v)),

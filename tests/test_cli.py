@@ -773,8 +773,8 @@ def test_simulate_size_that_cannot_fit_exits_1_before_any_work(tmp_path, capsys)
 # FAST's 2x2x12 channel with 2 taps: 8.5 kernels of (2 * 12)**2 * 16 bytes for
 # the kernel's SVD, and the 2 * 2 * 12 * 2 * 16 bytes of the channel
 FAST_CHANNEL_BUDGET = 8.5 * 24**2 * 16 + 2 * 2 * 12 * 2 * 16
-# one trial of one precoder on FAST's 2 x 12 data grid: 118 + 16 bytes a symbol
-FAST_TRIAL_BUDGET = (118 + 16) * 2 * 12
+# one trial of one precoder on FAST's 2 x 12 QPSK grid: 112 + 2 bits + 16 bytes a symbol
+FAST_TRIAL_BUDGET = (112 + 2 + 16) * 2 * 12
 
 
 @pytest.mark.parametrize("precoder,memory,code", [

@@ -1,5 +1,6 @@
 """Tests for modulation tables, AWGN reference curves and the BER driver."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -73,13 +74,23 @@ class TestSchemeTables:
             getattr(get_scheme(name), table)[:] = 0
         assert theoretical_awgn_ber(name, 5.0) == before
 
-    def test_fields_must_agree(self):
-        # 2 axis bits on 2 axes need 4 levels and 16 points
-        with pytest.raises(ValidationError, match="ModulationScheme.levels needs 4 values, got 2"):
+    def test_tables_cannot_be_passed_in(self):
+        # the tables follow from the bit counts, so none can disagree with them
+        with pytest.raises(TypeError):
             hogmt.linksim.ModulationScheme("bad", 2, 2, [-1.0, 1.0], [1j])
-        qam16 = get_scheme("qam16")
-        with pytest.raises(ValidationError, match="ModulationScheme.points needs 16 values, got 8"):
-            hogmt.linksim.ModulationScheme("bad", 2, 2, qam16.levels, qam16.points[:8])
+
+    def test_scheme_is_its_three_fields(self):
+        # hashable, and equal exactly when name and bit counts are
+        assert [f.name for f in dataclasses.fields(hogmt.linksim.ModulationScheme)] == [
+            "name", "axis_bits", "axes"]
+        qam16 = hogmt.linksim.ModulationScheme("qam16", 2, 2)
+        assert qam16 == get_scheme("qam16") and hash(qam16) == hash(get_scheme("qam16"))
+        assert hogmt.linksim.ModulationScheme("x", 2, 2) != qam16
+
+    def test_largest_table_builds(self):
+        # 8 bits an axis, the bound (test_boundary.py refuses 9): 2**16 points
+        sch = hogmt.linksim.ModulationScheme("x", 8, 2)
+        assert sch.points.size == 1 << 16 and not sch.points.flags.writeable
 
     def test_qam16_levels(self):
         sch = get_scheme("qam16")
@@ -114,8 +125,9 @@ class TestGrayAxis:
     @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
     def test_level_of_each_label_is_set_by_its_gray_rank(self, n_bits):
         m = 1 << n_bits
-        levels = hogmt.linksim._gray_pam_levels(n_bits)
-        assert levels.tolist() == [float(2 * _gray_rank(g) - (m - 1)) for g in range(m)]
+        levels = hogmt.linksim.ModulationScheme("x", n_bits, 1).levels
+        want = np.array([2 * _gray_rank(g) - (m - 1) for g in range(m)], dtype=float)
+        np.testing.assert_allclose(levels, want / math.sqrt((m * m - 1) / 3), rtol=1e-14)
 
     @pytest.mark.parametrize("n_bits", [1, 2, 3])
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -124,7 +136,7 @@ class TestGrayAxis:
         # summed pair by pair over the decision bands of the sorted levels
         from scipy.special import ndtr
 
-        levels = hogmt.linksim._gray_pam_levels(n_bits)
+        levels = hogmt.linksim.ModulationScheme("x", n_bits, 1).levels
         label = np.argsort(levels)  # label at each amplitude rank
         lv = levels[label]
         edges = np.concatenate([[-np.inf], (lv[:-1] + lv[1:]) / 2, [np.inf]])
@@ -221,6 +233,25 @@ class TestModulateDemodulate:
         np.testing.assert_array_equal(demodulate(noisy, sch), bits)
 
 
+def _cho_yoon_ber(levels_i: int, levels_j: int, gamma_b: np.ndarray) -> np.ndarray:
+    """Gray I x J QAM bit error rate in AWGN at per-bit SNRs ``gamma_b`` (linear),
+    the closed form of K. Cho and D. Yoon, IEEE Trans. Commun. 50(7), 2002:
+    each axis sums erfc terms per bit position; J = 1 is I-PAM."""
+    bits = math.log2(levels_i * levels_j)
+    arg = np.sqrt(3 * bits * gamma_b / (levels_i**2 + levels_j**2 - 2))
+
+    def axis(m):
+        total = np.zeros_like(arg)
+        for k in range(1, m.bit_length()):
+            for i in range(m - (m >> k)):
+                sign = -1 if (i << (k - 1)) // m % 2 else 1
+                weight = (1 << (k - 1)) - ((i << k) + m) // (2 * m)
+                total += sign * weight * erfc((2 * i + 1) * arg)
+        return total / m
+
+    return (axis(levels_i) + axis(levels_j)) / bits
+
+
 class TestTheoreticalCurves:
     def test_bpsk_at_zero_db(self):
         # closed form 0.5 * erfc(1) at 0 dB per bit
@@ -274,6 +305,23 @@ class TestTheoreticalCurves:
         want = per_axis / (k / 2)  # bits per axis
         got = theoretical_awgn_ber(name, gamma_db)
         assert got == pytest.approx(want, rel=1e-9), (name, gamma_db)
+
+    @pytest.mark.parametrize("scheme,levels_i,levels_j", [
+        ("bpsk", 2, 1), ("qpsk", 2, 2), ("qam16", 4, 4), ("qam64", 8, 8),
+        (hogmt.linksim.ModulationScheme("x", 4, 2), 16, 16),
+        (hogmt.linksim.ModulationScheme("x", 5, 2), 32, 32),
+    ], ids=["bpsk", "qpsk", "qam16", "qam64", "qam256", "qam1024"])
+    def test_matches_cho_yoon_closed_form(self, scheme, levels_i, levels_j):
+        # an independent closed form, through both tails: a band probability
+        # that rounds away shows past about 15 dB, where BER < 1e-12
+        gammas_db = np.arange(-20.0, 40.25, 0.5)
+        want = _cho_yoon_ber(levels_i, levels_j, 10.0 ** (gammas_db / 10.0))
+        for g, w in zip(gammas_db, want):
+            got = theoretical_awgn_ber(scheme, g)
+            if w > 1e-300:
+                assert got == pytest.approx(w, rel=1e-11, abs=0), (g, got, w)
+            else:
+                assert got <= 1e-300, (g, got, w)
 
     def test_monotone_decreasing(self):
         gammas = np.linspace(-5, 25, 61)
@@ -343,7 +391,7 @@ class TestRunBer:
 
     def test_hand_built_qam256_is_on_the_awgn_curve(self):
         # 8-bit labels, past the built-in schemes; 5 sigma as perfbench's check
-        qam256 = hogmt.linksim._build_scheme("qam256", 4, 2)
+        qam256 = hogmt.linksim.ModulationScheme("qam256", 4, 2)
         rep = run_ber(fast_scenario(), ("hogmt", "ideal"), (20.0,), MIN_BITS_FLOOR, seed=3,
                       modulations=(qam256,))
         (_, pt) = rep.points
@@ -792,3 +840,16 @@ class TestRunBerOracle:
         assert peak < 2**20, peak  # nothing was drawn
         # four matrices stay within the SVD's budget
         run_ber(fast_scenario(), fractions[:4], (10.0,), MIN_BITS_FLOOR, seed=1)
+
+    def test_trial_budget_counts_the_largest_bit_count(self, monkeypatch):
+        # one ideal trial of 256-QAM on fast_scenario's 2 x 12 grid: 112 bytes,
+        # 8 bits and 16 received bytes a symbol
+        qam256 = hogmt.linksim.ModulationScheme("qam256", 4, 2)
+        budget = (112 + 8 + 16) * 2 * 12
+        sweep = dict(precoders=("ideal",), snr_db=(10.0,), min_bits=MIN_BITS_FLOOR, seed=1,
+                     modulations=("qpsk", qam256))
+        monkeypatch.setattr("hogmt.channel._physical_memory", lambda: budget - 1)
+        with pytest.raises(ValidationError, match=r"\(112 \+ 8 bits \+ 16 \* precoders\)"):
+            run_ber(fast_scenario(), **sweep)
+        monkeypatch.setattr("hogmt.channel._physical_memory", lambda: budget)
+        assert len(run_ber(fast_scenario(), **sweep).points) == 2

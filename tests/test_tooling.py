@@ -66,6 +66,19 @@ def test_ber_sweep_digest_repeats():
     assert line.startswith("ber_sweep run_ber/points ") and len(line.split()[-1]) == 64
 
 
+def test_schemes_digest_repeats_and_covers_every_entry(monkeypatch):
+    tool = _digests_module()
+    line = tool.schemes_line()
+    assert line == tool.schemes_line()
+    assert line.startswith("schemes linksim/tables ") and len(line.split()[-1]) == 64
+    import hogmt.linksim
+
+    # one more scheme beside the built-in ones moves the digest
+    extra = hogmt.linksim.ModulationScheme("qam256", 4, 2)
+    monkeypatch.setitem(hogmt.linksim.SCHEMES, "qam256", extra)
+    assert tool.schemes_line() != line
+
+
 def test_artifact_digests_needs_a_hogmt_tree(tmp_path, capsys):
     tool = _digests_module()
     assert tool.main([]) == 2

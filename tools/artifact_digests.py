@@ -13,7 +13,9 @@ config, file and digest: each ``.ctf``, ``.csv`` and ``.npy`` file and
 stdout.  One more line digests the ``BerPoint`` values of a ``run_ber`` call
 shaped like perfbench's ``ber_sweep`` (the criteria 4-6 scenario, all five
 precoders, four modulations, the nine points of 0-20 dB, a fixed seed), the
-only call here in which two precoders share a link.  The first line states
+only call here in which two precoders share a link.  Another digests every
+built-in modulation scheme: its name, bit counts and the bytes of its
+``levels`` and ``points`` tables.  The first line states
 ``OPENBLAS_NUM_THREADS``, because the bytes depend on the BLAS thread count.
 Compare two trees with
 
@@ -118,6 +120,18 @@ def ber_sweep_line() -> str:
     return f"ber_sweep run_ber/points {_sha256(repr(points).encode())}"
 
 
+def schemes_line() -> str:
+    """``schemes linksim/tables digest``: each ``SCHEMES`` entry's name, bit
+    counts and table bytes, in name order."""
+    from hogmt.linksim import SCHEMES
+
+    digest = hashlib.sha256()
+    for name, scheme in sorted(SCHEMES.items()):
+        digest.update(repr((name, scheme.axis_bits, scheme.axes)).encode())
+        digest.update(scheme.levels.tobytes() + scheme.points.tobytes())
+    return f"schemes linksim/tables {digest.hexdigest()}"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -133,7 +147,7 @@ def main(argv=None) -> int:
     print(f"importing hogmt from {Path(hogmt.__file__).parent}", file=sys.stderr)
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}")
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(sorted(digest_lines(CONFIGS, Path(tmp)) + [ber_sweep_line()])))
+        print("\n".join(sorted(digest_lines(CONFIGS, Path(tmp)) + [ber_sweep_line(), schemes_line()])))
     return 0
 
 
