@@ -350,19 +350,19 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
         )
     # checked before any channel is drawn (generate_channel budgets each draw):
     # the larger of two stages must fit.  A member's atomic kernel is n x n
-    # complex (n = time_symbols * max_delay_taps); its SVD takes 8.5 kernels, the
+    # complex (n = time_symbols * max_delay_taps); its SVD takes _SVD_PEAK kernels, the
     # running lsf sum half a kernel and the cmd distance matrix at most that.
-    # cmd's window correlations, three arrays of time_symbols * L'**2 complex
-    # entries, L' the user or antenna count of the side
+    # cmd's window correlations: three complex arrays of time_symbols * max(users, tx_antennas)**2
     sc = cfg.scenario
-    l_t, l_side = sc.time_symbols, max(sc.users, sc.tx_antennas)
+    l_t, kernels, arrays = sc.time_symbols, _SVD_PEAK + 0.5, 3
     needs = [
-        ((_SVD_PEAK + 0.5) * (l_t * sc.max_delay_taps) ** 2 * 16,
-         f"scenario.time_symbols {l_t}",
-         "the atomic kernel and its SVD, 9 * (time_symbols * max_delay_taps)**2 * 16 bytes"),
-        (3 * l_t * l_side**2 * 16,
+        (kernels * (l_t * sc.max_delay_taps) ** 2 * 16, f"scenario.time_symbols {l_t}",
+         f"the atomic kernel and its SVD, {kernels:g} * (time_symbols * max_delay_taps)**2"
+         " * 16 bytes"),
+        (arrays * l_t * max(sc.users, sc.tx_antennas) ** 2 * 16,
          f"scenario (users, tx_antennas, time_symbols) = {(sc.users, sc.tx_antennas, l_t)}",
-         "cmd's window correlations, 48 * time_symbols * max(users, tx_antennas)**2 bytes"),
+         f"cmd's window correlations, {arrays} * time_symbols * max(users, tx_antennas)**2"
+         " * 16 bytes"),
     ]
     _check_memory(*max(needs, key=lambda need: need[0]))
     proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)

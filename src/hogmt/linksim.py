@@ -89,6 +89,10 @@ _N_CHANNELS = 2
 _CHUNK_BYTES_PER_SYMBOL = 112
 
 
+# (axis_bits, axes) of each built-in scheme, by the name get_scheme reads
+_BUILT_IN = {"bpsk": (1, 1), "qpsk": (1, 2), "qam16": (2, 2), "qam64": (3, 2)}
+
+
 @dataclass(frozen=True)
 class ModulationScheme:
     """Gray-mapped unit-energy constellation: one Gray-PAM axis used ``axes`` times.
@@ -98,7 +102,8 @@ class ModulationScheme:
     i ^ (i >> 1) and level 2*i - (M-1), scaled to unit mean symbol energy, so
     adjacent levels differ in exactly one label bit.  ``points[label]`` is
     the symbol of a bit label (MSB first): the in-phase label, then the
-    quadrature one.
+    quadrature one.  ``name`` is a non-empty string, and a built-in's name
+    (in any case) carries that built-in's bit counts.
     """
 
     name: str
@@ -109,6 +114,14 @@ class ModulationScheme:
 
     def __post_init__(self):
         checked_fields(self)
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"name must be a non-empty str, got {self.name!r}")
+        bits = _BUILT_IN.get(self.name.lower(), (self.axis_bits, self.axes))
+        if bits != (self.axis_bits, self.axes):
+            raise ValidationError(
+                f"name {self.name!r} is the built-in scheme of (axis_bits, axes) = {bits}, "
+                f"got {(self.axis_bits, self.axes)}"
+            )
         m = 1 << self.axis_bits
         i = np.arange(m)
         levels = np.empty(m, dtype=float)
@@ -125,12 +138,8 @@ class ModulationScheme:
         return self.axes * self.axis_bits
 
 
-SCHEMES: dict[str, ModulationScheme] = {s.name: s for s in (
-    ModulationScheme("bpsk", 1, 1),
-    ModulationScheme("qpsk", 1, 2),
-    ModulationScheme("qam16", 2, 2),
-    ModulationScheme("qam64", 3, 2),
-)}
+SCHEMES: dict[str, ModulationScheme] = {
+    name: ModulationScheme(name, *bits) for name, bits in _BUILT_IN.items()}
 
 
 def get_scheme(name) -> ModulationScheme:
@@ -239,9 +248,9 @@ def _axis_bit_errors(levels: np.ndarray, sigma: float) -> float:
     Exact: sums decision-band probabilities times Hamming distances over
     every (sent, decided) level pair, with the slicer's decision regions.
     A band above the sent level is a difference of upper tails, any other
-    one of lower tails, so none rounds to 0 as 1 - (1 - eps).
+    one of lower tails (math.erfc), so none rounds to 0 as 1 - (1 - eps).
     """
-    from scipy.special import ndtr  # here, so that importing hogmt skips SciPy
+    ndtr = np.vectorize(lambda x: math.erfc(-x / math.sqrt(2.0)) / 2.0, otypes=[float])
     order, ranked, mid, _ = _axis_regions(levels)
     # band[s, d]: probability that the level of rank s is decided as rank d
     z = (mid - ranked[:, None]) / sigma

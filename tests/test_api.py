@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import os
 import pkgutil
 import re
 import subprocess
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import hogmt
 from hogmt import cli
@@ -22,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 README = ROOT / "README.md"
+PYPROJECT = ROOT / "pyproject.toml"
+DIGESTS = ROOT / "tools" / "artifact_digests.py"
 
 # public names whose only callers are tests, each kept for a stated job
 TEST_ONLY = {
@@ -138,16 +142,56 @@ def test_perfbench_cli_pipeline_warms_up(perfbench, tmp_path):
     workloads.WORKLOADS["cli_pipeline"](1, tmp_path).warmup()
 
 
-def test_import_does_not_load_scipy():
-    # only theoretical_awgn_ber needs SciPy; every CLI process pays for an import
-    code = (
-        "import sys, hogmt, hogmt.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+# run with the criterion-10 config's path and an output directory as arguments
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # from here on, every SciPy import raises ImportError
+from hogmt import SCHEMES, theoretical_awgn_ber
+from hogmt.cli import _COMMANDS, main
+
+config, out = sys.argv[1:]
+for sub in _COMMANDS:
+    assert main([sub, "--config", config, "--out", out, "--quiet"]) == 0, sub
+for name in SCHEMES:
+    assert 0.0 < theoretical_awgn_ber(name, 10.0) < 0.5, name
+print(len(_COMMANDS), len(SCHEMES))
+"""
+
+
+def test_every_subcommand_and_curve_runs_without_scipy(tmp_path):
+    # the runtime needs NumPy and PyYAML alone; SciPy is a test oracle only
+    spec = importlib.util.spec_from_file_location("artifact_digests", DIGESTS)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(digests.CONFIGS["criterion_10"]), encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(hogmt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", WITHOUT_SCIPY, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.returncode == 0, out.stderr
+    # the last line, after complexity's table
+    assert out.stdout.splitlines()[-1] == f"{len(cli._COMMANDS)} {len(hogmt.SCHEMES)}"
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # every third-party top-level module imported anywhere in the package,
+    # inside functions too, against the runtime dependencies of pyproject.toml
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep)[0].lower() for dep in project["dependencies"]}
+    imported = set()
+    for path in Path(hogmt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"hogmt"}
+    assert {{"yaml": "pyyaml"}.get(m, m) for m in third_party} == declared
 
 
 def test_exports_are_unique_and_come_from_their_module():

@@ -864,11 +864,13 @@ STATS_LARGEST_STAGE = [
     # cmd: 3 * 16 * 64**2 * 16 bytes, beside 737,280 for the draw
     ({"users": 1, "tx_antennas": 64}, 3 * 16 * 64**2 * 16,
      "error: scenario (users, tx_antennas, time_symbols) = (1, 64, 16) needs"),
+    # the atomic kernel: 9 * 16**2 * 16 bytes, beside 11,520 for the draw and 768 for cmd
+    ({"users": 1, "tx_antennas": 1}, 9 * 16**2 * 16, "error: scenario.time_symbols 16 needs"),
 ]
 
 
 @pytest.mark.parametrize("scenario,budget,message", STATS_LARGEST_STAGE,
-                         ids=["draw", "cmd"])
+                         ids=["draw", "cmd", "atomic_kernel"])
 @pytest.mark.parametrize("short", [1, 0])
 def test_stats_memory_check_counts_its_largest_stage(
     tmp_path, capsys, monkeypatch, scenario, budget, message, short

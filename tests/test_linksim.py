@@ -87,6 +87,20 @@ class TestSchemeTables:
         assert qam16 == get_scheme("qam16") and hash(qam16) == hash(get_scheme("qam16"))
         assert hogmt.linksim.ModulationScheme("x", 2, 2) != qam16
 
+    @pytest.mark.parametrize("name", [None, "", 16])
+    def test_name_is_a_non_empty_string(self, name):
+        with pytest.raises(ValidationError, match="name"):
+            hogmt.linksim.ModulationScheme(name, 1, 1)
+
+    @pytest.mark.parametrize("name,axis_bits,axes", [
+        ("qpsk", 3, 2), ("QAM16", 1, 2), ("bpsk", 1, 2), ("qam64", 3, 1)])
+    def test_built_in_name_carries_its_bit_counts(self, name, axis_bits, axes):
+        # run_ber would report a 64-point scheme named "qpsk" as qpsk rows
+        with pytest.raises(ValidationError, match=f"name {name!r}"):
+            hogmt.linksim.ModulationScheme(name, axis_bits, axes)
+        built_in = get_scheme(name)
+        hogmt.linksim.ModulationScheme(name, built_in.axis_bits, built_in.axes)  # builds
+
     def test_largest_table_builds(self):
         # 8 bits an axis, the bound (test_boundary.py refuses 9): 2**16 points
         sch = hogmt.linksim.ModulationScheme("x", 8, 2)
@@ -418,6 +432,8 @@ class TestRunBer:
         c = run_ber(fast_scenario(), seed=4, **kw)
         assert a.points == b.points
         assert a.points != c.points
+        # a bare name is one modulation, not a sequence of characters
+        assert run_ber(fast_scenario(), seed=3, **dict(kw, modulations="qam16")).points == a.points
 
     def test_min_bits_floor_enforced(self):
         with pytest.raises(ValidationError, match=str(MIN_BITS_FLOOR)):
