@@ -56,6 +56,7 @@ _SEED_BER_BITS = 11  # linksim: bits per (first trial of chunk, modulation), eve
 _SEED_BER_NOISE = 12  # linksim: unit noise per (first trial of chunk, modulation), every SNR point
 _SEED_CLI_BITS = 20  # cli precode: data bits
 _SEED_STATS_MEMBER = 21  # cli stats: channel seed per ensemble member
+_MASTER_SEED_RANGE = {"ge": 0, "lt": 2**64}  # every master seed, as checked_int bounds
 
 _CTF_MAGIC = b"HGMTCTF1"
 _CTF_VERSION = 1
@@ -123,9 +124,9 @@ def _substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _child_seed(master_seed: int, *key: int) -> int:
-    """Seed in [0, 2**63) of one nested draw (a channel), keyed like a substream."""
-    return int(_substream(master_seed, *key).integers(0, 2**63))
+def _sweep_channel(cfg: ScenarioConfig, master_seed: int, tag: int, c: int) -> ImpulseResponse4D:
+    """Channel ``c`` of the draws tagged ``tag``, seeded in [0, 2**63) by substream (tag, c)."""
+    return generate_channel(cfg, int(_substream(master_seed, tag, c).integers(0, 2**63)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     whose draw would not fit in physical memory raises ``ValidationError``
     naming its dims before anything is drawn.
     """
-    seed = checked_int(seed, "seed", ge=0, lt=2**64)
+    seed = checked_int(seed, "seed", **_MASTER_SEED_RANGE)
     _check_memory(*_draw_need(cfg))
     l_u, l_up = cfg.users, cfg.tx_antennas
     l_t, l_tau = cfg.time_symbols, cfg.max_delay_taps

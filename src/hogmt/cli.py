@@ -28,14 +28,15 @@ import yaml
 
 from . import __version__
 from .channel import (
+    _MASTER_SEED_RANGE,
     _SEED_CLI_BITS,
     _SEED_STATS_MEMBER,
     ScenarioConfig,
     _SVD_PEAK,
     _check_channel_fits,
     _check_memory,
-    _child_seed,
     _substream,
+    _sweep_channel,
     generate_channel,
     load_ctf,
     save_ctf,
@@ -82,7 +83,7 @@ class SimConfig:
     modulation: str = "qam16"
     snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     min_bits: int = field(default=100_000, metadata={"ge": MIN_BITS_FLOOR})
-    seed: int = field(default=12345, metadata={"ge": 0, "lt": 2**64})
+    seed: int = field(default=12345, metadata=_MASTER_SEED_RANGE)
 
     def __post_init__(self):
         checked_fields(self)
@@ -366,10 +367,8 @@ def _cmd_stats(cfg: RunConfig, src: Path) -> dict:
     ]
     _check_memory(*max(needs, key=lambda need: need[0]))
     proto = GaussianPrototype(cfg.stats.proto_spread_t, cfg.stats.proto_spread_f)
-    channels = (
-        generate_channel(cfg.scenario, _child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, m))
-        for m in range(cfg.stats.ensemble)
-    )
+    channels = (_sweep_channel(cfg.scenario, cfg.sim.seed, _SEED_STATS_MEMBER, m)
+                for m in range(cfg.stats.ensemble))
     first_h = next(channels)  # cmd runs on it below
     # a generator, so one member's decomposition is alive at a time
     members = (

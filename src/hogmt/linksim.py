@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    _MASTER_SEED_RANGE,
     _SEED_BER_BITS,
     _SEED_BER_CHANNEL,
     _SEED_BER_NOISE,
@@ -39,9 +40,8 @@ from .channel import (
     SpaceTimeSignal,
     _check_channel_fits,
     _check_memory,
-    _child_seed,
     _substream,
-    generate_channel,
+    _sweep_channel,
     to_kernel,
 )
 from .errors import DimensionMismatchError, ValidationError
@@ -287,12 +287,15 @@ _PLAIN_KINDS = ("zf", "zfdpc", "none", "ideal")
 
 @dataclass(frozen=True)
 class PrecoderSpec:
-    """Which precoder to run; ``fraction`` is the retained-mode fraction."""
+    """Which precoder to run; ``fraction`` is hogmt's retained-mode fraction (1 for other kinds)."""
 
     kind: str = field(metadata={"choices": ("hogmt",) + _PLAIN_KINDS})
     fraction: float = field(default=1.0, metadata=_FRACTION_RANGE)
 
-    __post_init__ = checked_fields
+    def __post_init__(self):
+        checked_fields(self)
+        if self.kind != "hogmt" and self.fraction != 1:
+            raise ValidationError(f"fraction must be 1 for kind {self.kind!r}, got {self.fraction}")
 
 
 def parse_precoder(text) -> PrecoderSpec:
@@ -349,15 +352,14 @@ class BerReport:
     points: tuple[BerPoint, ...]
 
 
-def _links(cfg: ScenarioConfig, seed: int, specs) -> list[tuple]:
-    """The distinct links of one channel draw, each (flattened kernel,
-    precoding matrix, indices of the specs using it): hogmt(f) depends on f
-    only through its retained mode count, so specs keeping as many modes
-    share a link, as do specs of one other kind.  The ideal link has no
-    kernel, and "none"/"ideal" have no matrix."""
-    if all(sp.kind == "ideal" for sp in specs):
+def _links(h, specs) -> list[tuple]:
+    """The distinct links of channel ``h``, each (flattened kernel, precoding
+    matrix, indices of the specs using it): hogmt(f) depends on f only
+    through its retained mode count, so specs keeping as many modes share a
+    link, as do specs of one other kind.  The ideal link has no kernel, and
+    "none"/"ideal" have no matrix; an all-ideal sweep passes no channel."""
+    if h is None:
         return [(None, None, list(range(len(specs))))]
-    h = generate_channel(cfg, seed)
     kernel = to_kernel(h)
     flat = flatten_kernel(kernel)
     decomp = hogmt_decompose(kernel) if any(sp.kind == "hogmt" for sp in specs) else None
@@ -458,7 +460,7 @@ def run_ber(
     # noise scale per SNR point; 0 at +inf dB, where r + 0 * noise == r
     scales = [math.sqrt(_noise_variance(v)) for v in snr_list]
     min_bits = checked_real(min_bits, "min_bits", ge=MIN_BITS_FLOOR)
-    seed = checked_int(seed, "seed", ge=0, lt=2**64)
+    seed = checked_int(seed, "seed", **_MASTER_SEED_RANGE)
     square = [sp.kind for sp in specs if sp.kind in ("none", "zfdpc")]
     if scenario.users != scenario.tx_antennas and square:
         raise DimensionMismatchError(
@@ -467,10 +469,11 @@ def run_ber(
         )
     dims = (scenario.users, scenario.time_symbols)
     n_sym = dims[0] * dims[1]
-    # checked before anything is drawn; the ideal link builds no kernel, the
-    # links hold at most one matrix per hogmt, zf or zfdpc precoder, and a chunk
-    # is one trial once n_sym >= _CHUNK_SYMBOLS, at most that many below
-    if any(sp.kind != "ideal" for sp in specs):
+    # checked before anything is drawn; channels are drawn for any precoder but
+    # ideal, the links hold at most one matrix per hogmt, zf or zfdpc precoder,
+    # and a chunk is one trial once n_sym >= _CHUNK_SYMBOLS, at most that many below
+    drawn = any(sp.kind != "ideal" for sp in specs)
+    if drawn:
         _check_channel_fits((scenario.users, scenario.tx_antennas, scenario.time_symbols,
                              scenario.max_delay_taps), "scenario.time_symbols",
                             sum(sp.kind not in ("none", "ideal") for sp in specs))
@@ -487,7 +490,7 @@ def run_ber(
     # channel-major (see the module docstring): each cell adds channel 0's chunks first
     for c in range(min(_N_CHANNELS, max(n_trials))):
         _run_channel(
-            _links(scenario, _child_seed(seed, _SEED_BER_CHANNEL, c), specs),
+            _links(_sweep_channel(scenario, seed, _SEED_BER_CHANNEL, c) if drawn else None, specs),
             c, schemes, slicers, n_trials, scales, seed, dims, errors, tx_sum,
         )
 

@@ -218,6 +218,10 @@ INCONSISTENT = [
      lambda: H.run_ber(_SQUARE, "ideal", [0.0], 10_000, seed=1, modulations=[])),
     ("run_ber-no-snr-point", ValidationError, "need at least one SNR point",
      lambda: H.run_ber(_SQUARE, "ideal", [], 10_000, seed=1)),
+    ("PrecoderSpec-zf-fraction", ValidationError, "fraction must be 1 for kind 'zf', got 0.5",
+     lambda: H.PrecoderSpec("zf", 0.5)),
+    ("PrecoderSpec-ideal-fraction", ValidationError,
+     "fraction must be 1 for kind 'ideal', got 0.3", lambda: H.PrecoderSpec("ideal", 0.3)),
 ]
 
 

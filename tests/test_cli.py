@@ -26,7 +26,6 @@ from hogmt import (
     parse_precoder,
     save_ctf,
 )
-from hogmt.channel import _SEED_STATS_MEMBER, _child_seed
 from hogmt.cli import (
     OutConfig,
     RunConfig,
@@ -540,7 +539,9 @@ class TestCliPipeline:
         )
         assert [float(r[1]) for r in table("eigen.csv")] == decomp.sigmas.tolist()
 
-        seeds = [_child_seed(cfg.sim.seed, _SEED_STATS_MEMBER, m)
+        # member m's channel seed comes from substream (21, m) of the master seed
+        seeds = [int(np.random.default_rng(np.random.SeedSequence(
+                     entropy=cfg.sim.seed, spawn_key=(21, m))).integers(0, 2**63))
                  for m in range(cfg.stats.ensemble)]
         members = [hogmt.generate_channel(cfg.scenario, seed) for seed in seeds]
         dist = hogmt.cmd(members[0], "tx", cfg.stats.window)

@@ -493,7 +493,7 @@ class TestRunBer:
         def no_draw(*args):
             raise AssertionError("a channel was drawn")
 
-        monkeypatch.setattr(hogmt.linksim, "generate_channel", no_draw)
+        monkeypatch.setattr(hogmt.channel, "generate_channel", no_draw)
         cfg = ScenarioConfig(users=2, tx_antennas=3, time_symbols=8, max_delay_taps=2)
         with pytest.raises(DimensionMismatchError, match=kind) as exc:
             run_ber(cfg, ["hogmt", kind], [10.0], 10_000, seed=1)
@@ -712,15 +712,15 @@ class TestRunBerOracle:
     def test_channels_drawn_once_per_sweep(self, monkeypatch):
         calls = {"generate_channel": 0, "hogmt_decompose": 0}
 
-        def counted(name, fn):
+        def counted(module, name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(hogmt.linksim, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("generate_channel", generate_channel)
-        counted("hogmt_decompose", hogmt_decompose)
+        counted(hogmt.channel, "generate_channel", generate_channel)
+        counted(hogmt.linksim, "hogmt_decompose", hogmt_decompose)
         rep = run_ber(
             fast_scenario(), precoders=("hogmt(0.5)", "hogmt(1.0)", "zf"),
             snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), min_bits=MIN_BITS_FLOOR, seed=4,

@@ -1,6 +1,7 @@
 """The repository's tooling: the pytest configuration (a failing property test
 ends as a failure) and the artifact-digest script."""
 
+import importlib
 import importlib.util
 import subprocess
 import sys
@@ -43,6 +44,28 @@ def _digests_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_digests_run_the_benchmark_shapes(monkeypatch):
+    # the ber_sweep line and the cli_scenario config stand for perfbench's
+    # ber_sweep and cli_pipeline workloads; the benchmark is imported as it
+    # imports its modules, and left as it is
+    tool = _digests_module()
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in ("workloads", "tracing"):
+            sys.modules.pop(name, None)
+    import hogmt
+
+    sweep = tool.BER_SWEEP
+    assert hogmt.ScenarioConfig(**sweep["scenario"]) == workloads.BER_SCENARIO
+    assert sweep["precoders"] == workloads.BER_PRECODERS
+    assert sweep["snr_db"] == workloads.BER_GRID
+    assert sweep["min_bits"] == workloads.BER_MIN_BITS
+    assert sweep["modulations"] == workloads.BER_MODULATIONS
+    assert tool.CONFIGS["cli_scenario"]["scenario"] == workloads.CLI_SCENARIO
 
 
 def test_artifact_digests_repeat_and_name_every_artifact(tmp_path):
