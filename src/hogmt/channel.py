@@ -246,6 +246,8 @@ def generate_channel(cfg: ScenarioConfig, seed: int) -> ImpulseResponse4D:
     whose draw would not fit in physical memory raises ``ValidationError``
     naming its dims before anything is drawn.
     """
+    if not isinstance(cfg, ScenarioConfig):
+        raise ValidationError(f"cfg must be a ScenarioConfig, got {type(cfg).__name__}")
     seed = checked_int(seed, "seed", **_MASTER_SEED_RANGE)
     _check_memory(*_draw_need(cfg))
     l_u, l_up = cfg.users, cfg.tx_antennas

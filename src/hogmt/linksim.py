@@ -90,7 +90,8 @@ _CHUNK_BYTES_PER_SYMBOL = 112
 
 
 # (axis_bits, axes) of each built-in scheme, by the name get_scheme reads
-_BUILT_IN = {"bpsk": (1, 1), "qpsk": (1, 2), "qam16": (2, 2), "qam64": (3, 2)}
+_BUILT_IN = {"bpsk": (1, 1), "qpsk": (1, 2), "qam16": (2, 2), "qam64": (3, 2),
+             "qam256": (4, 2)}
 
 
 @dataclass(frozen=True)
@@ -282,14 +283,14 @@ def theoretical_awgn_ber(scheme, snr_per_bit_db: float) -> float:
 
 
 _PRECODER_RE = re.compile(r"^hogmt\(([^)]*)\)$")
-_PLAIN_KINDS = ("zf", "zfdpc", "none", "ideal")
+_KINDS = ("hogmt", "zf", "zfdpc", "none", "ideal")
 
 
 @dataclass(frozen=True)
 class PrecoderSpec:
     """Which precoder to run; ``fraction`` is hogmt's retained-mode fraction (1 for other kinds)."""
 
-    kind: str = field(metadata={"choices": ("hogmt",) + _PLAIN_KINDS})
+    kind: str = field(metadata={"choices": _KINDS})
     fraction: float = field(default=1.0, metadata=_FRACTION_RANGE)
 
     def __post_init__(self):
@@ -303,8 +304,6 @@ def parse_precoder(text) -> PrecoderSpec:
     if isinstance(text, PrecoderSpec):
         return text
     s = text.strip().lower() if isinstance(text, str) else ""  # None is not "none"
-    if s == "hogmt":
-        return PrecoderSpec("hogmt", 1.0)
     m = _PRECODER_RE.match(s)
     if m:
         try:
@@ -314,7 +313,7 @@ def parse_precoder(text) -> PrecoderSpec:
                 f"bad retained-mode fraction in precoder spec {text!r}"
             ) from None
         return PrecoderSpec("hogmt", frac)
-    if s in _PLAIN_KINDS:
+    if s in _KINDS:
         return PrecoderSpec(s)
     raise ValidationError(
         f"unknown precoder {text!r}; expected hogmt[(fraction)], zf, zfdpc, "
@@ -388,35 +387,6 @@ def _chunk_draws(seed, mi, first, n, k, dims):
     return bits, ((normals[0] + 1j * normals[1]) / math.sqrt(2.0)).reshape(n, -1)
 
 
-@_blas_threads(1)
-def _run_channel(links, c, schemes, slicers, n_trials, scales, seed, dims, errors, tx_sum):
-    """Send trials c, c + _N_CHANNELS, ... of every modulation over one channel's links.
-
-    Adds each link's counts into ``errors`` (precoder, modulation, SNR) and
-    ``tx_sum`` (precoder, modulation) of each precoder using it, in chunks of
-    a number of trials that only the scenario dims set, on one BLAS thread
-    (the products are small).  Once this returns, nothing refers to the links.
-    """
-    chunk = max(1, _CHUNK_SYMBOLS // (dims[0] * dims[1]))
-    for mi, (scheme, slicer) in enumerate(zip(schemes, slicers)):
-        k = scheme.bits_per_symbol
-        trials = range(c, n_trials[mi], _N_CHANNELS)
-        for lo in range(0, len(trials), chunk):
-            n = len(trials[lo : lo + chunk])
-            bits, unit_noise = _chunk_draws(seed, mi, trials[lo], n, k, dims)
-            sent = _labels(bits, k)
-            s = scheme.points[sent]  # (n, L_u * L_t), one flattened grid per trial
-            received = []
-            for flat, pmap, pis in links:
-                x = s if pmap is None else s @ pmap.T
-                received.append((pis, x if flat is None else x @ flat.T))
-                tx_sum[pis, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
-            for si, scale in enumerate(scales):
-                noise = scale * unit_noise
-                for pis, r in received:
-                    errors[pis, mi, si] += int(np.bitwise_count(slicer(r + noise) ^ sent).sum())
-
-
 def run_ber(
     scenario: ScenarioConfig,
     precoders,
@@ -444,6 +414,8 @@ def run_ber(
     ``zfdpc`` (square per-instant inverses) precoder with users !=
     tx_antennas raises ``DimensionMismatchError``.
     """
+    if not isinstance(scenario, ScenarioConfig):
+        raise ValidationError(f"scenario must be a ScenarioConfig, got {type(scenario).__name__}")
     if isinstance(precoders, (str, PrecoderSpec)):
         precoders = [precoders]
     specs = [parse_precoder(p) for p in precoders]
@@ -485,14 +457,37 @@ def run_ber(
     )
     n_trials = [math.ceil(min_bits / (sc.bits_per_symbol * n_sym)) for sc in schemes]
     slicers = [_slicer(scheme) for scheme in schemes]
+    chunk = max(1, _CHUNK_SYMBOLS // n_sym)  # trials; set by the scenario dims alone
     errors = np.zeros((len(specs), len(schemes), len(snr_list)), dtype=np.int64)
     tx_sum = np.zeros((len(specs), len(schemes)))
-    # channel-major (see the module docstring): each cell adds channel 0's chunks first
+
+    @_blas_threads(1)
+    def send(links, c):
+        """Send trials c, c + _N_CHANNELS, ... of every modulation over one channel's
+        links on one BLAS thread (the products are small), adding each link's counts
+        into errors and tx_sum of each precoder using it; then nothing refers to the links."""
+        for mi, (scheme, slicer) in enumerate(zip(schemes, slicers)):
+            k = scheme.bits_per_symbol
+            trials = range(c, n_trials[mi], _N_CHANNELS)
+            for lo in range(0, len(trials), chunk):
+                n = len(trials[lo : lo + chunk])
+                bits, unit_noise = _chunk_draws(seed, mi, trials[lo], n, k, dims)
+                sent = _labels(bits, k)
+                s = scheme.points[sent]  # (n, L_u * L_t), one flattened grid per trial
+                received = []
+                for flat, pmap, pis in links:
+                    x = s if pmap is None else s @ pmap.T
+                    received.append((pis, x if flat is None else x @ flat.T))
+                    tx_sum[pis, mi] += np.mean(np.abs(x) ** 2, axis=1).sum()
+                for si, scale in enumerate(scales):
+                    noise = scale * unit_noise
+                    for pis, r in received:
+                        errors[pis, mi, si] += int(np.bitwise_count(slicer(r + noise) ^ sent).sum())
+
+    # channel-major (see the module docstring); the links are built at the default thread count
     for c in range(min(_N_CHANNELS, max(n_trials))):
-        _run_channel(
-            _links(_sweep_channel(scenario, seed, _SEED_BER_CHANNEL, c) if drawn else None, specs),
-            c, schemes, slicers, n_trials, scales, seed, dims, errors, tx_sum,
-        )
+        send(_links(_sweep_channel(scenario, seed, _SEED_BER_CHANNEL, c) if drawn else None,
+                    specs), c)
 
     points: list[BerPoint] = []
     for si, snr in enumerate(snr_list):

@@ -222,6 +222,11 @@ INCONSISTENT = [
      lambda: H.PrecoderSpec("zf", 0.5)),
     ("PrecoderSpec-ideal-fraction", ValidationError,
      "fraction must be 1 for kind 'ideal', got 0.3", lambda: H.PrecoderSpec("ideal", 0.3)),
+    # a YAML section passed as it is, not a ScenarioConfig
+    ("run_ber-dict-scenario", ValidationError, "scenario must be a ScenarioConfig, got dict",
+     lambda: H.run_ber({"users": 2}, ["zf"], [1.0], 10_000, seed=1)),
+    ("generate_channel-dict-cfg", ValidationError, "cfg must be a ScenarioConfig, got dict",
+     lambda: H.generate_channel({"users": 2}, 1)),
 ]
 
 

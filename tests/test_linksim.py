@@ -403,9 +403,10 @@ class TestRunBer:
         z = abs(pt.ber - want) / math.sqrt(pt.ber * (1.0 - pt.ber) / pt.bits)
         assert z < 3.0, f"ideal-link BER {pt.ber} vs theory {want}, z={z:.2f}"
 
-    def test_hand_built_qam256_is_on_the_awgn_curve(self):
-        # 8-bit labels, past the built-in schemes; 5 sigma as perfbench's check
-        qam256 = hogmt.linksim.ModulationScheme("qam256", 4, 2)
+    @pytest.mark.parametrize("qam256", ["qam256", hogmt.linksim.ModulationScheme("qam256", 4, 2)],
+                             ids=["built-in", "hand-built"])
+    def test_hand_built_qam256_is_on_the_awgn_curve(self, qam256):
+        # 8-bit labels, by name and built by hand; 5 sigma as perfbench's check
         rep = run_ber(fast_scenario(), ("hogmt", "ideal"), (20.0,), MIN_BITS_FLOOR, seed=3,
                       modulations=(qam256,))
         (_, pt) = rep.points

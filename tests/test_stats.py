@@ -192,6 +192,28 @@ class TestStatsReport:
         assert rep.scattering.sum() == pytest.approx(rep.total_gain, rel=1e-12)
         assert rep.path_gain.sum() == pytest.approx(rep.total_gain, rel=1e-12)
 
+    @pytest.mark.parametrize("mode,extra", [
+        ("wssus", {}), ("block", {"block_len": 16}), ("drift", {"doppler_drift": 0.01}),
+    ], ids=["wssus", "block", "drift"])
+    def test_marginals_are_the_atomic_kernels_energies(self, mode, extra):
+        # a second route that needs no SVD: with A = U S V^H as a (t,f) x
+        # (tau,nu) matrix, sum_n s_n^2 |u_n|^2 = diag(A A^H) is A's row energy
+        # and sum_n s_n^2 |v_n|^2 = diag(A^H A) its column energy.  Modes below
+        # the 1e-12 * s_1 floor add at most N * 1e-24 * s_1^2, and N-term sums
+        # round at about N * eps, both far below 1e-12 of the largest entry
+        kernels = [
+            atomic_kernel(tf_transfer(chan(seed, time_symbols=64, min_delay_taps=4,
+                                           max_delay_taps=4, mode=mode, **extra), 0, 0),
+                          GaussianPrototype())
+            for seed in range(40, 44)
+        ]
+        rep = stats_from_decomp(None, ensemble=[decompose_atomic(ak) for ak in kernels])
+        energy = np.mean([np.abs(ak) ** 2 for ak in kernels], axis=0)
+        for got, want in [(rep.path_gain, energy.sum(axis=(2, 3))),
+                          (rep.scattering, energy.sum(axis=(0, 1))),
+                          (rep.total_gain, energy.sum())]:
+            assert np.abs(got - want).max() <= 1e-12 * np.max(want), mode
+
     def test_everything_nonnegative(self):
         rep = stats_from_decomp(self._decomp(13))
         assert rep.lsf.min() >= 0

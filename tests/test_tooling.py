@@ -97,8 +97,9 @@ def test_schemes_digest_repeats_and_covers_every_entry(monkeypatch):
     import hogmt.linksim
 
     # one more scheme beside the built-in ones moves the digest
-    extra = hogmt.linksim.ModulationScheme("qam256", 4, 2)
-    monkeypatch.setitem(hogmt.linksim.SCHEMES, "qam256", extra)
+    extra = hogmt.linksim.ModulationScheme("qam1024", 5, 2)
+    assert "qam1024" not in hogmt.linksim.SCHEMES
+    monkeypatch.setitem(hogmt.linksim.SCHEMES, "qam1024", extra)
     assert tool.schemes_line() != line
 
 
